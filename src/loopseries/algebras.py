@@ -13,12 +13,28 @@ with involution ``(a + bj)* = a* - bj`` and basis convention
 ``e_{2^k + i} = e_i j``; this convention is pinned by the sedenion
 zero-divisor identity ``(e1 + e10)(e5 + e14) = 0``.
 
+Storage is ``Fraction`` throughout: ``CDElement.coords`` and
+``MatrixElement.entries`` are tuples of ``Fraction`` (or of algebra
+elements, for matrices over them). The two hot products run on plain
+integers inside the kernel and build one ``Fraction`` per output
+coordinate or entry:
+
+* a Cayley-Dickson product uses the basis rule ``e_i e_j = s(i, j)
+  e_{i xor j}`` with a sign table ``s`` derived once per level from the
+  doubling rule, applied to integer numerators over each operand's common
+  denominator; the recursive doubling ``_cd_mul`` stays as the oracle;
+* a product of two matrices with only ``Fraction`` entries is one integer
+  matrix product over the two shared denominators; any other entry type
+  uses the generic entry loop.
+
 All arithmetic is exact; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import StructuralError
@@ -94,7 +110,8 @@ class CDElement:
         if isinstance(other, (int, Fraction)):
             return CDElement(self.level, [a * other for a in self.coords])
         self._check(other)
-        return CDElement(self.level, _cd_mul(self.coords, other.coords))
+        return CDElement(self.level,
+                         _cd_table_mul(self.level, self.coords, other.coords))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -149,7 +166,8 @@ def _cd_conj(coords: tuple) -> list:
 
 
 def _cd_mul(x: tuple, y: tuple) -> list:
-    """Doubling product ``(a, b)(c, d) = (ac - d*b, da + bc*)``."""
+    """Doubling product ``(a, b)(c, d) = (ac - d*b, da + bc*)``; the oracle
+    for ``_cd_table_mul``."""
     if len(x) == 1:
         return [x[0] * y[0]]
     half = len(x) // 2
@@ -160,6 +178,71 @@ def _cd_mul(x: tuple, y: tuple) -> list:
     first = [p - q for p, q in zip(_cd_mul(a, c), _cd_mul(d_conj, b))]
     second = [p + q for p, q in zip(_cd_mul(d, a), _cd_mul(b, c_conj))]
     return first + second
+
+
+# _CD_SIGNS[k][i][j] = s with e_i e_j = s e_{i xor j} at level k; levels
+# are added on first use by _cd_signs.
+_CD_SIGNS: list[tuple[tuple[int, ...], ...]] = [((1,),)]
+
+
+def _cd_signs(level: int) -> tuple[tuple[int, ...], ...]:
+    """Sign table of the level-``level`` basis product.
+
+    Level ``k`` follows from level ``k - 1`` (table ``s``, half size
+    ``h``) by the doubling rule on basis vectors, with ``p, q < h``,
+    ``e_{h+p} = e_p j`` and ``e_q* = -e_q`` for ``q > 0``:
+
+        e_p e_q         = s(p, q) e_{p^q}
+        e_p (e_q j)     = (e_q e_p) j
+        (e_p j) e_q     = (e_p e_q*) j
+        (e_p j)(e_q j)  = -e_q* e_p
+    """
+    while len(_CD_SIGNS) <= level:
+        prev = _CD_SIGNS[-1]
+        h = len(prev)
+        rows = []
+        for i in range(2 * h):
+            p, high_i = i % h, i >= h
+            row = []
+            for j in range(2 * h):
+                q, high_j = j % h, j >= h
+                conj_q = 1 if q == 0 else -1
+                if not high_i:
+                    row.append(prev[q][p] if high_j else prev[p][q])
+                elif not high_j:
+                    row.append(conj_q * prev[p][q])
+                else:
+                    row.append(-conj_q * prev[q][p])
+            rows.append(tuple(row))
+        _CD_SIGNS.append(tuple(rows))
+    return _CD_SIGNS[level]
+
+
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of ``Fraction`` values over their least common
+    denominator, and that denominator."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _cd_table_mul(level: int, x: tuple, y: tuple) -> list[Fraction]:
+    """Cayley-Dickson product of two coordinate tuples of ``Fraction``
+    through the basis sign table; equal to ``_cd_mul``."""
+    xs, dx = _common_denominator(x)
+    ys, dy = _common_denominator(y)
+    ys = [(j, v) for j, v in enumerate(ys) if v]
+    acc = [0] * len(x)
+    for i, (u, row) in enumerate(zip(xs, _cd_signs(level))):
+        if not u:
+            continue
+        for j, v in ys:
+            if row[j] > 0:
+                acc[i ^ j] += u * v
+            else:
+                acc[i ^ j] -= u * v
+    den = dx * dy
+    return [Fraction(a, den) for a in acc]
 
 
 def cd_mul(x: CDElement, y: CDElement) -> CDElement:
@@ -249,18 +332,9 @@ class MatrixElement:
         if isinstance(other, (int, Fraction)):
             return type(self)([[a * other for a in r] for r in self.entries])
         self._check(other)
-        n = self.dim
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    term = self.entries[i][k] * other.entries[k][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return type(self)(out)
+        if _all_fractions(self.entries) and _all_fractions(other.entries):
+            return type(self)(_fraction_matmul(self.entries, other.entries))
+        return type(self)(_generic_matmul(self.entries, other.entries))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -288,6 +362,38 @@ class MatrixElement:
 
     def __repr__(self) -> str:
         return f"MatrixElement({self})"
+
+
+def _all_fractions(rows) -> bool:
+    return all(isinstance(a, Fraction) for r in rows for a in r)
+
+
+def _generic_matmul(x, y) -> list[list]:
+    """Row-by-column product using only the entries' ``*`` and ``+``."""
+    n = len(x)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                term = x[i][k] * y[k][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _fraction_matmul(x, y) -> list[list[Fraction]]:
+    """Product of two square ``Fraction`` grids as one integer matrix
+    product over the two shared denominators."""
+    n = len(x)
+    xs, dx = _common_denominator([a for r in x for a in r])
+    ys, dy = _common_denominator([a for r in y for a in r])
+    rows = [xs[i * n:(i + 1) * n] for i in range(n)]
+    cols = [ys[j::n] for j in range(n)]
+    den = dx * dy
+    return [[Fraction(sum(map(mul, r, c)), den) for c in cols] for r in rows]
 
 
 class SplitQuaternionMatrix(MatrixElement):
@@ -403,6 +509,17 @@ def is_zero(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return x == 0
     return x.is_zero()
+
+
+def known_nonassociative(x) -> bool:
+    """Whether ``x`` lives in an algebra known to be non-associative:
+    Cayley-Dickson level 3 (octonions) and up, matrices over such an
+    algebra, and any one-step doubling ``A + Aj``."""
+    if isinstance(x, CDElement):
+        return x.level >= 3
+    if isinstance(x, MatrixElement):
+        return known_nonassociative(x.entries[0][0])
+    return isinstance(x, DoubledElement)
 
 
 def associator(a, b, c):

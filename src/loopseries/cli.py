@@ -11,7 +11,7 @@ Output is byte-deterministic for fixed arguments and seed. The library
 version (and the seed, for randomized runs) is reported on stderr so that
 stdout carries only the text/json/csv payload. Exit status: 0 on success
 or fully expected verification results, 1 on any unexpected failure,
-2 on usage errors.
+2 on usage errors and malformed input.
 
 If ``LOOPSERIES_CACHE_DIR`` is set, the Lagrange-coefficient memo table is
 loaded from and saved to ``lagrange_d.csv`` in that directory.
@@ -196,14 +196,18 @@ def _cmd_coop(args) -> tuple[str, int]:
     return str(poly) + "\n", 0
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
+def _parse_int_tuple(text: str, option: str) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(ch) for ch in text.split(","))
+    try:
+        return tuple(int(ch) for ch in text.split(","))
+    except ValueError:
+        raise StructuralError(
+            f"{option} needs comma-separated integers, got {text!r}") from None
 
 
 def _cmd_operators(args) -> tuple[str, int]:
-    degrees = _parse_int_tuple(args.degrees)
+    degrees = _parse_int_tuple(args.degrees, "--degrees")
     factors = [NCPolynomial.generator(1, d) for d in degrees]
     if args.op == "L":
         result = left_op(factors, args.mode)
@@ -212,11 +216,12 @@ def _cmd_operators(args) -> tuple[str, int]:
     elif args.op == "Rm":
         if args.m is None:
             raise StructuralError("Rm needs --m")
-        result = right_op_m(_parse_int_tuple(args.m), factors)
+        result = right_op_m(_parse_int_tuple(args.m, "--m"), factors)
     else:
         if args.bits is None:
             raise StructuralError("Re needs --bits")
-        result = right_op_e(_parse_int_tuple(args.bits), factors, args.mode)
+        result = right_op_e(_parse_int_tuple(args.bits, "--bits"), factors,
+                            args.mode)
     if args.format == "json":
         terms = [{"coeff": str(c),
                   "factors": [[[cp, i] for cp, i in w] for w in key]}
@@ -286,9 +291,22 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if as_expected else 1
 
 
+def _series_arg(text: str, option: str, args) -> TruncatedSeries:
+    """Decode a series option; malformed JSON or coefficients are
+    structural errors."""
+    try:
+        return series_from_json(text, args.flavor, args.order, args.algebra)
+    except StructuralError:
+        raise
+    except (ValueError, TypeError, KeyError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise StructuralError(f"{option}: cannot decode series: {exc}") \
+            from None
+
+
 def _cmd_divide(args) -> tuple[str, int]:
-    a = series_from_json(args.a, args.flavor, args.order, args.algebra)
-    b = series_from_json(args.b, args.flavor, args.order, args.algebra)
+    a = _series_arg(args.a, "--a", args)
+    b = _series_arg(args.b, "--b", args)
     result = seriesloops.divide(args.side, a, b, args.mode)
     check = seriesloops.divide(
         args.side, a, b, "closed" if args.mode == "recursive" else "recursive")
@@ -300,7 +318,7 @@ def _cmd_divide(args) -> tuple[str, int]:
 
 
 def _cmd_invert(args) -> tuple[str, int]:
-    a = series_from_json(args.a, args.flavor, args.order, args.algebra)
+    a = _series_arg(args.a, "--a", args)
     result = seriesloops.series_inverse(a, args.side)
     if args.format == "json":
         return _emit_json("invert", series_to_json(result, args.algebra)), 0
@@ -344,6 +362,17 @@ def _cmd_trees(args) -> tuple[str, int]:
 
 # -- parser ----------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopseries",
@@ -356,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="Lagrange coefficient tables")
     p.add_argument("--kind", choices=("d", "de"), default="d")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("coop", help="co-operation table entries")
     p.add_argument("--flavor", choices=("inv", "fdb"), required=True)
     p.add_argument("--kind", choices=COOP_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_coop)
 
     p = sub.add_parser("operators", help="recursive operator expansions")
@@ -385,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("divide", "invert"):
         p = sub.add_parser(name, help=f"{name} truncated series")
         p.add_argument("--flavor", choices=("inv", "diff"), required=True)
-        p.add_argument("--order", type=int, required=True)
+        p.add_argument("--order", type=_positive_int, required=True)
         p.add_argument("--algebra", choices=sorted(_ALGEBRAS), required=True)
         p.add_argument("--a", required=True, help="series JSON")
         if name == "divide":

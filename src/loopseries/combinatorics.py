@@ -13,6 +13,12 @@ The integer combinatorics driving all coefficient formulas in this library:
   the integers appearing in the closed division formulas for formal
   diffeomorphisms with non-commutative coefficients.
 
+``d_l`` and ``d_l^e`` are defined as sums over ``M(l)``, but they are
+computed by a prefix-sum dynamic program over (position, running prefix
+sum) in ``O(l^3)`` integer operations. The enumeration of ``M(l)`` and
+``M(l)^e`` is kept as the definition, for the tree bijection and the
+operators' closed forms, and as the oracle the tests compare against.
+
 Everything here is exact integer arithmetic.
 """
 
@@ -131,13 +137,35 @@ def m_sequences_labeled(length: int, e: Sequence[int]) -> list[tuple[int, ...]]:
 _D_CACHE: dict[tuple[int, ...], int] = {}
 
 
+def _d_sum(e: Sequence[int], ns: Sequence[int]) -> int:
+    """``sum over m in M(l)^e of prod_i binom(n_i + 1, m_i)`` by a DP.
+
+    ``ways[s]`` is the weighted count of admissible prefixes
+    ``(m_1, ..., m_j)`` with sum ``s``. Every prefix needs ``s >= j``,
+    which at ``j = l`` means ``s == l`` as no sum exceeds ``l``; the bit
+    ``e_j = 2`` forces ``m_j = 0``.
+    """
+    ell = len(ns)
+    ways = [1] + [0] * ell
+    for j, (bit, n) in enumerate(zip(e, ns), start=1):
+        top = ell - j + 1 if bit == 1 else 0
+        weights = [math.comb(n + 1, m) for m in range(top + 1)]
+        nxt = [0] * (ell + 1)
+        for s in range(j - 1, ell + 1):
+            if ways[s]:
+                for m in range(max(j - s, 0), min(top, ell - s) + 1):
+                    nxt[s + m] += ways[s] * weights[m]
+        ways = nxt
+    return ways[ell]
+
+
 def lagrange_d(ns: Sequence[int]) -> int:
     """Lagrange coefficient ``d_l(n_1, ..., n_l)``.
 
     The sum over ``m in M(l)`` of ``prod_i binom(n_i + 1, m_i)``, with
     ``d_0 = 1`` on the empty argument. These are the coefficients of the
     right division of formal diffeomorphisms; ``d_l(1, ..., 1)`` is the
-    Catalan number ``C(l+1)``.
+    Catalan number ``C(l+1)``. Computed by the prefix-sum DP and memoized.
     """
     key = tuple(ns)
     hit = _D_CACHE.get(key)
@@ -145,10 +173,7 @@ def lagrange_d(ns: Sequence[int]) -> int:
         return hit
     if any(n < 1 for n in key):
         raise StructuralError(f"degrees must be positive, got {key}")
-    value = sum(
-        math.prod(math.comb(n + 1, m) for n, m in zip(key, mseq))
-        for mseq in m_sequences(len(key))
-    ) if key else 1
+    value = _d_sum((1,) * len(key), key)
     _D_CACHE[key] = value
     return value
 
@@ -158,13 +183,13 @@ def lagrange_d_labeled(e: Sequence[int], ns: Sequence[int]) -> int:
 
     The ``d``-sum restricted to ``M(l)^e``; equals ``lagrange_d`` when
     ``e = (1, ..., 1)`` and vanishes when ``e`` starts with the bit 2.
+    Computed by the prefix-sum DP.
     """
     if len(e) != len(ns):
         raise StructuralError(f"{len(e)} bits for {len(ns)} degrees")
-    return sum(
-        math.prod(math.comb(n + 1, m) for n, m in zip(ns, mseq))
-        for mseq in m_sequences_labeled(len(ns), e)
-    ) if len(ns) else 1
+    if any(b not in (1, 2) for b in e):
+        raise StructuralError(f"bits must be 1 or 2, got {tuple(e)}")
+    return _d_sum(e, ns)
 
 
 def d_cache_rows() -> list[tuple[str, str]]:
@@ -260,11 +285,9 @@ def tree_of_msequence(m: Sequence[int]) -> Tree:
 def _phi(m: tuple[int, ...]) -> Tree:
     if not m:
         return LEAF
-    total = 0
     for h in range(len(m) - 1, 0, -1):
         if sum(m[:h]) == h:
             return _graft_rightmost(_phi(m[:h]), _phi(m[h:]))
-    del total
     # indecomposable: m = (k+1, m_2, ..., m_{l-1}, 0)
     reduced = (m[0] - 1,) + m[1:-1] if len(m) > 1 else ()
     return (_phi(reduced), LEAF)

@@ -7,8 +7,11 @@
 with ``+``, ``-``, ``*`` and integer scaling; the ``inv`` operations use
 only binary coefficient products, so non-associative coefficient algebras
 (sedenions, matrices over them) are supported there. The ``diff``
-operations multiply chains of coefficients and require an associative
-algebra.
+operations multiply chains of coefficients, whose value over a
+non-associative algebra depends on the parenthesization, so a ``diff``
+series refuses a carrier known to be non-associative (octonions and
+higher Cayley-Dickson levels, matrices over them, doubled elements) with
+a ``StructuralError``.
 
 Divisions come in two independent implementations: the ``recursive`` mode
 solves the defining cancellation equation degree by degree and is the
@@ -38,6 +41,7 @@ from .algebras import (
     SplitQuaternionMatrix,
     conj_of,
     is_zero,
+    known_nonassociative,
     one_of,
     zero_of,
 )
@@ -62,7 +66,8 @@ class TruncatedSeries:
 
     Operations are exact modulo degree ``N`` and never extend the order
     silently; combining series of different flavors or orders is a
-    structural error.
+    structural error. A ``diff`` series over a carrier known to be
+    non-associative is a structural error too.
     """
 
     __slots__ = ("flavor", "order", "coeffs", "one")
@@ -79,6 +84,9 @@ class TruncatedSeries:
             if not coeffs:
                 raise StructuralError("cannot infer the unit from no coefficients")
             one = one_of(coeffs[0])
+        if flavor == "diff" and known_nonassociative(one):
+            raise StructuralError(
+                "diff series need an associative coefficient algebra")
         zero = zero_of(one)
         coeffs.extend(zero for _ in range(order - len(coeffs)))
         self.flavor = flavor

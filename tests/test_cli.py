@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,6 +146,34 @@ class TestSeriesCommands:
         assert code == 0
         assert "2*e1 + 2*e10" in out
 
+    @pytest.mark.parametrize("algebra, coeff", [
+        ("o", "e1 + e2"),
+        ("sed", "e1 + e10"),
+        ("m2sed", ["e1", "0", "e5", "1"]),
+    ])
+    @pytest.mark.parametrize("command", ["divide", "invert"])
+    def test_diff_refuses_nonassociative_carrier(self, capsys, algebra,
+                                                 coeff, command):
+        series = json.dumps({"coeffs": [coeff]})
+        argv = [command, "--flavor", "diff", "--order", "3",
+                "--algebra", algebra, "--a", series]
+        if command == "divide":
+            argv += ["--b", series, "--side", "left"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["error: diff series need an associative "
+                          "coefficient algebra"]
+
+    def test_diff_accepts_quaternions(self, capsys):
+        series = json.dumps({"coeffs": ["e1 + e2"]})
+        code, out, _ = run(capsys, "divide", "--flavor", "diff",
+                           "--order", "3", "--algebra", "h", "--side",
+                           "right", "--a", series, "--b", series)
+        assert code == 0
+        assert out.startswith("t + O(t^5)")
+
     def test_series_json_round_trip(self):
         from fractions import Fraction
         s = TruncatedSeries("diff", 3, [Fraction(1, 2), Fraction(-3)],
@@ -185,6 +215,46 @@ class TestTrees:
         code, out, _ = run(capsys, "--format", "csv", "trees", "--length", "3")
         assert code == 0
         assert len(out.splitlines()) == 1 + 5
+
+
+BAD_INPUTS = [
+    ["coeffs", "--n", "0"],
+    ["coeffs", "--kind", "de", "--n", "x"],
+    ["coop", "--flavor", "fdb", "--kind", "delta", "--n", "-1"],
+    ["invert", "--flavor", "inv", "--order", "0", "--algebra", "q",
+     "--a", '["1"]'],
+    ["operators", "--op", "R", "--degrees", "1,,2"],
+    ["operators", "--op", "Re", "--degrees", "1,2", "--bits", "1,b"],
+    ["operators", "--op", "Rm", "--degrees", "1,2", "--m", "2,"],
+    ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
+     "--algebra", "q", "--a", '["1"]', "--b", "{not json"],
+    ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
+     "--algebra", "q", "--a", '["1/0"]', "--b", '["1"]'],
+    ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
+     "--algebra", "q", "--a", "{}", "--b", '["1"]'],
+    ["invert", "--flavor", "inv", "--order", "2", "--algebra", "q",
+     "--a", "7"],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "q", "--a", '["x"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "h", "--a", '["ex"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "h", "--a", "[1]"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a))
+def test_bad_input_exits_2_without_traceback(argv):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("LOOPSERIES_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-m", "loopseries.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len([line for line in proc.stderr.splitlines()
+                if "error:" in line]) == 1
 
 
 class TestHarness:

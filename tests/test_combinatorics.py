@@ -27,11 +27,15 @@ from loopseries.errors import StructuralError
 
 
 def brute_m_sequences(length):
-    """Independent enumeration: filter all tuples with entries <= length."""
+    """Independent enumeration: filter all tuples of ``length`` non-negative
+    entries summing to ``length`` (stars and bars) by the prefix rule."""
+    if length == 0:
+        return [()]
     out = []
-    for t in itertools.product(range(length + 1), repeat=length):
-        if sum(t) != length:
-            continue
+    slots = 2 * length - 1
+    for bars in itertools.combinations(range(slots), length - 1):
+        cuts = (-1,) + bars + (slots,)
+        t = tuple(cuts[i + 1] - cuts[i] - 1 for i in range(length))
         if all(sum(t[:j]) >= j for j in range(1, length)):
             out.append(t)
     return out

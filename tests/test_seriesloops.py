@@ -181,6 +181,17 @@ class TestDivisions:
         assert divide("right", a, a) == e
         assert divide("left", a, a) == e
 
+    def test_diff_refuses_nonassociative_carriers(self):
+        octonion = CDElement.basis(3, 1)
+        for coeff in (octonion,
+                      MatrixElement([[octonion, octonion],
+                                     [octonion, octonion]]),
+                      DoubledElement(q(1), q(2))):
+            with pytest.raises(StructuralError):
+                TruncatedSeries("diff", 3, [coeff])
+            TruncatedSeries("inv", 3, [coeff])
+        TruncatedSeries("diff", 3, [CDElement.basis(2, 1)])
+
     def test_division_by_unit(self):
         rng = Random(53)
         a = random_series(rng, "diff", 6)
