@@ -7,10 +7,10 @@ counit, the right and left codivisions and the two antipodes, living in
 the labeled free algebra of :mod:`loopseries.freealg` (copy 1 letters
 ``x``, copy 2 letters ``y``, copy 3 letters ``z``).
 
-For ``fdb`` every table is computed twice, from the direct coefficient
-formula with (labeled) Lagrange coefficients and from the recursive
-operators of :mod:`loopseries.operators`; construction fails loudly if
-the two expansions ever disagree.
+For ``fdb`` each table is built once, from the direct coefficient formula
+with (labeled) Lagrange coefficients. ``operator_expansions`` rebuilds the
+same entries from the recursive operators of :mod:`loopseries.operators`;
+the tests check that every expansion equals its table.
 
 Axiom checks are assembled exclusively from generator-table morphisms,
 copy relabelings and folds, so one composition engine exercises the
@@ -110,24 +110,14 @@ class Coloop:
             for m in range(1, n):
                 out = out + _X(m) * _Y(n - m)
             return out
-        direct = _X(n) + _Y(n)
+        out = _X(n) + _Y(n)
         for ell in range(1, n):
             for comp in compositions(n, ell + 1):
                 word = NCPolynomial.scalar(math.comb(comp[0] + 1, ell)) * _X(comp[0])
                 for k in comp[1:]:
                     word = word * _Y(k)
-                direct = direct + word
-        operator = _X(n) + _Y(n)
-        for ell in range(1, n):
-            for comp in compositions(n, ell + 1):
-                block = ops.triangle(
-                    ops.element(_X(comp[0])),
-                    ops.tensor_of([_Y(k) for k in comp[1:]]))
-                operator = operator + block.scalar_length_polynomial()
-        if direct != operator:
-            raise StructuralError(
-                f"fdb coproduct: formula and operator form disagree at n={n}")
-        return direct
+                out = out + word
+        return out
 
     def _build_delta_r(self, n: int) -> NCPolynomial:
         if self.flavor == "inv":
@@ -140,7 +130,7 @@ class Coloop:
                         word = word * _Y(k)
                     out = out + sign * word
             return out
-        direct = NCPolynomial.zero()
+        out = NCPolynomial.zero()
         for ell in range(n):
             sign = -1 if ell % 2 else 1
             for comp in compositions(n, ell + 1):
@@ -148,22 +138,8 @@ class Coloop:
                 word = NCPolynomial.scalar(sign * coeff) * _u(comp[0])
                 for k in comp[1:]:
                     word = word * _Y(k)
-                direct = direct + word
-        r_form = _u(n)
-        l_form = _u(n)
-        for ell in range(1, n):
-            sign = -1 if ell % 2 else 1
-            for comp in compositions(n, ell + 1):
-                rhs = ops.right_op([_Y(k) for k in comp[1:]])
-                r_block = ops.triangle(ops.element(_u(comp[0])), rhs)
-                r_form = r_form + sign * r_block.scalar_length_polynomial()
-                lhs = ops.left_op([_u(comp[0])] + [_Y(k) for k in comp[1:ell]])
-                l_block = ops.triangle(lhs, ops.element(_Y(comp[ell])))
-                l_form = l_form + sign * l_block.scalar_length_polynomial()
-        if not (direct == r_form == l_form):
-            raise StructuralError(
-                f"fdb right codivision: expansions disagree at n={n}")
-        return direct
+                out = out + word
+        return out
 
     def _build_delta_l(self, n: int) -> NCPolynomial:
         if self.flavor == "inv":
@@ -176,7 +152,7 @@ class Coloop:
                         word = word * _X(k)
                     out = out + sign * (word * _v(comp[ell]))
             return out
-        direct = NCPolynomial.zero()
+        out = NCPolynomial.zero()
         for ell in range(n):
             sign = -1 if ell % 2 else 1
             for comp in compositions(n, ell + 1):
@@ -187,24 +163,8 @@ class Coloop:
                     word = NCPolynomial.scalar(sign * bit_sign(e) * coeff)
                     for bit, k in zip(e, comp[:ell]):
                         word = word * _labeled(bit, k)
-                    direct = direct + word * _v(comp[ell])
-        operator = _v(n)
-        for ell in range(1, n):
-            sign = -1 if ell % 2 else 1
-            for comp in compositions(n, ell + 1):
-                for e in bit_sequences(ell):
-                    lead = ops.element(_labeled(e[0], comp[0]))
-                    args = [_labeled(b, k) for b, k in zip(e[1:], comp[1:ell])]
-                    args.append(_v(comp[ell]))
-                    block = ops.triangle(lead, ops.right_op_e(e, args))
-                    if block.is_zero():
-                        continue
-                    operator = operator + (sign * bit_sign(e)) * \
-                        block.scalar_length_polynomial()
-        if direct != operator:
-            raise StructuralError(
-                f"fdb left codivision: expansions disagree at n={n}")
-        return direct
+                    out = out + word * _v(comp[ell])
+        return out
 
     def _build_s_r(self, n: int) -> NCPolynomial:
         killed = MultiMorphism(image_fn=lambda cp, k: (
@@ -355,6 +315,51 @@ AXIOMS = (
 EXPECTED_FAILURES: dict[tuple[str, str], int] = {
     ("fdb", "coinverse-left"): 3,
 }
+
+def operator_expansions(kind: str, n: int) -> dict[str, NCPolynomial]:
+    """The fdb table entry ``kind`` at degree ``n`` rebuilt from the
+    recursive operators of :mod:`loopseries.operators`, one polynomial per
+    expansion: ``delta`` by ``triangle``, ``delta_r`` through ``right_op``
+    and through ``left_op``, ``delta_l`` through ``right_op_e``.
+
+    Each must equal the table built from the direct formula with (labeled)
+    Lagrange coefficients; the tables never call this, the tests compare.
+    """
+    if n < 1:
+        raise StructuralError("tables are indexed by n >= 1")
+    if kind == "delta":
+        out = {"triangle": _X(n) + _Y(n)}
+    elif kind == "delta_r":
+        out = {"right_op": _u(n), "left_op": _u(n)}
+    elif kind == "delta_l":
+        out = {"right_op_e": _v(n)}
+    else:
+        raise StructuralError(f"no operator expansion for {kind!r}")
+    for ell in range(1, n):
+        sign = -1 if ell % 2 else 1
+        for comp in compositions(n, ell + 1):
+            if kind == "delta":
+                block = ops.triangle(ops.element(_X(comp[0])),
+                                     ops.tensor_of([_Y(k) for k in comp[1:]]))
+                out["triangle"] += block.scalar_length_polynomial()
+            elif kind == "delta_r":
+                rhs = ops.right_op([_Y(k) for k in comp[1:]])
+                block = ops.triangle(ops.element(_u(comp[0])), rhs)
+                out["right_op"] += sign * block.scalar_length_polynomial()
+                lhs = ops.left_op([_u(comp[0])] + [_Y(k) for k in comp[1:ell]])
+                block = ops.triangle(lhs, ops.element(_Y(comp[ell])))
+                out["left_op"] += sign * block.scalar_length_polynomial()
+            else:
+                for e in bit_sequences(ell):
+                    lead = ops.element(_labeled(e[0], comp[0]))
+                    args = [_labeled(b, k) for b, k in zip(e[1:], comp[1:ell])]
+                    args.append(_v(comp[ell]))
+                    block = ops.triangle(lead, ops.right_op_e(e, args))
+                    if not block.is_zero():
+                        out["right_op_e"] += (sign * bit_sign(e)) * \
+                            block.scalar_length_polynomial()
+    return out
+
 
 _COLOOPS: dict[str, Coloop] = {}
 

@@ -25,7 +25,7 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import StructuralError
 
@@ -193,24 +193,12 @@ def lagrange_d_labeled(e: Sequence[int], ns: Sequence[int]) -> int:
 
 
 def d_cache_rows() -> list[tuple[str, str]]:
-    """Snapshot of the memo table as ``(args, value)`` string pairs,
-    deterministically ordered; the CSV cache format of the CLI."""
+    """Snapshot of the ``lagrange_d`` memo as ``(args, value)`` string
+    pairs, deterministically ordered."""
     rows = []
     for key in sorted(_D_CACHE, key=lambda k: (len(k), k)):
         rows.append((",".join(map(str, key)), str(_D_CACHE[key])))
     return rows
-
-
-def prime_d_cache(rows: Iterable[tuple[str, str]]) -> None:
-    """Load memo entries exported by :func:`d_cache_rows`. Idempotent;
-    a conflicting value for a known key is a structural error."""
-    for args, value in rows:
-        key = tuple(int(s) for s in args.split(",")) if args else ()
-        v = int(value)
-        old = _D_CACHE.get(key)
-        if old is not None and old != v:
-            raise StructuralError(f"cache row {key} -> {v} conflicts with {old}")
-        _D_CACHE[key] = v
 
 
 def catalan(n: int) -> int:

@@ -13,13 +13,14 @@ series refuses a carrier known to be non-associative (octonions and
 higher Cayley-Dickson levels, matrices over them, doubled elements) with
 a ``StructuralError``.
 
-Divisions come in two independent implementations: the ``recursive`` mode
-solves the defining cancellation equation degree by degree and is the
-oracle; the ``closed`` mode evaluates the explicit formulas with (labeled)
-Lagrange coefficients. ``convolution_eval`` gives a third route by
-evaluating the generator tables of :mod:`loopseries.coloops` under the
-coefficient assignment. All three must agree, and the test battery checks
-that they do.
+Both loop laws are written once, as the degree-``n`` coefficient of the
+law. The products use it, and so does the ``recursive`` division mode: it
+solves the defining cancellation equation degree by degree, the same way
+for both flavors and both sides. The ``closed`` mode evaluates the
+explicit formulas with (labeled) Lagrange coefficients, and
+``convolution_eval`` evaluates the generator tables of
+:mod:`loopseries.coloops` under the coefficient assignment. Each call
+computes one route only; the tests check that all three agree.
 
 The module also hosts the element loops (invertible elements, unitary
 elements, unitary elements of a Cayley-Dickson doubling) with their
@@ -146,19 +147,43 @@ def unit_series(flavor: str, order: int, one) -> TruncatedSeries:
     return TruncatedSeries(flavor, order, [zero_of(one)] * order, one)
 
 
+def _law_coeff(flavor: str, a: Sequence, b: Sequence, n: int):
+    """Degree-``n`` coefficient of the loop law ``a * b``.
+
+    ``a`` and ``b`` are coefficient sequences indexed from 0, where index 0
+    is the unit; unit factors are never multiplied. ``inv``:
+    ``(ab)_n = sum_m a_m b_{n-m}``, binary products only, so valid over
+    non-associative coefficients. ``diff``: ``(a o b)_n = sum_{m=0}^{n}
+    sum_{k_0+...+k_m = n-m} a_m b_{k_0}...b_{k_m}`` over non-negative
+    indices, chained left to right.
+    """
+    acc = a[n] + b[n]
+    for m in range(1, n):
+        if flavor == "inv":
+            acc = acc + a[m] * b[n - m]
+        else:
+            for ks in weak_compositions(n - m, m + 1):
+                acc = acc + _chain([a[m]] + [b[k] for k in ks if k])
+    return acc
+
+
+def _indexed(s: TruncatedSeries) -> tuple:
+    return (s.one,) + s.coeffs
+
+
+def _law(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    ia, ib = _indexed(a), _indexed(b)
+    out = [_law_coeff(a.flavor, ia, ib, n) for n in range(1, a.order + 1)]
+    return TruncatedSeries(a.flavor, a.order, out, a.one)
+
+
 def inv_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """``(ab)_n = sum_m a_m b_{n-m}``; only binary products, so valid over
     non-associative coefficient algebras."""
     a._check(b)
     if a.flavor != "inv":
         raise StructuralError("use diff_compose() for diff series")
-    out = []
-    for n in range(1, a.order + 1):
-        acc = a.coeff(n) + b.coeff(n)
-        for m in range(1, n):
-            acc = acc + a.coeff(m) * b.coeff(n - m)
-        out.append(acc)
-    return TruncatedSeries(a.flavor, a.order, out, a.one)
+    return _law(a, b)
 
 
 def _chain(factors: Sequence):
@@ -172,34 +197,14 @@ def diff_compose(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Composition ``a(b(t))`` of formal diffeomorphisms.
 
     ``(a o b)_n = sum_{m=0}^{n} sum_{k_0+...+k_m = n-m} a_m b_{k_0}...b_{k_m}``
-    over non-negative indices. The equivalent grouped form
-    ``a_n + b_n + sum_m a_m sum_l binom(m+1, l) sum b_{k_1}...b_{k_l}``
-    over positive compositions is evaluated as well; the two must agree.
+    over non-negative indices. The fdb coproduct evaluated on the
+    coefficients (``convolution_eval("delta", ...)``) is the same law; the
+    tests check that the two agree.
     """
     a._check(b)
     if a.flavor != "diff":
         raise StructuralError("compose is the diff-flavor law")
-    out = []
-    for n in range(1, a.order + 1):
-        acc = None
-        for m in range(0, n + 1):
-            for ks in weak_compositions(n - m, m + 1):
-                term = _chain([a.coeff(m)] + [b.coeff(k) for k in ks])
-                acc = term if acc is None else acc + term
-        grouped = a.coeff(n) + b.coeff(n)
-        for m in range(1, n):
-            inner = None
-            for ell in range(1, min(m + 1, n - m) + 1):
-                from math import comb
-                for ks in compositions(n - m, ell):
-                    term = _chain([b.coeff(k) for k in ks]) * comb(m + 1, ell)
-                    inner = term if inner is None else inner + term
-            grouped = grouped + a.coeff(m) * inner
-        if acc != grouped:
-            raise StructuralError(
-                f"composition forms disagree at degree {n}")
-        out.append(acc)
-    return TruncatedSeries(a.flavor, a.order, out, a.one)
+    return _law(a, b)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -224,97 +229,96 @@ def divide(side: str, a: TruncatedSeries, b: TruncatedSeries,
         raise StructuralError(f"side must be left or right, got {side!r}")
     if mode not in ("recursive", "closed"):
         raise StructuralError(f"mode must be recursive or closed, got {mode!r}")
-    key = (a.flavor, side, mode)
-    if key == ("inv", "right", "recursive"):
-        out: list = []
-        q = lambda m: a.one if m == 0 else out[m - 1]  # noqa: E731
-        for n in range(1, a.order + 1):
-            acc = a.coeff(n)
-            for m in range(0, n):
-                acc = acc - q(m) * b.coeff(n - m)
-            out.append(acc)
-    elif key == ("inv", "left", "recursive"):
-        out = []
-        s = lambda m: a.one if m == 0 else out[m - 1]  # noqa: E731
-        for n in range(1, a.order + 1):
-            acc = b.coeff(n)
-            for m in range(1, n + 1):
-                acc = acc - a.coeff(m) * s(n - m)
-            out.append(acc)
-    elif key == ("inv", "right", "closed"):
-        out = []
-        for n in range(1, a.order + 1):
-            acc = a.coeff(n) - b.coeff(n)
-            for ell in range(1, n):
-                sign = -1 if ell % 2 else 1
-                for comp in compositions(n, ell + 1):
-                    term = a.coeff(comp[0]) - b.coeff(comp[0])
-                    for k in comp[1:]:
-                        term = term * b.coeff(k)
-                    acc = acc + term * sign
-            out.append(acc)
-    elif key == ("inv", "left", "closed"):
-        out = []
-        for n in range(1, a.order + 1):
-            acc = b.coeff(n) - a.coeff(n)
-            for ell in range(1, n):
-                sign = -1 if ell % 2 else 1
-                for comp in compositions(n, ell + 1):
-                    term = b.coeff(comp[ell]) - a.coeff(comp[ell])
-                    for k in reversed(comp[:ell]):
-                        term = a.coeff(k) * term
-                    acc = acc + term * sign
-            out.append(acc)
-    elif key == ("diff", "right", "recursive"):
-        out = []
-        q = lambda m: a.one if m == 0 else out[m - 1]  # noqa: E731
-        for n in range(1, a.order + 1):
-            acc = a.coeff(n)
-            for m in range(0, n):
-                for ks in weak_compositions(n - m, m + 1):
-                    acc = acc - _chain([q(m)] + [b.coeff(k) for k in ks])
-            out.append(acc)
-    elif key == ("diff", "left", "recursive"):
-        out = []
-        s = lambda m: a.one if m == 0 else out[m - 1]  # noqa: E731
-        for n in range(1, a.order + 1):
-            acc = b.coeff(n)
-            for m in range(1, n + 1):
-                for ks in weak_compositions(n - m, m + 1):
-                    acc = acc - _chain([a.coeff(m)] + [s(k) for k in ks])
-            out.append(acc)
-    elif key == ("diff", "right", "closed"):
-        out = []
-        for n in range(1, a.order + 1):
-            acc = a.coeff(n) - b.coeff(n)
-            for ell in range(1, n):
-                sign = -1 if ell % 2 else 1
-                for comp in compositions(n, ell + 1):
-                    coeff = sign * lagrange_d(comp[:ell])
-                    term = (a.coeff(comp[0]) - b.coeff(comp[0])) * coeff
-                    for k in comp[1:]:
-                        term = term * b.coeff(k)
-                    acc = acc + term
-            out.append(acc)
-    else:  # ("diff", "left", "closed")
-        out = []
-        for n in range(1, a.order + 1):
-            acc = b.coeff(n) - a.coeff(n)
-            for ell in range(1, n):
-                sign = -1 if ell % 2 else 1
-                for comp in compositions(n, ell + 1):
-                    for e in bit_sequences(ell):
-                        d = lagrange_d_labeled(e, comp[:ell])
-                        if d == 0:
-                            continue
-                        term = (b.coeff(comp[ell]) - a.coeff(comp[ell])) \
-                            * (sign * bit_sign(e) * d)
-                        for bit, k in zip(reversed(e), reversed(comp[:ell])):
-                            c = a.coeff(k) if bit == 1 else b.coeff(k)
-                            term = c * term
-                        acc = acc + term
-            out.append(acc)
-    return TruncatedSeries(a.flavor, a.order, out, a.one)
+    if mode == "closed":
+        out = [_CLOSED[(a.flavor, side)](a, b, n)
+               for n in range(1, a.order + 1)]
+        return TruncatedSeries(a.flavor, a.order, out, a.one)
+    if side == "right":
+        return _solve(a.flavor, side, a, _indexed(b))
+    return _solve(a.flavor, side, b, _indexed(a))
+
+
+def _solve(flavor: str, side: str, target: TruncatedSeries,
+           known: tuple) -> TruncatedSeries:
+    """Solve ``x * known = target`` (``right``) or ``known * x = target``
+    (``left``) degree by degree.
+
+    In both laws the unknown ``x_n`` enters the degree-``n`` coefficient
+    once, with the unit as its cofactor, and every other term involves
+    only ``x_1 .. x_{n-1}``. So with ``x_n`` set to zero the law
+    coefficient is exactly the part to subtract from ``target_n``.
+    """
+    x = [target.one]
+    zero = zero_of(target.one)
+    for n in range(1, target.order + 1):
+        x.append(zero)
+        lhs, rhs = (x, known) if side == "right" else (known, x)
+        x[n] = target.coeff(n) - _law_coeff(flavor, lhs, rhs, n)
+    return TruncatedSeries(flavor, target.order, x[1:], target.one)
+
+
+def _inv_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    acc = a.coeff(n) - b.coeff(n)
+    for ell in range(1, n):
+        sign = -1 if ell % 2 else 1
+        for comp in compositions(n, ell + 1):
+            term = a.coeff(comp[0]) - b.coeff(comp[0])
+            for k in comp[1:]:
+                term = term * b.coeff(k)
+            acc = acc + term * sign
+    return acc
+
+
+def _inv_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    acc = b.coeff(n) - a.coeff(n)
+    for ell in range(1, n):
+        sign = -1 if ell % 2 else 1
+        for comp in compositions(n, ell + 1):
+            term = b.coeff(comp[ell]) - a.coeff(comp[ell])
+            for k in reversed(comp[:ell]):
+                term = a.coeff(k) * term
+            acc = acc + term * sign
+    return acc
+
+
+def _diff_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    acc = a.coeff(n) - b.coeff(n)
+    for ell in range(1, n):
+        sign = -1 if ell % 2 else 1
+        for comp in compositions(n, ell + 1):
+            coeff = sign * lagrange_d(comp[:ell])
+            term = (a.coeff(comp[0]) - b.coeff(comp[0])) * coeff
+            for k in comp[1:]:
+                term = term * b.coeff(k)
+            acc = acc + term
+    return acc
+
+
+def _diff_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    acc = b.coeff(n) - a.coeff(n)
+    for ell in range(1, n):
+        sign = -1 if ell % 2 else 1
+        for comp in compositions(n, ell + 1):
+            for e in bit_sequences(ell):
+                d = lagrange_d_labeled(e, comp[:ell])
+                if d == 0:
+                    continue
+                term = (b.coeff(comp[ell]) - a.coeff(comp[ell])) \
+                    * (sign * bit_sign(e) * d)
+                for bit, k in zip(reversed(e), reversed(comp[:ell])):
+                    c = a.coeff(k) if bit == 1 else b.coeff(k)
+                    term = c * term
+                acc = acc + term
+    return acc
+
+
+# degree-n coefficient of the closed division formulas, by (flavor, side)
+_CLOSED = {
+    ("inv", "right"): _inv_right_closed,
+    ("inv", "left"): _inv_left_closed,
+    ("diff", "right"): _diff_right_closed,
+    ("diff", "left"): _diff_left_closed,
+}
 
 
 def series_inverse(a: TruncatedSeries, side: str = "both") -> TruncatedSeries:
@@ -739,12 +743,14 @@ _WITNESSES: dict[str, Callable[[], dict]] = {
 WITNESS_NAMES = tuple(sorted(_WITNESSES))
 
 
-def witness(name: str) -> dict:
+def witness(name: str, seed: int = DEFAULT_SEED) -> dict:
     """Recompute one of the named counterexamples from scratch and
-    check every known value; the report carries all computed sides."""
+    check every known value; the report carries all computed sides.
+    ``seed`` drives the sampler of ``ucd-not-loop``; the other witnesses
+    are fixed."""
     try:
         builder = _WITNESSES[name]
     except KeyError:
         raise StructuralError(
             f"unknown witness {name!r}; choose from {WITNESS_NAMES}")
-    return builder()
+    return builder(seed) if builder is _witness_ucd_not_loop else builder()

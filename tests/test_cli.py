@@ -10,9 +10,8 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from loopseries import __version__, coloops
+from loopseries import __version__, coloops, seriesloops
 from loopseries.cli import main, series_from_json, series_to_json
-from loopseries.combinatorics import _D_CACHE
 from loopseries.seriesloops import DEFAULT_SEED, TruncatedSeries
 
 
@@ -182,6 +181,40 @@ class TestSeriesCommands:
         assert series_from_json(blob, "diff", 3, "q") == s
 
 
+def test_divide_computes_one_route_only(capsys, monkeypatch):
+    # fresh fdb tables and both division modes, with every other route to
+    # the same numbers made to fail: the runtime path computes once
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second route was evaluated")
+
+    for name in ("triangle", "right_op", "left_op", "right_op_e"):
+        monkeypatch.setattr(coloops.ops, name, forbidden)
+    monkeypatch.setattr(coloops, "_COLOOPS", {})
+    for n in range(1, 6):
+        coloops.coproduct("fdb", n)
+        coloops.codivision("fdb", "right", n)
+        coloops.codivision("fdb", "left", n)
+    a = json.dumps({"coeffs": [["1", "1", "0", "1"], ["1", "0", "1", "0"]]})
+    b = json.dumps({"coeffs": [["0", "1", "1", "0"]]})
+    outputs = {}
+    for mode, other in (("recursive", "_CLOSED"), ("closed", "_solve")):
+        with monkeypatch.context() as patch:
+            if other == "_CLOSED":
+                patch.setattr(seriesloops, other,
+                              dict.fromkeys(seriesloops._CLOSED, forbidden))
+            else:
+                patch.setattr(seriesloops, other, forbidden)
+            for side in ("left", "right"):
+                code, out, _ = run(capsys, "divide", "--flavor", "diff",
+                                   "--side", side, "--order", "5",
+                                   "--algebra", "m2q", "--a", a, "--b", b,
+                                   "--mode", mode)
+                assert code == 0
+                outputs[mode, side] = out
+    for side in ("left", "right"):
+        assert outputs["recursive", side] == outputs["closed", side]
+
+
 class TestWitnessCommand:
     def test_text_pass(self, capsys):
         code, out, _ = run(capsys, "witness", "diff-power-assoc")
@@ -240,6 +273,9 @@ BAD_INPUTS = [
      "--algebra", "h", "--a", '["ex"]'],
     ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
      "--algebra", "h", "--a", "[1]"],
+    ["verify", "--max-degree", "0"],
+    ["verify", "--max-degree", "-3"],
+    ["trees", "--length", "0"],
 ]
 
 
@@ -247,7 +283,6 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_without_traceback(argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.pop("LOOPSERIES_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-m", "loopseries.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2
@@ -273,16 +308,3 @@ class TestHarness:
     def test_version_always_on_stderr(self, capsys):
         _, _, err = run(capsys, "trees", "--length", "1")
         assert err.startswith(f"loopseries {__version__}")
-
-    def test_cache_round_trip(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LOOPSERIES_CACHE_DIR", str(tmp_path))
-        run(capsys, "coeffs", "--kind", "d", "--n", "6")
-        path = tmp_path / "lagrange_d.csv"
-        assert path.exists()
-        text = path.read_text()
-        assert "1,1,1,1,1" in text
-        _D_CACHE.clear()
-        run(capsys, "coeffs", "--kind", "d", "--n", "3")
-        assert ("1", "1", "1", "1", "1") in set(
-            tuple(k) if isinstance(k, tuple) else k for k in map(
-                lambda kk: tuple(map(str, kk)), _D_CACHE))

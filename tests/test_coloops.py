@@ -19,6 +19,7 @@ from loopseries.coloops import (
     coproduct,
     get_coloop,
     nc_hopf_coproduct,
+    operator_expansions,
     projected_coproduct,
     tensor_coassociative,
 )
@@ -120,6 +121,29 @@ class TestTables:
             codivision("fdb", "up", 2)
         with pytest.raises(StructuralError):
             Coloop("nope")
+
+
+class TestOperatorExpansions:
+    # the tables use the direct formula only; the operator forms are the
+    # paper's second route to the same entries
+    @pytest.mark.parametrize("kind, forms, entry", [
+        ("delta", {"triangle"}, lambda n: coproduct("fdb", n)),
+        ("delta_r", {"right_op", "left_op"},
+         lambda n: codivision("fdb", "right", n)),
+        ("delta_l", {"right_op_e"}, lambda n: codivision("fdb", "left", n)),
+    ], ids=["delta", "delta_r", "delta_l"])
+    def test_equal_fdb_tables(self, kind, forms, entry):
+        for n in range(1, MAX_DEGREE + 1):
+            expansions = operator_expansions(kind, n)
+            assert set(expansions) == forms
+            for form, poly in expansions.items():
+                assert poly == entry(n), (kind, form, n)
+
+    def test_bad_arguments(self):
+        with pytest.raises(StructuralError):
+            operator_expansions("s_r", 2)
+        with pytest.raises(StructuralError):
+            operator_expansions("delta", 0)
 
 
 class TestAntipodes:

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopseries.algebras import (
     CDElement,
@@ -197,6 +199,69 @@ class TestDivisions:
         a = random_series(rng, "diff", 6)
         e = unit_series("diff", 6, a.one)
         assert divide("right", a, e) == a
+
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None,
+                             derandomize=True)
+
+_small = st.integers(-3, 3)
+_fractions = st.builds(Fraction, _small, st.integers(1, 3))
+
+
+def coefficients(algebra):
+    if algebra == "q":
+        return _fractions
+    if algebra == "m2q":
+        return st.lists(_fractions, min_size=4, max_size=4).map(
+            lambda e: MatrixElement([e[:2], e[2:]]))
+    level = {"h": 2, "sed": 4}[algebra]
+    return st.lists(_small, min_size=1 << level, max_size=1 << level).map(
+        lambda c: CDElement(level, c))
+
+
+def series_pairs(flavor, algebra, max_order=5):
+    def pair(order):
+        coeffs = st.lists(coefficients(algebra), min_size=order,
+                          max_size=order)
+        return st.tuples(coeffs, coeffs).map(lambda ab: (
+            TruncatedSeries(flavor, order, ab[0]),
+            TruncatedSeries(flavor, order, ab[1])))
+    return st.integers(1, max_order).flatmap(pair)
+
+
+CARRIERS = [("diff", "q"), ("diff", "m2q"), ("diff", "h"),
+            ("inv", "q"), ("inv", "m2q"), ("inv", "sed")]
+
+
+class TestDivisionProperties:
+    """The solver, the closed formulas and the law agree on random series
+    over every carrier family a flavor admits."""
+
+    @pytest.mark.parametrize("flavor, algebra", CARRIERS)
+    def test_divisions_cancel_and_match_closed(self, flavor, algebra):
+        @PROPERTY_SETTINGS
+        @given(series_pairs(flavor, algebra))
+        def check(ab):
+            a, b = ab
+            right = divide("right", a, b)
+            left = divide("left", a, b)
+            assert mul(right, b) == a
+            assert mul(a, left) == b
+            assert right == divide("right", a, b, "closed")
+            assert left == divide("left", a, b, "closed")
+        check()
+
+    @pytest.mark.parametrize("algebra", ["q", "m2q", "h"])
+    def test_diff_inverse_two_sided(self, algebra):
+        @PROPERTY_SETTINGS
+        @given(series_pairs("diff", algebra, max_order=6))
+        def check(ab):
+            a = ab[0]
+            inv = series_inverse(a)
+            e = unit_series("diff", a.order, a.one)
+            assert diff_compose(a, inv) == e
+            assert diff_compose(inv, a) == e
+        check()
 
 
 class TestInverse:
