@@ -100,11 +100,19 @@ def series_to_json(series: TruncatedSeries, algebra: str) -> dict:
 
 def series_from_json(data, flavor: str, order: int, algebra: str
                      ) -> TruncatedSeries:
+    """Decode a series given as a coefficient list or as the object that
+    ``series_to_json`` writes. The arguments fix flavor, order and algebra;
+    a ``flavor``, ``order`` or ``algebra`` key in the object may repeat
+    them but not contradict them."""
     if isinstance(data, str):
         data = json.loads(data)
     if isinstance(data, dict):
-        flavor = data.get("flavor", flavor)
-        order = data.get("order", order)
+        expected = {"flavor": flavor, "order": order, "algebra": algebra}
+        for key, value in expected.items():
+            if key in data and data[key] != value:
+                raise StructuralError(
+                    f"series JSON has {key} {data[key]!r}, but {value!r} "
+                    f"was requested")
         coeffs = data["coeffs"]
     else:
         coeffs = data

@@ -105,32 +105,35 @@ class Coloop:
     # -- invertible-series tables -------------------------------------------
 
     def _build_delta(self, n: int) -> NCPolynomial:
+        return NCPolynomial.sum(self._delta_words(n))
+
+    def _delta_words(self, n: int):
+        yield _X(n) + _Y(n)
         if self.flavor == "inv":
-            out = _X(n) + _Y(n)
             for m in range(1, n):
-                out = out + _X(m) * _Y(n - m)
-            return out
-        out = _X(n) + _Y(n)
+                yield _X(m) * _Y(n - m)
+            return
         for ell in range(1, n):
             for comp in compositions(n, ell + 1):
                 word = NCPolynomial.scalar(math.comb(comp[0] + 1, ell)) * _X(comp[0])
                 for k in comp[1:]:
                     word = word * _Y(k)
-                out = out + word
-        return out
+                yield word
 
     def _build_delta_r(self, n: int) -> NCPolynomial:
+        return NCPolynomial.sum(self._delta_r_words(n))
+
+    def _delta_r_words(self, n: int):
         if self.flavor == "inv":
-            out = _u(n)
+            yield _u(n)
             for ell in range(1, n):
                 sign = -1 if ell % 2 else 1
                 for comp in compositions(n, ell + 1):
                     word = _u(comp[0])
                     for k in comp[1:]:
                         word = word * _Y(k)
-                    out = out + sign * word
-            return out
-        out = NCPolynomial.zero()
+                    yield sign * word
+            return
         for ell in range(n):
             sign = -1 if ell % 2 else 1
             for comp in compositions(n, ell + 1):
@@ -138,21 +141,22 @@ class Coloop:
                 word = NCPolynomial.scalar(sign * coeff) * _u(comp[0])
                 for k in comp[1:]:
                     word = word * _Y(k)
-                out = out + word
-        return out
+                yield word
 
     def _build_delta_l(self, n: int) -> NCPolynomial:
+        return NCPolynomial.sum(self._delta_l_words(n))
+
+    def _delta_l_words(self, n: int):
         if self.flavor == "inv":
-            out = _v(n)
+            yield _v(n)
             for ell in range(1, n):
                 sign = -1 if ell % 2 else 1
                 for comp in compositions(n, ell + 1):
                     word = NCPolynomial.one()
                     for k in comp[:ell]:
                         word = word * _X(k)
-                    out = out + sign * (word * _v(comp[ell]))
-            return out
-        out = NCPolynomial.zero()
+                    yield sign * (word * _v(comp[ell]))
+            return
         for ell in range(n):
             sign = -1 if ell % 2 else 1
             for comp in compositions(n, ell + 1):
@@ -163,8 +167,7 @@ class Coloop:
                     word = NCPolynomial.scalar(sign * bit_sign(e) * coeff)
                     for bit, k in zip(e, comp[:ell]):
                         word = word * _labeled(bit, k)
-                    out = out + word * _v(comp[ell])
-        return out
+                    yield word * _v(comp[ell])
 
     def _build_s_r(self, n: int) -> NCPolynomial:
         killed = MultiMorphism(image_fn=lambda cp, k: (
@@ -328,11 +331,11 @@ def operator_expansions(kind: str, n: int) -> dict[str, NCPolynomial]:
     if n < 1:
         raise StructuralError("tables are indexed by n >= 1")
     if kind == "delta":
-        out = {"triangle": _X(n) + _Y(n)}
+        parts = {"triangle": [_X(n) + _Y(n)]}
     elif kind == "delta_r":
-        out = {"right_op": _u(n), "left_op": _u(n)}
+        parts = {"right_op": [_u(n)], "left_op": [_u(n)]}
     elif kind == "delta_l":
-        out = {"right_op_e": _v(n)}
+        parts = {"right_op_e": [_v(n)]}
     else:
         raise StructuralError(f"no operator expansion for {kind!r}")
     for ell in range(1, n):
@@ -341,24 +344,25 @@ def operator_expansions(kind: str, n: int) -> dict[str, NCPolynomial]:
             if kind == "delta":
                 block = ops.triangle(ops.element(_X(comp[0])),
                                      ops.tensor_of([_Y(k) for k in comp[1:]]))
-                out["triangle"] += block.scalar_length_polynomial()
+                parts["triangle"].append(block.scalar_length_polynomial())
             elif kind == "delta_r":
                 rhs = ops.right_op([_Y(k) for k in comp[1:]])
                 block = ops.triangle(ops.element(_u(comp[0])), rhs)
-                out["right_op"] += sign * block.scalar_length_polynomial()
+                parts["right_op"].append(
+                    sign * block.scalar_length_polynomial())
                 lhs = ops.left_op([_u(comp[0])] + [_Y(k) for k in comp[1:ell]])
                 block = ops.triangle(lhs, ops.element(_Y(comp[ell])))
-                out["left_op"] += sign * block.scalar_length_polynomial()
+                parts["left_op"].append(
+                    sign * block.scalar_length_polynomial())
             else:
                 for e in bit_sequences(ell):
                     lead = ops.element(_labeled(e[0], comp[0]))
                     args = [_labeled(b, k) for b, k in zip(e[1:], comp[1:ell])]
                     args.append(_v(comp[ell]))
                     block = ops.triangle(lead, ops.right_op_e(e, args))
-                    if not block.is_zero():
-                        out["right_op_e"] += (sign * bit_sign(e)) * \
-                            block.scalar_length_polynomial()
-    return out
+                    parts["right_op_e"].append(
+                        (sign * bit_sign(e)) * block.scalar_length_polynomial())
+    return {name: NCPolynomial.sum(polys) for name, polys in parts.items()}
 
 
 _COLOOPS: dict[str, Coloop] = {}

@@ -19,7 +19,7 @@ componentwise tensor product: keys are tuples of copy-free words.
 from __future__ import annotations
 
 import json
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import StructuralError
 
@@ -44,6 +44,25 @@ def word_degree(w: Word) -> int:
 
 def _term_key(w: Word) -> tuple:
     return (word_degree(w), len(w), w)
+
+
+def _add_terms(out: dict[Word, int], terms: Mapping[Word, int],
+               scale: int = 1) -> None:
+    """Add ``scale`` times ``terms`` into ``out`` in place; zero
+    coefficients are left for the final ``NCPolynomial`` to drop."""
+    for w, c in terms.items():
+        out[w] = out.get(w, 0) + scale * c
+
+
+def _mul_terms(left: Mapping[Word, int], right: Mapping[Word, int]
+               ) -> dict[Word, int]:
+    """Concatenation product of two term dicts, zeros not yet dropped."""
+    out: dict[Word, int] = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c1 * c2
+    return out
 
 
 class NCPolynomial:
@@ -75,18 +94,25 @@ class NCPolynomial:
     def generator(cls, copy: int, index: int) -> "NCPolynomial":
         return cls({(letter(copy, index),): 1})
 
+    @classmethod
+    def sum(cls, polys: Iterable["NCPolynomial"]) -> "NCPolynomial":
+        """Sum of ``polys`` in time linear in their terms: every term goes
+        into one dict and zeros are dropped once, at the end."""
+        out: dict[Word, int] = {}
+        for p in polys:
+            _add_terms(out, p.terms)
+        return cls(out)
+
     # -- ring structure --------------------------------------------------
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
+        _add_terms(out, other.terms)
         return NCPolynomial(out)
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
+        _add_terms(out, other.terms, -1)
         return NCPolynomial(out)
 
     def __neg__(self) -> "NCPolynomial":
@@ -95,12 +121,7 @@ class NCPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return NCPolynomial({w: c * other for w, c in self.terms.items()})
-        out: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return NCPolynomial(out)
+        return NCPolynomial(_mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other: int) -> "NCPolynomial":
         return self * other
@@ -193,6 +214,10 @@ class MultiMorphism:
     Images may be supplied lazily through ``image_fn`` so that co-operation
     tables extend on demand; computed images are cached and the extension
     is idempotent (the same generator always maps to the same polynomial).
+
+    Applying it costs time linear in the output terms: each word's image
+    is multiplied out in a running term dict and added into one output
+    dict, and a single ``NCPolynomial`` is built at the end.
     """
 
     def __init__(self,
@@ -212,15 +237,19 @@ class MultiMorphism:
         return got
 
     def __call__(self, p: NCPolynomial) -> NCPolynomial:
-        out = NCPolynomial.zero()
+        out: dict[Word, int] = {}
         for w, c in p.terms.items():
-            prod = NCPolynomial.scalar(c)
+            prod = {(): c}
             for cp, idx in w:
-                prod = prod * self.image(cp, idx)
-                if prod.is_zero():
+                image = self.image(cp, idx).terms
+                # the free algebra has no zero divisors, so a partial
+                # product vanishes exactly when a factor's image does
+                if not image:
                     break
-            out = out + prod
-        return out
+                prod = _mul_terms(prod, image)
+            else:
+                _add_terms(out, prod)
+        return NCPolynomial(out)
 
 
 def fold(labelmap: Mapping[int, int], p: NCPolynomial) -> NCPolynomial:
@@ -396,27 +425,28 @@ def parse_polynomial(text: str) -> NCPolynomial:
         else:
             cur += ch
     chunks.append(cur)
-    total = NCPolynomial.zero()
-    for chunk in chunks:
-        sign = 1
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        coeff = sign
-        w: list[Letter] = []
-        for factor in chunk.split("*"):
-            if not factor:
-                raise StructuralError(f"empty factor in {text!r}")
-            if factor[0].isdigit():
-                coeff *= int(factor)
-            else:
-                name, idx = factor[0], factor[1:]
-                if name not in COPY_OF_NAME or not idx.isdigit():
-                    raise StructuralError(f"bad letter {factor!r} in {text!r}")
-                w.append(letter(COPY_OF_NAME[name], int(idx)))
-        total = total + NCPolynomial({tuple(w): coeff})
-    return total
+    return NCPolynomial.sum(_parse_monomial(chunk, text) for chunk in chunks)
+
+
+def _parse_monomial(chunk: str, text: str) -> NCPolynomial:
+    sign = 1
+    while chunk and chunk[0] in "+-":
+        if chunk[0] == "-":
+            sign = -sign
+        chunk = chunk[1:]
+    coeff = sign
+    w: list[Letter] = []
+    for factor in chunk.split("*"):
+        if not factor:
+            raise StructuralError(f"empty factor in {text!r}")
+        if factor[0].isdigit():
+            coeff *= int(factor)
+        else:
+            name, idx = factor[0], factor[1:]
+            if name not in COPY_OF_NAME or not idx.isdigit():
+                raise StructuralError(f"bad letter {factor!r} in {text!r}")
+            w.append(letter(COPY_OF_NAME[name], int(idx)))
+    return NCPolynomial({tuple(w): coeff})
 
 
 def generator_assignment(*coefficient_lists) -> dict[Letter, object]:

@@ -34,7 +34,7 @@ from .combinatorics import (
     m_sequences_labeled,
 )
 from .errors import StructuralError
-from .freealg import NCPolynomial, Word, word_degree
+from .freealg import NCPolynomial, Word, _add_terms, word_degree
 
 TensorKey = tuple[Word, ...]
 
@@ -255,26 +255,33 @@ def right_op(factors: Sequence[NCPolynomial],
         return total if factors else GradedTensorPoly.unit()
     if mode != "recursive":
         raise StructuralError(f"unknown mode {mode!r}")
-    return _right_recursive(tuple(factors))
+    return _right_recursive(tuple(factors), {})
 
 
-def _right_recursive(factors: tuple[NCPolynomial, ...]) -> GradedTensorPoly:
+def _right_recursive(factors: tuple[NCPolynomial, ...],
+                     memo: dict) -> GradedTensorPoly:
+    """``R_l`` by its defining sum; ``memo`` maps factor tuples to their
+    ``R`` and lives for one top-level call."""
+    got = memo.get(factors)
+    if got is not None:
+        return got
     ell = len(factors)
     if ell == 0:
         return GradedTensorPoly.unit()
-    total = GradedTensorPoly.zero()
+    leads = [element(f) for f in factors]
+    total: dict[TensorKey, int] = {}
     for j in range(1, ell + 1):
         for p in compositions(ell, j):
             prod = None
             pos = 0
             for pi in p:
-                lead = element(factors[pos])
-                inner = _right_recursive(factors[pos + 1: pos + pi])
-                block = triangle(lead, inner)
+                inner = _right_recursive(factors[pos + 1: pos + pi], memo)
+                block = triangle(leads[pos], inner)
                 prod = block if prod is None else prod.tensor(block)
                 pos += pi
-            total = total + prod
-    return total
+            _add_terms(total, prod.terms)
+    got = memo[factors] = GradedTensorPoly(total)
+    return got
 
 
 def right_op_m(m: Sequence[int],
@@ -345,11 +352,13 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
         return total if factors else GradedTensorPoly.unit()
     if mode != "recursive":
         raise StructuralError(f"unknown mode {mode!r}")
-    return _right_labeled(e, tuple(factors))
+    return _right_labeled(e, tuple(factors), {})
 
 
-def _right_labeled(e: tuple[int, ...],
-                   factors: tuple[NCPolynomial, ...]) -> GradedTensorPoly:
+def _right_labeled(e: tuple[int, ...], factors: tuple[NCPolynomial, ...],
+                   memo: dict) -> GradedTensorPoly:
+    """``R_l^e`` by its defining sum; ``memo`` maps ``(e, factors)`` to
+    the result and lives for one top-level call."""
     ell = len(factors)
     if ell == 0:
         return GradedTensorPoly.unit()
@@ -357,24 +366,28 @@ def _right_labeled(e: tuple[int, ...],
         return element(factors[0]) if e[0] == 1 else GradedTensorPoly.zero()
     if e[0] == 2:
         return GradedTensorPoly.zero()
-    total = GradedTensorPoly.zero()
+    got = memo.get((e, factors))
+    if got is not None:
+        return got
+    # the first lead passes through R_1^(e_1), which is the identity here
+    # because e_1 = 1, so every lead is the plain element
+    leads = [element(f) for f in factors]
+    total: dict[TensorKey, int] = {}
     for j in range(1, ell + 1):
         for p in compositions(ell, j):
             prod = None
             pos = 0
-            for i, pi in enumerate(p):
-                lead = element(factors[pos])
+            for pi in p:
                 inner = _right_labeled(e[pos + 1: pos + pi],
-                                       factors[pos + 1: pos + pi])
-                if i == 0:
-                    lead = _right_labeled(e[:1], factors[pos: pos + 1])
-                block = triangle(lead, inner)
+                                       factors[pos + 1: pos + pi], memo)
+                block = triangle(leads[pos], inner)
                 prod = block if prod is None else prod.tensor(block)
                 if prod.is_zero():
                     break
                 pos += pi
-            total = total + prod
-    return total
+            _add_terms(total, prod.terms)
+    got = memo[(e, factors)] = GradedTensorPoly(total)
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,14 @@ BAD_INPUTS = [
      "--algebra", "h", "--a", '["ex"]'],
     ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
      "--algebra", "h", "--a", "[1]"],
+    ["divide", "--flavor", "diff", "--side", "right", "--order", "3",
+     "--algebra", "sed", "--a", '{"flavor":"inv","coeffs":["e1"]}',
+     "--b", '{"flavor":"inv","coeffs":["e2"]}'],
+    ["divide", "--flavor", "inv", "--side", "right", "--order", "3",
+     "--algebra", "q", "--a", '{"order":2,"coeffs":["1"]}',
+     "--b", '{"order":2,"coeffs":["2"]}'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "q", "--a", '{"algebra":"h","coeffs":["1"]}'],
     ["verify", "--max-degree", "0"],
     ["verify", "--max-degree", "-3"],
     ["trees", "--length", "0"],

@@ -1,8 +1,12 @@
+import functools
 import json
+import operator
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopseries import coloops
 from loopseries.algebras import MatrixElement
@@ -98,6 +102,98 @@ class TestMorphisms:
         phi = MultiMorphism(images={(1, 1): x(1)})
         with pytest.raises(StructuralError):
             phi(x(2))
+
+
+def apply_by_sums(images, p):
+    """The morphism evaluated term by term with ``*`` and ``+``: the
+    oracle for the one-dict accumulation of ``MultiMorphism``."""
+    out = NCPolynomial.zero()
+    for w, c in p.terms.items():
+        prod = NCPolynomial.scalar(c)
+        for gen in w:
+            prod = prod * images[gen]
+            if prod.is_zero():
+                break
+        out = out + prod
+    return out
+
+
+ACCUMULATION_SETTINGS = settings(max_examples=150, deadline=None,
+                                 database=None, derandomize=True)
+INDICES = (1, 2, 3)
+
+
+def polys(copies, max_terms=4, max_len=3):
+    # few letters and small coefficients, so that terms collide and cancel
+    words = st.lists(st.tuples(st.sampled_from(copies),
+                               st.sampled_from(INDICES)),
+                     max_size=max_len).map(tuple)
+    return st.dictionaries(words, st.integers(-2, 2),
+                           max_size=max_terms).map(NCPolynomial)
+
+
+@st.composite
+def morphism_cases(draw):
+    source = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    image = st.one_of(st.just(NCPolynomial.zero()),
+                      polys((1, 2, 3), max_terms=3, max_len=2))
+    images = {(cp, idx): draw(image) for cp in source for idx in INDICES}
+    return images, draw(polys(source))
+
+
+# y1 for both x1 and x2 cancels the commutator; the zero image of x1
+# kills every word through it
+CANCELLING = ({(1, 1): y(1), (1, 2): y(1)},
+              x(1) * x(2) - x(2) * x(1) + 3 * x(1))
+KILLING = ({(1, 1): NCPolynomial.zero(), (2, 1): y(1) + y(2)},
+           2 * x(1) * y(1) + y(1) * y(1) - NCPolynomial.scalar(4))
+
+
+class TestLinearAccumulation:
+    @ACCUMULATION_SETTINGS
+    @given(morphism_cases())
+    @example(CANCELLING)
+    @example(KILLING)
+    def test_morphism_equals_term_by_term_sums(self, case):
+        images, p = case
+        assert MultiMorphism(images=images)(p) == apply_by_sums(images, p)
+
+    def test_morphism_cancelling_and_killing_examples(self):
+        assert MultiMorphism(images=CANCELLING[0])(CANCELLING[1]) == 3 * y(1)
+        assert MultiMorphism(images=KILLING[0])(KILLING[1]) == \
+            (y(1) + y(2)) * (y(1) + y(2)) - NCPolynomial.scalar(4)
+
+    @ACCUMULATION_SETTINGS
+    @given(st.lists(polys((1, 2, 3)), max_size=6))
+    def test_sum_equals_chain_of_additions(self, ps):
+        chained = functools.reduce(operator.add, ps, NCPolynomial.zero())
+        assert NCPolynomial.sum(ps) == chained
+        assert NCPolynomial.sum(iter(ps)) == chained
+
+    def test_sum_of_nothing_and_full_cancellation(self):
+        p = x(1) * y(2) - 3 * y(1)
+        assert NCPolynomial.sum([]) == NCPolynomial.zero()
+        cancelled = NCPolynomial.sum([p, x(2), -p, -x(2)])
+        assert cancelled.is_zero() and cancelled.terms == {}
+
+    def test_morphism_builds_one_polynomial(self, monkeypatch):
+        table = coloops.get_coloop("inv").codivision("right", 10)
+        images = {(cp, k): coloops.coproduct("inv", k) if cp == 1 else z(k)
+                  for cp in (1, 2) for k in range(1, 11)}
+        phi = MultiMorphism(images=images)
+        want = apply_by_sums(images, table)
+        built = []
+        init = NCPolynomial.__init__
+
+        def counting_init(self, terms=None):
+            built.append(1)
+            init(self, terms)
+
+        monkeypatch.setattr(NCPolynomial, "__init__", counting_init)
+        got = phi(table)
+        monkeypatch.undo()
+        assert len(built) == 1
+        assert got == want
 
 
 class TestFold:
