@@ -342,8 +342,9 @@ def operator_expansions(kind: str, n: int) -> dict[str, NCPolynomial]:
         sign = -1 if ell % 2 else 1
         for comp in compositions(n, ell + 1):
             if kind == "delta":
-                block = ops.triangle(ops.element(_X(comp[0])),
-                                     ops.tensor_of([_Y(k) for k in comp[1:]]))
+                block = ops.triangle(
+                    ops.element(_X(comp[0])),
+                    ops.GradedTensorPoly.from_factors([_Y(k) for k in comp[1:]]))
                 parts["triangle"].append(block.scalar_length_polynomial())
             elif kind == "delta_r":
                 rhs = ops.right_op([_Y(k) for k in comp[1:]])
@@ -416,18 +417,15 @@ def _tensor_coproduct_hom(flavor: str):
 def tensor_coassociative(flavor: str, n: int) -> bool:
     """Degreewise coassociativity of ``Delta^(x)`` on the generator."""
     hom = _tensor_coproduct_hom(flavor)
-    dx = projected_coproduct(flavor, n)
-    left: dict[tuple, int] = {}
-    right: dict[tuple, int] = {}
-    for (w1, w2), c in dx.terms.items():
-        for (u1, u2), d in hom(w1).terms.items():
-            key = (u1, u2, w2)
-            left[key] = left.get(key, 0) + c * d
-        for (u1, u2), d in hom(w2).terms.items():
-            key = (w1, u1, u2)
-            right[key] = right.get(key, 0) + c * d
-    left = {k: v for k, v in left.items() if v}
-    right = {k: v for k, v in right.items() if v}
+    dx = projected_coproduct(flavor, n).terms.items()
+    left = TensorPoly.sum(
+        (TensorPoly(3, {(u1, u2, w2): c * d
+                        for (u1, u2), d in hom(w1).terms.items()})
+         for (w1, w2), c in dx), 3)
+    right = TensorPoly.sum(
+        (TensorPoly(3, {(w1, u1, u2): c * d
+                        for (u1, u2), d in hom(w2).terms.items()})
+         for (w1, w2), c in dx), 3)
     return left == right
 
 
@@ -436,14 +434,10 @@ def nc_hopf_coproduct(n: int) -> TensorPoly:
     ``sum_m x_m (x) sum x_{k_0} ... x_{k_m}`` over non-negative tuples
     ``k_0 + ... + k_m = n - m`` (zero indices read as the unit)."""
     from .combinatorics import weak_compositions
-    terms: dict[tuple, int] = {}
-    for m in range(n + 1):
-        left = (m,) if m >= 1 else ()
-        for ks in weak_compositions(n - m, m + 1):
-            right = tuple(k for k in ks if k > 0)
-            key = (left, right)
-            terms[key] = terms.get(key, 0) + 1
-    return TensorPoly(2, terms)
+    return TensorPoly.sum(
+        (TensorPoly(2, {((m,) if m >= 1 else (),
+                         tuple(k for k in ks if k > 0)): 1})
+         for m in range(n + 1) for ks in weak_compositions(n - m, m + 1)), 2)
 
 
 def compare_nc_hopf(n: int) -> bool:

@@ -14,6 +14,12 @@ relabelings, by a plain label map (``fold``).
 
 ``TensorPoly`` is the image of the canonical projection ``pi`` onto the
 componentwise tensor product: keys are tuples of copy-free words.
+
+Both, and ``operators.GradedTensorPoly``, are ``Sparse`` linear
+combinations: the base holds the terms and implements the linear
+structure (linear-time ``sum``, ``+``, ``-``, integer scaling), equality,
+hashing and the signed text form once; each subclass adds its key order,
+the text of one monomial and its product.
 """
 
 from __future__ import annotations
@@ -46,12 +52,11 @@ def _term_key(w: Word) -> tuple:
     return (word_degree(w), len(w), w)
 
 
-def _add_terms(out: dict[Word, int], terms: Mapping[Word, int],
-               scale: int = 1) -> None:
+def _add_terms(out: dict, terms: Mapping, scale: int = 1) -> None:
     """Add ``scale`` times ``terms`` into ``out`` in place; zero
-    coefficients are left for the final ``NCPolynomial`` to drop."""
-    for w, c in terms.items():
-        out[w] = out.get(w, 0) + scale * c
+    coefficients are left for the final container to drop."""
+    for k, c in terms.items():
+        out[k] = out.get(k, 0) + scale * c
 
 
 def _mul_terms(left: Mapping[Word, int], right: Mapping[Word, int]
@@ -65,16 +70,114 @@ def _mul_terms(left: Mapping[Word, int], right: Mapping[Word, int]
     return out
 
 
-class NCPolynomial:
-    """Integer linear combination of words; immutable by convention."""
+class Sparse:
+    """Exact integer linear combination of hashable keys, with zero terms
+    dropped; immutable by convention.
+
+    The module's polynomials and tensors share everything but their keys:
+    a subclass gives the canonical key order (``_sort_key``), the text of
+    one monomial (``_key_text``, empty for the scalar key) and its product.
+    ``_shape`` lists the constructor arguments that precede the terms;
+    values of one class with different shapes never compare equal and
+    cannot be added.
+    """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Word, int] | None = None):
-        self.terms: dict[Word, int] = {
-            w: c for w, c in (terms or {}).items() if c != 0
-        }
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {k: c for k, c in (terms or {}).items() if c != 0}
         self._hash: int | None = None
+
+    def _shape(self) -> tuple:
+        return ()
+
+    def _like(self, terms: Mapping) -> "Sparse":
+        return type(self)(*self._shape(), terms)
+
+    @classmethod
+    def sum(cls, items: Iterable["Sparse"], *shape):
+        """Sum of ``items`` in time linear in their terms: every term goes
+        into one dict and zeros are dropped once, at the end. ``shape``
+        is the shape of the result (the arity of a ``TensorPoly``)."""
+        out: dict = {}
+        for p in items:
+            _add_terms(out, p.terms)
+        return cls(*shape, out)
+
+    def _combine(self, other: "Sparse", scale: int):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other._shape() != self._shape():
+            raise StructuralError(
+                f"{type(self).__name__} shape mismatch: "
+                f"{self._shape()} and {other._shape()}")
+        out = dict(self.terms)
+        _add_terms(out, other.terms, scale)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return self._like({k: c * scalar for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.terms == other.terms
+                and self._shape() == other._shape())
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._shape(), tuple(sorted(self.terms.items()))))
+        return self._hash
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self) -> list[tuple]:
+        """Terms in the canonical order of the subclass."""
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        chunks = []
+        for k, c in self.sorted_terms():
+            body = self._key_text(k)
+            if not body:
+                mag = str(abs(c))
+            elif abs(c) == 1:
+                mag = body
+            else:
+                mag = f"{abs(c)}*{body}"
+            if not chunks:
+                chunks.append(mag if c > 0 else f"-{mag}")
+            else:
+                chunks.append(f"+ {mag}" if c > 0 else f"- {mag}")
+        return " ".join(chunks)
+
+    def __repr__(self) -> str:
+        args = [str(a) for a in self._shape()] + [str(self)]
+        return f"{type(self).__name__}({', '.join(args)})"
+
+
+class NCPolynomial(Sparse):
+    """Integer linear combination of words in labeled generators."""
+
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------
 
@@ -94,56 +197,14 @@ class NCPolynomial:
     def generator(cls, copy: int, index: int) -> "NCPolynomial":
         return cls({(letter(copy, index),): 1})
 
-    @classmethod
-    def sum(cls, polys: Iterable["NCPolynomial"]) -> "NCPolynomial":
-        """Sum of ``polys`` in time linear in their terms: every term goes
-        into one dict and zeros are dropped once, at the end."""
-        out: dict[Word, int] = {}
-        for p in polys:
-            _add_terms(out, p.terms)
-        return cls(out)
-
     # -- ring structure --------------------------------------------------
 
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out = dict(self.terms)
-        _add_terms(out, other.terms)
-        return NCPolynomial(out)
-
-    def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out = dict(self.terms)
-        _add_terms(out, other.terms, -1)
-        return NCPolynomial(out)
-
-    def __neg__(self) -> "NCPolynomial":
-        return NCPolynomial({w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return NCPolynomial({w: c * other for w, c in self.terms.items()})
-        return NCPolynomial(_mul_terms(self.terms, other.terms))
-
-    def __rmul__(self, other: int) -> "NCPolynomial":
-        return self * other
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NCPolynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        if isinstance(other, NCPolynomial):
+            return NCPolynomial(_mul_terms(self.terms, other.terms))
+        return super().__mul__(other)
 
     # -- inspection -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def copies(self) -> set[int]:
-        return {cp for w in self.terms for cp, _ in w}
 
     def degree(self) -> int:
         """Top degree; 0 for scalars and the zero polynomial."""
@@ -153,35 +214,15 @@ class NCPolynomial:
         degrees = {word_degree(w) for w in self.terms}
         return len(degrees) <= 1
 
-    def sorted_terms(self) -> list[tuple[Word, int]]:
-        """Terms sorted by (degree, length, letters): the canonical order."""
-        return sorted(self.terms.items(), key=lambda item: _term_key(item[0]))
-
     def coefficient(self, w: Word) -> int:
         return self.terms.get(tuple(w), 0)
 
     # -- text / JSON -------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for w, c in self.sorted_terms():
-            body = "*".join(f"{COPY_NAMES[cp]}{idx}" for cp, idx in w)
-            if not w:
-                mag = str(abs(c))
-            elif abs(c) == 1:
-                mag = body
-            else:
-                mag = f"{abs(c)}*{body}"
-            if not chunks:
-                chunks.append(mag if c > 0 else f"-{mag}")
-            else:
-                chunks.append(f"+ {mag}" if c > 0 else f"- {mag}")
-        return " ".join(chunks)
+    _sort_key = staticmethod(_term_key)
 
-    def __repr__(self) -> str:
-        return f"NCPolynomial({self})"
+    def _key_text(self, w: Word) -> str:
+        return "*".join(f"{COPY_NAMES[cp]}{idx}" for cp, idx in w)
 
     def to_json(self) -> dict:
         return {
@@ -200,11 +241,6 @@ class NCPolynomial:
             w = tuple(letter(cp, idx) for cp, idx in t["word"])
             terms[w] = terms.get(w, 0) + int(t["coeff"])
         return cls(terms)
-
-
-def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
-    """Concatenation product (free multiplication)."""
-    return p * q
 
 
 class MultiMorphism:
@@ -276,41 +312,30 @@ def fold(labelmap: Mapping[int, int], p: NCPolynomial) -> NCPolynomial:
 PlainWord = tuple[int, ...]
 
 
-class TensorPoly:
+class TensorPoly(Sparse):
     """Element of the componentwise tensor product ``H x ... x H``:
     integer combination of ``arity``-tuples of copy-free words."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, arity: int,
                  terms: Mapping[tuple[PlainWord, ...], int] | None = None):
-        self.arity = arity
-        self.terms: dict[tuple[PlainWord, ...], int] = {}
-        for key, c in (terms or {}).items():
+        for key in terms or {}:
             if len(key) != arity:
                 raise StructuralError(f"tensor key {key} has arity != {arity}")
-            if c != 0:
-                self.terms[key] = c
+        self.arity = arity
+        super().__init__(terms)
 
     @classmethod
     def one(cls, arity: int) -> "TensorPoly":
         return cls(arity, {((),) * arity: 1})
 
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        if self.arity != other.arity:
-            raise StructuralError("tensor arity mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return TensorPoly(self.arity, out)
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (other * -1)
+    def _shape(self) -> tuple:
+        return (self.arity,)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TensorPoly(self.arity,
-                              {k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, TensorPoly):
+            return super().__mul__(other)
         if self.arity != other.arity:
             raise StructuralError("tensor arity mismatch")
         out: dict[tuple[PlainWord, ...], int] = {}
@@ -320,39 +345,13 @@ class TensorPoly:
                 out[k] = out.get(k, 0) + c1 * c2
         return TensorPoly(self.arity, out)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorPoly) and self.arity == other.arity
-                and self.terms == other.terms)
+    @staticmethod
+    def _sort_key(k: tuple[PlainWord, ...]) -> tuple:
+        return tuple((sum(w), len(w), w) for w in k)
 
-    def __hash__(self) -> int:
-        return hash((self.arity, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[tuple[PlainWord, ...], int]]:
-        def key(k):
-            return tuple((sum(w), len(w), w) for w in k)
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for k, c in self.sorted_terms():
-            slots = []
-            for w in k:
-                slots.append("*".join(f"x{idx}" for idx in w) if w else "1")
-            body = " (x) ".join(slots)
-            mag = body if abs(c) == 1 else f"{abs(c)}*{body}"
-            if not chunks:
-                chunks.append(mag if c > 0 else f"-{mag}")
-            else:
-                chunks.append(f"+ {mag}" if c > 0 else f"- {mag}")
-        return " ".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"TensorPoly({self.arity}, {self})"
+    def _key_text(self, k: tuple[PlainWord, ...]) -> str:
+        return " (x) ".join("*".join(f"x{idx}" for idx in w) if w else "1"
+                            for w in k)
 
 
 def project_pi(p: NCPolynomial, arity: int) -> TensorPoly:

@@ -16,8 +16,14 @@ On top of it sit the left operator ``L_l``, the right operator ``R_l``,
 the single-structure operators ``R_m`` indexed by M-sequences, and the
 labeled operators ``R_l^e``, each available both through its recursive
 definition and through its closed form, plus executable checks for every
-identity relating them. Left-hand scalar parts of ``a_1 |> R_l(...)``
-reproduce the Lagrange coefficients of :mod:`loopseries.combinatorics`.
+identity relating them. ``R_l`` and ``R_l^e`` share one recursion, the
+defining sum grouped by its first block (see ``right_op_e``), so a memo
+entry costs ``l`` blocks rather than ``2^(l-1)`` compositions. Left-hand
+scalar parts of ``a_1 |> R_l(...)`` reproduce the Lagrange coefficients
+of :mod:`loopseries.combinatorics`.
+
+``GradedTensorPoly`` is a ``freealg.Sparse`` combination: it inherits the
+linear structure and text form and adds its key order and ``tensor``.
 """
 
 from __future__ import annotations
@@ -28,27 +34,21 @@ from typing import Sequence
 
 from .combinatorics import (
     bit_sequences,
-    compositions,
     is_m_sequence,
     m_sequences,
     m_sequences_labeled,
 )
 from .errors import StructuralError
-from .freealg import NCPolynomial, Word, _add_terms, word_degree
+from .freealg import COPY_NAMES, NCPolynomial, Sparse, Word, word_degree
 
 TensorKey = tuple[Word, ...]
 
 
-class GradedTensorPoly:
+class GradedTensorPoly(Sparse):
     """Integer combination of tensor monomials over the free algebra,
     with an explicit scalar (length-0) component."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[TensorKey, int] | None = None):
-        self.terms: dict[TensorKey, int] = {
-            k: c for k, c in (terms or {}).items() if c != 0
-        }
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "GradedTensorPoly":
@@ -83,35 +83,6 @@ class GradedTensorPoly:
             out = cls(acc)
         return out
 
-    def __add__(self, other: "GradedTensorPoly") -> "GradedTensorPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return GradedTensorPoly(out)
-
-    def __sub__(self, other: "GradedTensorPoly") -> "GradedTensorPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return GradedTensorPoly(out)
-
-    def __neg__(self) -> "GradedTensorPoly":
-        return GradedTensorPoly({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar: int) -> "GradedTensorPoly":
-        return GradedTensorPoly({k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GradedTensorPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def tensor(self, other: "GradedTensorPoly") -> "GradedTensorPoly":
         out: dict[TensorKey, int] = {}
         for k1, c1 in self.terms.items():
@@ -130,32 +101,13 @@ class GradedTensorPoly:
         return NCPolynomial(
             {k[0]: c for k, c in self.terms.items() if len(k) == 1})
 
-    def sorted_terms(self):
-        def key(k: TensorKey):
-            return (len(k), tuple((word_degree(w), len(w), w) for w in k))
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+    @staticmethod
+    def _sort_key(k: TensorKey) -> tuple:
+        return (len(k), tuple((word_degree(w), len(w), w) for w in k))
 
-    def __str__(self) -> str:
-        from .freealg import COPY_NAMES
-        if not self.terms:
-            return "0"
-        chunks = []
-        for k, c in self.sorted_terms():
-            if not k:
-                body = str(abs(c))
-            else:
-                slots = ["*".join(f"{COPY_NAMES[cp]}{i}" for cp, i in w)
-                         for w in k]
-                joined = " | ".join(slots)
-                body = joined if abs(c) == 1 else f"{abs(c)}*{joined}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"GradedTensorPoly({self})"
+    def _key_text(self, k: TensorKey) -> str:
+        return " | ".join("*".join(f"{COPY_NAMES[cp]}{i}" for cp, i in w)
+                          for w in k)
 
 
 def _mono_triangle(lk: TensorKey, rk: TensorKey) -> tuple[int, TensorKey]:
@@ -226,14 +178,11 @@ def left_op(factors: Sequence[NCPolynomial],
         raise StructuralError(f"unknown mode {mode!r}")
     memo: list[GradedTensorPoly] = [GradedTensorPoly.unit()]
     for i in range(1, ell + 1):
-        total = GradedTensorPoly.zero()
-        for j in range(i):
-            head = triangle(memo[j], element(factors[j]))
-            tail = head
-            for f in factors[j + 1: i]:
-                tail = tail.tensor(element(f))
-            total = total + (-1) ** (i - 1 - j) * tail
-        memo.append(total)
+        memo.append(GradedTensorPoly.sum(
+            (-1) ** (i - 1 - j)
+            * triangle(memo[j], element(factors[j])).tensor(
+                GradedTensorPoly.from_factors(factors[j + 1: i]))
+            for j in range(i)))
     return memo[ell]
 
 
@@ -241,47 +190,24 @@ def right_op(factors: Sequence[NCPolynomial],
              mode: str = "recursive") -> GradedTensorPoly:
     """Right recursive operator ``R_l``.
 
-    ``recursive`` evaluates the defining composition sum: for every
-    ``j`` and every composition ``(p_1..p_j)`` of ``l``, the tensor of the
-    blocks ``a_{P_{i-1}+1} |> R_{p_i - 1}(following letters)``. ``closed``
-    sums the single-structure operators ``R_m`` over all M-sequences.
-    ``R_1(a) = a`` and ``R_2(a, b) = a |> b + a (x) b``.
+    The defining sum runs over every composition ``(p_1..p_j)`` of ``l``
+    and tensors the blocks ``a_{P_{i-1}+1} |> R_{p_i - 1}(following
+    letters)``. Grouping it by the first block gives the factorization
+
+        R_l(a_1..a_l) = sum_p (a_1 |> R_{p-1}(a_2..a_p)) (x) R_{l-p}(a_{p+1}..a_l),
+
+    which ``recursive`` evaluates, as ``right_op_e`` with all bits 1.
+    ``closed`` sums the single-structure operators ``R_m`` over all
+    M-sequences. ``R_1(a) = a`` and ``R_2(a, b) = a |> b + a (x) b``.
     """
     factors = _check_factors(factors)
     if mode == "closed":
-        total = GradedTensorPoly.zero()
-        for m in m_sequences(len(factors)):
-            total = total + right_op_m(m, factors)
+        total = GradedTensorPoly.sum(right_op_m(m, factors)
+                                     for m in m_sequences(len(factors)))
         return total if factors else GradedTensorPoly.unit()
     if mode != "recursive":
         raise StructuralError(f"unknown mode {mode!r}")
-    return _right_recursive(tuple(factors), {})
-
-
-def _right_recursive(factors: tuple[NCPolynomial, ...],
-                     memo: dict) -> GradedTensorPoly:
-    """``R_l`` by its defining sum; ``memo`` maps factor tuples to their
-    ``R`` and lives for one top-level call."""
-    got = memo.get(factors)
-    if got is not None:
-        return got
-    ell = len(factors)
-    if ell == 0:
-        return GradedTensorPoly.unit()
-    leads = [element(f) for f in factors]
-    total: dict[TensorKey, int] = {}
-    for j in range(1, ell + 1):
-        for p in compositions(ell, j):
-            prod = None
-            pos = 0
-            for pi in p:
-                inner = _right_recursive(factors[pos + 1: pos + pi], memo)
-                block = triangle(leads[pos], inner)
-                prod = block if prod is None else prod.tensor(block)
-                pos += pi
-            _add_terms(total, prod.terms)
-    got = memo[factors] = GradedTensorPoly(total)
-    return got
+    return _right_labeled((1,) * len(factors), tuple(factors), {})
 
 
 def right_op_m(m: Sequence[int],
@@ -333,11 +259,18 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
     """Labeled right recursive operator ``R_l^e``.
 
     Equals ``right_op`` when ``e = (1,..,1)`` and vanishes when ``e``
-    starts with the bit 2. ``recursive`` follows the defining sum, in
-    which the first block lead passes through ``R_1^(e_1)`` and each inner
-    operator sees the bit slice aligned with its letters (the bits under
-    the leads of later blocks are skipped); ``closed`` sums ``R_m`` over
-    the restricted set ``M_l^e``.
+    starts with the bit 2. In the defining sum the first block lead passes
+    through ``R_1^(e_1)`` and each inner operator sees the bit slice
+    aligned with its letters; the bits under the leads of later blocks
+    are ignored. Grouping it by the first block gives
+
+        R^e(a_1..a_l) = sum_p (a_1 |> R^(e_2..e_p)(a_2..a_p))
+                              (x) R^(1, e_(p+2)..e_l)(a_(p+1)..a_l)
+
+    for ``e_1 = 1``, with ``R`` of no letters the unit; the suffix's first
+    bit is 1 because it sits under a later block lead. ``recursive``
+    evaluates this with a memo that lives for one call; ``closed`` sums
+    ``R_m`` over the restricted set ``M_l^e``.
     """
     factors = _check_factors(factors)
     e = tuple(e)
@@ -346,9 +279,8 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
     if any(b not in (1, 2) for b in e):
         raise StructuralError(f"bits must be 1 or 2: {e}")
     if mode == "closed":
-        total = GradedTensorPoly.zero()
-        for m in m_sequences_labeled(len(factors), e):
-            total = total + right_op_m(m, factors)
+        total = GradedTensorPoly.sum(right_op_m(m, factors)
+                                     for m in m_sequences_labeled(len(factors), e))
         return total if factors else GradedTensorPoly.unit()
     if mode != "recursive":
         raise StructuralError(f"unknown mode {mode!r}")
@@ -357,36 +289,27 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
 
 def _right_labeled(e: tuple[int, ...], factors: tuple[NCPolynomial, ...],
                    memo: dict) -> GradedTensorPoly:
-    """``R_l^e`` by its defining sum; ``memo`` maps ``(e, factors)`` to
-    the result and lives for one top-level call."""
+    """``R_l^e`` by its first-block factorization; ``memo`` maps
+    ``(e, factors)`` to the result and lives for one top-level call."""
     ell = len(factors)
     if ell == 0:
         return GradedTensorPoly.unit()
-    if ell == 1:
-        return element(factors[0]) if e[0] == 1 else GradedTensorPoly.zero()
     if e[0] == 2:
         return GradedTensorPoly.zero()
+    if ell == 1:
+        return element(factors[0])
     got = memo.get((e, factors))
     if got is not None:
         return got
-    # the first lead passes through R_1^(e_1), which is the identity here
-    # because e_1 = 1, so every lead is the plain element
-    leads = [element(f) for f in factors]
-    total: dict[TensorKey, int] = {}
-    for j in range(1, ell + 1):
-        for p in compositions(ell, j):
-            prod = None
-            pos = 0
-            for pi in p:
-                inner = _right_labeled(e[pos + 1: pos + pi],
-                                       factors[pos + 1: pos + pi], memo)
-                block = triangle(leads[pos], inner)
-                prod = block if prod is None else prod.tensor(block)
-                if prod.is_zero():
-                    break
-                pos += pi
-            _add_terms(total, prod.terms)
-    got = memo[(e, factors)] = GradedTensorPoly(total)
+    lead = element(factors[0])
+    blocks = []
+    for p in range(1, ell + 1):
+        block = triangle(lead, _right_labeled(e[1:p], factors[1:p], memo))
+        if p < ell and not block.is_zero():
+            block = block.tensor(_right_labeled(
+                (1,) + e[p + 1:], factors[p:], memo))
+        blocks.append(block)
+    got = memo[(e, factors)] = GradedTensorPoly.sum(blocks)
     return got
 
 
@@ -396,14 +319,6 @@ def _right_labeled(e: tuple[int, ...], factors: tuple[NCPolynomial, ...],
 
 def _letters(degrees: Sequence[int]) -> list[NCPolynomial]:
     return [NCPolynomial.generator(1, n) for n in degrees]
-
-
-def tensor_of(factors: Sequence[NCPolynomial]) -> GradedTensorPoly:
-    """Plain tensor monomial of the given homogeneous entries."""
-    out = GradedTensorPoly.unit()
-    for f in factors:
-        out = out.tensor(element(f))
-    return out
 
 
 def _degree_tuples(count: int, bound: int):
@@ -435,11 +350,11 @@ def operator_identity_check(identity: str, ell: int,
         for degs in _degree_tuples(ell + 1, degree_bound):
             a = _letters(degs)
             lhs = triangle(element(a[0]), right_op(a[1:]))
-            rhs = GradedTensorPoly.zero()
-            for i in range(ell):
-                head = triangle(element(a[0]), right_op(a[1: i + 1]))
-                rhs = rhs + (-1) ** (ell - 1 - i) * triangle(
-                    head, tensor_of(a[i + 1:]))
+            rhs = GradedTensorPoly.sum(
+                (-1) ** (ell - 1 - i) * triangle(
+                    triangle(element(a[0]), right_op(a[1: i + 1])),
+                    GradedTensorPoly.from_factors(a[i + 1:]))
+                for i in range(ell))
             if lhs != rhs:
                 return False
         return True
@@ -447,11 +362,12 @@ def operator_identity_check(identity: str, ell: int,
         for degs in _degree_tuples(ell + 1, degree_bound):
             a = _letters(degs)
             lhs = triangle(element(a[0]), right_op(a[1:]))
-            rhs = GradedTensorPoly.zero()
-            for i in range(1, ell + 1):
-                head = triangle(element(a[0]), tensor_of(a[1: i + 1]))
-                rhs = rhs + (-1) ** (i - 1) * triangle(
-                    head, right_op(a[i + 1:]))
+            rhs = GradedTensorPoly.sum(
+                (-1) ** (i - 1) * triangle(
+                    triangle(element(a[0]),
+                             GradedTensorPoly.from_factors(a[1: i + 1])),
+                    right_op(a[i + 1:]))
+                for i in range(1, ell + 1))
             if lhs != rhs:
                 return False
         return True
@@ -459,12 +375,13 @@ def operator_identity_check(identity: str, ell: int,
         for degs in _degree_tuples(ell, degree_bound):
             a = _letters(degs)
             lhs = left_op(a)
-            rhs = (-1) ** (ell - 1) * tensor_of(a)
+            parts = [(-1) ** (ell - 1) * GradedTensorPoly.from_factors(a)]
             for i in range(1, ell):
-                head = triangle(element(a[0]), tensor_of(a[1: i + 1]))
+                head = triangle(element(a[0]),
+                                GradedTensorPoly.from_factors(a[1: i + 1]))
                 first = head.scalar_length_polynomial()
-                rhs = rhs + (-1) ** (i - 1) * left_op([first] + a[i + 1:])
-            if lhs != rhs:
+                parts.append((-1) ** (i - 1) * left_op([first] + a[i + 1:]))
+            if lhs != GradedTensorPoly.sum(parts):
                 return False
         return True
     if identity == "Re1":
@@ -474,13 +391,13 @@ def operator_identity_check(identity: str, ell: int,
             a = _letters(degs)
             for e in bit_sequences(ell):
                 lhs = right_op_e(e, a)
-                rhs = triangle(right_op_e(e[:1], a[:1]),
-                               right_op_e(e[1:], a[1:]))
+                parts = [triangle(right_op_e(e[:1], a[:1]),
+                                  right_op_e(e[1:], a[1:]))]
                 for i in range(1, ell):
                     tail = triangle(element(a[i]),
                                     right_op_e(e[i + 1:], a[i + 1:]))
-                    rhs = rhs + right_op_e(e[:i], a[:i]).tensor(tail)
-                if lhs != rhs:
+                    parts.append(right_op_e(e[:i], a[:i]).tensor(tail))
+                if lhs != GradedTensorPoly.sum(parts):
                     return False
         return True
     if identity == "R1":

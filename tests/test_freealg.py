@@ -19,7 +19,6 @@ from loopseries.freealg import (
     fold,
     generator_assignment,
     include_iota,
-    nc_mul,
     parse_polynomial,
     project_pi,
 )
@@ -40,7 +39,7 @@ def random_poly(rng, copies=(1, 2), terms=3, max_index=3, max_len=3):
 
 class TestRingStructure:
     def test_single_product(self):
-        p = nc_mul(x(1), y(2))
+        p = x(1) * y(2)
         assert p.terms == {((1, 1), (2, 2)): 1}
 
     def test_free_square(self):
@@ -292,6 +291,34 @@ class TestTextAndJson:
         assert str(p) == "x2 - y2 - 2*x1*y1 + 2*y1*y1"
         assert str(NCPolynomial.zero()) == "0"
         assert str(NCPolynomial.scalar(-3)) == "-3"
+
+    def test_tensor_text_and_equality(self):
+        from loopseries.operators import GradedTensorPoly as G
+        cases = [
+            (TensorPoly(2), "0", "TensorPoly(2, 0)"),
+            (TensorPoly(2, {((), ()): 3}), "3*1 (x) 1",
+             "TensorPoly(2, 3*1 (x) 1)"),
+            (TensorPoly(2, {((), ()): -1}), "-1 (x) 1",
+             "TensorPoly(2, -1 (x) 1)"),
+            (TensorPoly(2, {((1,), (2,)): -1, ((1, 2), ()): 3,
+                            ((), (1,)): 1}),
+             "1 (x) x1 - x1 (x) x2 + 3*x1*x2 (x) 1",
+             "TensorPoly(2, 1 (x) x1 - x1 (x) x2 + 3*x1*x2 (x) 1)"),
+            (TensorPoly(3, {((1,), (), (2, 1)): -2, ((), (), ()): 1}),
+             "1 (x) 1 (x) 1 - 2*x1 (x) 1 (x) x2*x1",
+             "TensorPoly(3, 1 (x) 1 (x) 1 - 2*x1 (x) 1 (x) x2*x1)"),
+            (G.zero(), "0", "GradedTensorPoly(0)"),
+            (G.unit(), "1", "GradedTensorPoly(1)"),
+            (G({(): -4}), "-4", "GradedTensorPoly(-4)"),
+            (G({(((1, 1),), ((2, 2),)): -1, (((1, 1), (1, 2)),): 3, (): 2}),
+             "2 + 3*x1*x2 - x1 | y2", "GradedTensorPoly(2 + 3*x1*x2 - x1 | y2)"),
+            (G.from_factors([x(1) - y(1), x(2)], -2), "-2*x1 | x2 + 2*y1 | x2",
+             "GradedTensorPoly(-2*x1 | x2 + 2*y1 | x2)"),
+        ]
+        for value, text, rep in cases:
+            assert (str(value), repr(value)) == (text, rep)
+        assert NCPolynomial.zero() != G.zero()
+        assert TensorPoly(2) != TensorPoly(3)
 
     def test_table_entry_renders_exactly(self):
         # the documented rendering of an expanded u-difference table entry

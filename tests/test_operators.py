@@ -189,16 +189,16 @@ class TestLabeledOperators:
         assert got == want
 
     def test_closed_equals_labeled_sum(self):
-        for ell in range(1, 5):
-            degs = tuple(1 + (i % 3) for i in range(ell))
-            fs = [x(n) for n in degs]
-            for e in bit_sequences(ell):
-                got = right_op_e(e, fs)
-                assert got == right_op_e(e, fs, "closed")
-                total = GradedTensorPoly.zero()
-                for m in m_sequences_labeled(ell, e):
-                    total = total + right_op_m(m, fs)
-                assert got == total
+        for ell in range(1, 6):
+            for degs in itertools.product((1, 2), repeat=ell):
+                fs = [x(n) for n in degs]
+                for e in bit_sequences(ell):
+                    got = right_op_e(e, fs)
+                    assert got == right_op_e(e, fs, "closed")
+                    total = GradedTensorPoly.zero()
+                    for m in m_sequences_labeled(ell, e):
+                        total = total + right_op_m(m, fs)
+                    assert got == total
 
     def test_bit_validation(self):
         with pytest.raises(StructuralError):
