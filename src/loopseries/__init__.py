@@ -11,6 +11,9 @@ verified mechanically, with integer/rational arithmetic throughout.
 
 __version__ = "0.1.0"
 
+# seed of the randomized witness sampler when none is given
+DEFAULT_SEED = 0x123456789ABCDEF0
+
 from .errors import DomainError, StructuralError
 
-__all__ = ["DomainError", "StructuralError", "__version__"]
+__all__ = ["DEFAULT_SEED", "DomainError", "StructuralError", "__version__"]

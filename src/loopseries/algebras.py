@@ -137,9 +137,6 @@ class CDElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def scalar_part(self) -> Fraction:
-        return self.coords[0]
-
     def __str__(self) -> str:
         chunks = []
         for i, c in enumerate(self.coords):

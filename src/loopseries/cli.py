@@ -7,6 +7,10 @@ over a handful of exact coefficient algebras (``divide``, ``invert``),
 counterexample reproduction (``witness``) and the M-sequence/tree
 bijection (``trees``).
 
+Each handler imports the library layers it runs, and the parser is built
+from plain constants, so a command compiles and loads only the modules it
+needs (``trees`` and ``coeffs`` load just the combinatorics).
+
 Output is byte-deterministic for fixed arguments and seed. The library
 version (and the seed, for randomized runs) is reported on stderr so that
 stdout carries only the text/json/csv payload. Exit status: 0 on success
@@ -17,40 +21,30 @@ or fully expected verification results, 1 on any unexpected failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__
-from . import coloops, seriesloops
-from .algebras import CDElement, MatrixElement, cd_parse
-from .combinatorics import (
-    all_compositions,
-    bit_sequences,
-    lagrange_d,
-    lagrange_d_labeled,
-    m_sequences,
-    tree_of_msequence,
-    tree_to_parens,
-)
+from . import DEFAULT_SEED, __version__
 from .errors import DomainError, StructuralError
-from .freealg import NCPolynomial
-from .operators import left_op, right_op, right_op_e, right_op_m
-from .seriesloops import DEFAULT_SEED, TruncatedSeries
 
+if TYPE_CHECKING:
+    from .seriesloops import TruncatedSeries
+
+# The parser is built from these constants, so a command imports only the
+# layers its handler runs; the tests check them against the library.
 COOP_KINDS = ("delta", "counit", "delta_r", "delta_l", "s_r", "s_l")
+ALGEBRA_NAMES = ("c", "h", "m2q", "m2sed", "m3q", "o", "q", "sed")
+WITNESS_NAMES = ("diff-power-assoc", "diff-right-alt",
+                 "inv-left-right-inverse", "inv-power-assoc",
+                 "inv-right-alt", "ucd-not-loop")
 
 
 # -- coefficient algebra codecs for series JSON --------------------------------
 
-def _enc_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def _matrix_codec(dim: int, enc_entry, dec_entry):
-    def enc(m: MatrixElement):
+    from .algebras import MatrixElement
+
+    def enc(m):
         return [enc_entry(e) for row in m.entries for e in row]
 
     def dec(flat):
@@ -64,19 +58,25 @@ def _matrix_codec(dim: int, enc_entry, dec_entry):
 
 
 def _cd_codec(level: int):
-    return (lambda x: str(x)), (lambda s: cd_parse(s, level))
+    from .algebras import cd_parse
+    return str, (lambda s: cd_parse(s, level))
 
 
+# (encode, decode, unit) by algebra name, filled on first use
 _ALGEBRAS: dict[str, tuple] = {}
 
 
 def _register_algebras() -> None:
-    _ALGEBRAS["q"] = (_enc_fraction, lambda s: Fraction(s), Fraction(1))
+    from fractions import Fraction
+
+    from .algebras import CDElement, MatrixElement
+
+    _ALGEBRAS["q"] = (str, Fraction, Fraction(1))
     for name, level in (("c", 1), ("h", 2), ("o", 3), ("sed", 4)):
         enc, dec = _cd_codec(level)
         _ALGEBRAS[name] = (enc, dec, CDElement.one(level))
     for dim in (2, 3):
-        enc, dec = _matrix_codec(dim, _enc_fraction, lambda s: Fraction(s))
+        enc, dec = _matrix_codec(dim, str, Fraction)
         one = MatrixElement.identity(dim, Fraction(1), Fraction(0))
         _ALGEBRAS[f"m{dim}q"] = (enc, dec, one)
     enc_s, dec_s = _cd_codec(4)
@@ -85,11 +85,14 @@ def _register_algebras() -> None:
     _ALGEBRAS["m2sed"] = (enc, dec, one)
 
 
-_register_algebras()
+def _codec(algebra: str) -> tuple:
+    if not _ALGEBRAS:
+        _register_algebras()
+    return _ALGEBRAS[algebra]
 
 
 def series_to_json(series: TruncatedSeries, algebra: str) -> dict:
-    enc, _, _ = _ALGEBRAS[algebra]
+    enc, _, _ = _codec(algebra)
     return {
         "flavor": series.flavor,
         "order": series.order,
@@ -104,7 +107,10 @@ def series_from_json(data, flavor: str, order: int, algebra: str
     ``series_to_json`` writes. The arguments fix flavor, order and algebra;
     a ``flavor``, ``order`` or ``algebra`` key in the object may repeat
     them but not contradict them."""
+    from .seriesloops import TruncatedSeries
+
     if isinstance(data, str):
+        import json
         data = json.loads(data)
     if isinstance(data, dict):
         expected = {"flavor": flavor, "order": order, "algebra": algebra}
@@ -116,13 +122,14 @@ def series_from_json(data, flavor: str, order: int, algebra: str
         coeffs = data["coeffs"]
     else:
         coeffs = data
-    _, dec, one = _ALGEBRAS[algebra]
+    _, dec, one = _codec(algebra)
     return TruncatedSeries(flavor, order, [dec(c) for c in coeffs], one)
 
 
 # -- output helpers -------------------------------------------------------------
 
 def _emit_json(command: str, data, seed=None, passed=None) -> str:
+    import json
     envelope = {
         "version": __version__,
         "command": command,
@@ -134,6 +141,9 @@ def _emit_json(command: str, data, seed=None, passed=None) -> str:
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -144,6 +154,13 @@ def _emit_csv(header: list[str], rows: list[list]) -> str:
 # -- subcommand implementations --------------------------------------------------
 
 def _cmd_coeffs(args) -> tuple[str, int]:
+    from .combinatorics import (
+        all_compositions,
+        bit_sequences,
+        lagrange_d,
+        lagrange_d_labeled,
+    )
+
     n = args.n
     if args.kind == "d":
         header = ["n", "composition", "d"]
@@ -177,6 +194,8 @@ def _cmd_coeffs(args) -> tuple[str, int]:
 
 
 def _cmd_coop(args) -> tuple[str, int]:
+    from . import coloops
+
     table = coloops.get_coloop(args.flavor)
     if args.kind == "delta":
         poly = table.coproduct(args.n)
@@ -209,6 +228,9 @@ def _parse_int_tuple(text: str, option: str) -> tuple[int, ...]:
 
 
 def _cmd_operators(args) -> tuple[str, int]:
+    from .freealg import NCPolynomial
+    from .operators import left_op, right_op, right_op_e, right_op_m
+
     degrees = _parse_int_tuple(args.degrees, "--degrees")
     factors = [NCPolynomial.generator(1, d) for d in degrees]
     if args.op == "L":
@@ -235,6 +257,8 @@ def _cmd_operators(args) -> tuple[str, int]:
 
 
 def _verify_records(flavor: str, max_degree: int) -> list[dict]:
+    from . import coloops
+
     records = []
     for axiom in coloops.AXIOMS:
         first_expected = coloops.EXPECTED_FAILURES.get((flavor, axiom))
@@ -307,24 +331,30 @@ def _series_arg(text: str, option: str, args) -> TruncatedSeries:
 
 
 def _cmd_divide(args) -> tuple[str, int]:
+    from .seriesloops import divide
+
     a = _series_arg(args.a, "--a", args)
     b = _series_arg(args.b, "--b", args)
-    result = seriesloops.divide(args.side, a, b, args.mode)
+    result = divide(args.side, a, b, args.mode)
     if args.format == "json":
         return _emit_json("divide", series_to_json(result, args.algebra)), 0
     return str(result) + "\n", 0
 
 
 def _cmd_invert(args) -> tuple[str, int]:
+    from .seriesloops import series_inverse
+
     a = _series_arg(args.a, "--a", args)
-    result = seriesloops.series_inverse(a, args.side)
+    result = series_inverse(a, args.side)
     if args.format == "json":
         return _emit_json("invert", series_to_json(result, args.algebra)), 0
     return str(result) + "\n", 0
 
 
 def _cmd_witness(args) -> tuple[str, int]:
-    report = seriesloops.witness(args.name, args.seed)
+    from .seriesloops import witness
+
+    report = witness(args.name, args.seed)
     code = 0 if report["pass"] else 1
     if args.format == "json":
         return _emit_json("witness", report, seed=args.seed,
@@ -342,6 +372,8 @@ def _cmd_witness(args) -> tuple[str, int]:
 
 
 def _cmd_trees(args) -> tuple[str, int]:
+    from .combinatorics import m_sequences, tree_of_msequence, tree_to_parens
+
     rows = []
     for m in m_sequences(args.length):
         rows.append(["(" + ",".join(map(str, m)) + ")",
@@ -410,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} truncated series")
         p.add_argument("--flavor", choices=("inv", "diff"), required=True)
         p.add_argument("--order", type=_positive_int, required=True)
-        p.add_argument("--algebra", choices=sorted(_ALGEBRAS), required=True)
+        p.add_argument("--algebra", choices=ALGEBRA_NAMES, required=True)
         p.add_argument("--a", required=True, help="series JSON")
         if name == "divide":
             p.add_argument("--b", required=True, help="series JSON")
@@ -424,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("witness", help="reproduce a named counterexample")
-    p.add_argument("name", choices=sorted(seriesloops.WITNESS_NAMES))
+    p.add_argument("name", choices=WITNESS_NAMES)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("trees", help="M-sequences and their planar binary trees")

@@ -69,6 +69,7 @@ class Coloop:
             raise StructuralError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self._cache: dict[tuple[str, int], NCPolynomial] = {}
+        self._homs: dict[tuple[str, ...], MultiMorphism] = {}
 
     # -- table entries ------------------------------------------------------
 
@@ -170,33 +171,46 @@ class Coloop:
                     yield word * _v(comp[ell])
 
     def _build_s_r(self, n: int) -> NCPolynomial:
-        killed = MultiMorphism(image_fn=lambda cp, k: (
-            NCPolynomial.zero() if cp == 1 else _X(k)))
-        return killed(self.codivision("right", n))
+        return self._hom("eps", "x")(self.codivision("right", n))
 
     def _build_s_l(self, n: int) -> NCPolynomial:
-        killed = MultiMorphism(image_fn=lambda cp, k: (
-            _X(k) if cp == 1 else NCPolynomial.zero()))
-        return killed(self.codivision("left", n))
+        return self._hom("x", "eps")(self.codivision("left", n))
 
     # -- composition engine ---------------------------------------------------
 
-    def _morphism(self, per_copy: dict[int, Callable[[int], NCPolynomial]]
-                  ) -> MultiMorphism:
-        return MultiMorphism(image_fn=lambda cp, k: per_copy[cp](k))
+    # Images of the letters ``x_k`` of one copy, by name. ``@2`` moves the
+    # image's copy 1 to copy 2, ``@23`` moves copies 1, 2 to 2, 3.
+    _IMAGES: dict[str, Callable[["Coloop", int], NCPolynomial]] = {
+        "x": lambda self, k: _X(k),
+        "y": lambda self, k: _Y(k),
+        "z": lambda self, k: _Z(k),
+        "eps": lambda self, k: NCPolynomial.zero(),
+        "delta": lambda self, k: self.coproduct(k),
+        "delta@23": lambda self, k: fold({1: 2, 2: 3}, self.coproduct(k)),
+        "delta_r": lambda self, k: self.codivision("right", k),
+        "delta_l@23": lambda self, k: fold({1: 2, 2: 3},
+                                           self.codivision("left", k)),
+        "s_r": lambda self, k: self.antipode("right", k),
+        "s_r@2": lambda self, k: fold({1: 2}, self.antipode("right", k)),
+        "s_l": lambda self, k: self.antipode("left", k),
+        "s_l@2": lambda self, k: fold({1: 2}, self.antipode("left", k)),
+    }
+
+    def _hom(self, *names: str) -> MultiMorphism:
+        """The algebra map sending the letters of copy ``i`` through the
+        image named ``names[i - 1]``. One map per name tuple and coloop,
+        so its ``images`` memo serves every degree and every axiom."""
+        got = self._homs.get(names)
+        if got is None:
+            fns = [self._IMAGES[name] for name in names]
+            got = MultiMorphism(image_fn=lambda cp, k: fns[cp - 1](self, k))
+            self._homs[names] = got
+        return got
 
     def coassociator(self, n: int) -> NCPolynomial:
         """``K = (Delta u id) Delta - (id u Delta) Delta`` in three copies."""
         delta = self.coproduct(n)
-        left = self._morphism({
-            1: self.coproduct,
-            2: _Z,
-        })(delta)
-        right = self._morphism({
-            1: _X,
-            2: lambda k: fold({1: 2, 2: 3}, self.coproduct(k)),
-        })(delta)
-        return left - right
+        return self._hom("delta", "z")(delta) - self._hom("x", "delta@23")(delta)
 
     def coassociator_fold1(self, n: int) -> NCPolynomial:
         """``(id u mu) K``: the right-coalternativity defect."""
@@ -231,50 +245,38 @@ class Coloop:
         delta = self.coproduct
         delta_r = lambda k: self.codivision("right", k)  # noqa: E731
         delta_l = lambda k: self.codivision("left", k)  # noqa: E731
-        eps = lambda k: NCPolynomial.zero()  # noqa: E731
+        hom = self._hom
         mu = lambda p: fold({1: 1, 2: 1}, p)  # noqa: E731
         id_fold_mu = lambda p: fold({1: 1, 2: 2, 3: 2}, p)  # noqa: E731
         mu_fold_id = lambda p: fold({1: 1, 2: 1, 3: 2}, p)  # noqa: E731
 
         if axiom == "counit":
             return [
-                (self._morphism({1: eps, 2: _Y})(delta(n)), _Y(n)),
-                (self._morphism({1: _X, 2: eps})(delta(n)), _X(n)),
+                (hom("eps", "y")(delta(n)), _Y(n)),
+                (hom("x", "eps")(delta(n)), _X(n)),
             ]
         if axiom == "right-cocancel-1":
-            step = self._morphism({1: delta_r, 2: _Z})(delta(n))
+            step = hom("delta_r", "z")(delta(n))
             return [(id_fold_mu(step), _X(n))]
         if axiom == "right-cocancel-2":
-            step = self._morphism({1: delta, 2: _Z})(delta_r(n))
+            step = hom("delta", "z")(delta_r(n))
             return [(id_fold_mu(step), _X(n))]
         if axiom == "left-cocancel-1":
-            step = self._morphism({
-                1: _X,
-                2: lambda k: fold({1: 2, 2: 3}, delta_l(k)),
-            })(delta(n))
+            step = hom("x", "delta_l@23")(delta(n))
             return [(mu_fold_id(step), _Y(n))]
         if axiom == "left-cocancel-2":
-            step = self._morphism({
-                1: _X,
-                2: lambda k: fold({1: 2, 2: 3}, delta(k)),
-            })(delta_l(n))
+            step = hom("x", "delta@23")(delta_l(n))
             return [(mu_fold_id(step), _Y(n))]
         if axiom == "partial-counit":
             return [
-                (self._morphism({1: _X, 2: eps})(delta_r(n)), _X(n)),
-                (self._morphism({1: eps, 2: _Y})(delta_l(n)), _Y(n)),
+                (hom("x", "eps")(delta_r(n)), _X(n)),
+                (hom("eps", "y")(delta_l(n)), _Y(n)),
             ]
         if axiom == "five-terms-left":
-            step = self._morphism({
-                1: lambda k: self.antipode("right", k),
-                2: lambda k: fold({1: 2}, _X(k)),
-            })(delta(n))
+            step = hom("s_r", "y")(delta(n))
             return [(mu(step), NCPolynomial.zero())]
         if axiom == "five-terms-right":
-            step = self._morphism({
-                1: _X,
-                2: lambda k: fold({1: 2}, self.antipode("left", k)),
-            })(delta(n))
+            step = hom("x", "s_l@2")(delta(n))
             return [(mu(step), NCPolynomial.zero())]
         if axiom == "mu-delta":
             return [
@@ -282,16 +284,10 @@ class Coloop:
                 (mu(delta_l(n)), NCPolynomial.zero()),
             ]
         if axiom == "coinverse-right":
-            composite = self._morphism({
-                1: _X,
-                2: lambda k: fold({1: 2}, self.antipode("right", k)),
-            })(delta(n))
+            composite = hom("x", "s_r@2")(delta(n))
             return [(delta_r(n), composite)]
         if axiom == "coinverse-left":
-            composite = self._morphism({
-                1: lambda k: self.antipode("left", k),
-                2: _Y,
-            })(delta(n))
+            composite = hom("s_l", "y")(delta(n))
             return [(delta_l(n), composite)]
         raise StructuralError(f"unknown axiom {axiom!r}")
 

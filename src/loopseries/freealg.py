@@ -296,12 +296,19 @@ def fold(labelmap: Mapping[int, int], p: NCPolynomial) -> NCPolynomial:
     isomorphisms of the free product are the injective label maps.
     """
     out: dict[Word, int] = {}
-    for w, c in p.terms.items():
-        try:
-            nw = tuple((labelmap[cp], idx) for cp, idx in w)
-        except KeyError as exc:
-            raise StructuralError(f"label map {labelmap} undefined on copy {exc}")
-        out[nw] = out.get(nw, 0) + c
+    # one relabeled letter object per letter, shared by every word
+    letters: dict[Letter, Letter] = {}
+
+    def relabel(old: Letter) -> Letter:
+        new = letters[old] = (labelmap[old[0]], old[1])
+        return new
+
+    try:
+        for w, c in p.terms.items():
+            nw = tuple([letters.get(a) or relabel(a) for a in w])
+            out[nw] = out.get(nw, 0) + c
+    except KeyError as exc:
+        raise StructuralError(f"label map {labelmap} undefined on copy {exc}")
     return NCPolynomial(out)
 
 

@@ -20,7 +20,10 @@ for both flavors and both sides. The ``closed`` mode evaluates the
 explicit formulas with (labeled) Lagrange coefficients, and
 ``convolution_eval`` evaluates the generator tables of
 :mod:`loopseries.coloops` under the coefficient assignment. Each call
-computes one route only; the tests check that all three agree.
+computes one route only; the tests check that all three agree. The
+``diff`` inverse is the recursive left division of the unit series, so
+the module needs the table layer (``coloops``, ``freealg``) only inside
+``convolution_eval``, which imports it on call.
 
 The module also hosts the element loops (invertible elements, unitary
 elements, unitary elements of a Cayley-Dickson doubling) with their
@@ -34,7 +37,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Sequence
 
-from . import coloops
+from . import DEFAULT_SEED
 from .algebras import (
     CDElement,
     DoubledElement,
@@ -55,11 +58,8 @@ from .combinatorics import (
     weak_compositions,
 )
 from .errors import DomainError, StructuralError
-from .freealg import evaluate as freealg_evaluate
 
 FLAVORS = ("inv", "diff")
-
-DEFAULT_SEED = 0x123456789ABCDEF0
 
 
 class TruncatedSeries:
@@ -322,30 +322,24 @@ _CLOSED = {
 
 
 def series_inverse(a: TruncatedSeries, side: str = "both") -> TruncatedSeries:
-    """Inverse of a series in its loop.
+    """Inverse of a series in its loop, by the recursive division against
+    the unit series.
 
-    For ``diff`` the inverse is two-sided and is computed by evaluating
-    the antipode table of the representing coloop bialgebra on the
-    coefficients. For ``inv`` the two inverses differ over non-associative
-    coefficients, so a ``side`` is required there; each is computed by the
-    recursive division against the unit series.
+    For ``diff`` (associative carriers only) the inverse is two-sided, so
+    every ``side`` gives the solution ``x`` of ``a o x = t``. Evaluating the
+    right antipode of the fdb coloop bialgebra on the coefficients gives
+    the same series; that is the representability statement, and the
+    tests use it as the oracle. For ``inv`` the two inverses differ over
+    non-associative coefficients, so a ``side`` is required there.
     """
+    if side not in ("both", "left", "right"):
+        raise StructuralError(f"bad side {side!r}")
     e = unit_series(a.flavor, a.order, a.one)
-    if a.flavor == "diff":
-        if side not in ("both", "left", "right"):
-            raise StructuralError(f"bad side {side!r}")
-        table = coloops.get_coloop("fdb")
-        out = []
-        for n in range(1, a.order + 1):
-            s_n = table.antipode("right", n)
-            out.append(freealg_evaluate(
-                s_n, lambda cp, idx: a.coeff(idx), a.one))
-        return TruncatedSeries(a.flavor, a.order, out, a.one)
-    if side == "right":
+    if a.flavor == "inv" and side == "both":
+        raise StructuralError("inv series need an explicit inverse side")
+    if a.flavor == "inv" and side == "right":
         return divide("right", e, a)  # e / a
-    if side == "left":
-        return divide("left", a, e)   # a \ e
-    raise StructuralError("inv series need an explicit inverse side")
+    return divide("left", a, e)       # a \ e
 
 
 def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
@@ -357,6 +351,9 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
     codivisions give the divisions, degree by degree. This is the
     representability statement made executable.
     """
+    from . import coloops
+    from .freealg import evaluate
+
     a._check(b)
     if not 1 <= n <= a.order:
         raise StructuralError(f"degree {n} outside order {a.order}")
@@ -374,7 +371,7 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
     def assign(cp: int, idx: int):
         return a.coeff(idx) if cp == 1 else b.coeff(idx)
 
-    return freealg_evaluate(poly, assign, a.one)
+    return evaluate(poly, assign, a.one)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from loopseries import __version__, coloops, seriesloops
+from loopseries import __version__, cli, coloops, seriesloops
 from loopseries.cli import main, series_from_json, series_to_json
 from loopseries.seriesloops import DEFAULT_SEED, TruncatedSeries
 
@@ -213,6 +213,81 @@ def test_divide_computes_one_route_only(capsys, monkeypatch):
                 outputs[mode, side] = out
     for side in ("left", "right"):
         assert outputs["recursive", side] == outputs["closed", side]
+
+
+def test_diff_inverse_builds_no_table(capsys, monkeypatch):
+    # the diff inverse is the recursive solve: it runs with every coloop
+    # table builder made to fail and no table built yet
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a coloop table was built")
+
+    for kind in ("delta", "delta_r", "delta_l", "s_r", "s_l"):
+        monkeypatch.setattr(coloops.Coloop, f"_build_{kind}", forbidden)
+    monkeypatch.setattr(coloops, "_COLOOPS", {})
+    a = {"coeffs": [["1", "1", "0", "1"], ["1", "0", "1", "0"],
+                    ["0", "2", "-1", "1/2"]]}
+    for side in ("both", "left", "right"):
+        code, out, _ = run(capsys, "--format", "json", "invert",
+                           "--flavor", "diff", "--side", side,
+                           "--order", "6", "--algebra", "m2q",
+                           "--a", json.dumps(a))
+        assert code == 0
+        inv = series_from_json(json.loads(out)["data"], "diff", 6, "m2q")
+        lib_a = series_from_json(a, "diff", 6, "m2q")
+        assert seriesloops.diff_compose(lib_a, inv).is_unit()
+        assert seriesloops.diff_compose(inv, lib_a).is_unit()
+
+
+# layers no command may load beyond what its handler runs
+IMPORT_GRAPH = [
+    (["trees", "--length", "2"],
+     {"coloops", "operators", "freealg", "algebras", "seriesloops"}),
+    (["coeffs", "--kind", "de", "--n", "3"],
+     {"coloops", "operators", "freealg", "algebras", "seriesloops"}),
+    (["operators", "--op", "R", "--degrees", "1,2"],
+     {"seriesloops", "algebras"}),
+    (["coop", "--flavor", "fdb", "--kind", "s_l", "--n", "3"],
+     {"seriesloops", "algebras"}),
+    (["verify", "--flavor", "both", "--max-degree", "2"],
+     {"seriesloops", "algebras"}),
+    (["divide", "--flavor", "diff", "--side", "left", "--order", "3",
+      "--algebra", "q", "--a", '["1"]', "--b", '["2"]'],
+     {"coloops", "operators", "freealg"}),
+    (["invert", "--flavor", "diff", "--order", "3", "--algebra", "m2q",
+      "--a", '[["1", "1", "0", "1"]]'],
+     {"coloops", "operators", "freealg"}),
+    (["witness", "ucd-not-loop"], {"coloops", "operators", "freealg"}),
+]
+
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from loopseries.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", IMPORT_GRAPH,
+                         ids=[argv[0] for argv, _ in IMPORT_GRAPH])
+def test_command_loads_only_its_layers(argv, unloaded):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    assert "loopseries.cli" in modules
+    loaded = {name for name in unloaded if f"loopseries.{name}" in modules}
+    assert loaded == set()
+
+
+def test_parser_constants_match_the_library():
+    cli._register_algebras()
+    assert cli.ALGEBRA_NAMES == tuple(sorted(cli._ALGEBRAS))
+    assert cli.WITNESS_NAMES == seriesloops.WITNESS_NAMES
+    assert cli.DEFAULT_SEED == seriesloops.DEFAULT_SEED
 
 
 class TestWitnessCommand:

@@ -217,6 +217,16 @@ class TestFold:
             lm = {1: 1, 2: 1}
             assert fold(lm, p * q) == fold(lm, p) * fold(lm, q)
 
+    def test_relabeled_letters_are_shared(self):
+        # one object per relabeled letter keeps large folds small
+        p = x(1) * y(2) + y(2) * x(1) * y(2)
+        words = fold({1: 2, 2: 3}, p).terms
+        assert len({id(a) for w in words for a in w}) == 2
+
+    def test_undefined_copy_rejected(self):
+        with pytest.raises(StructuralError, match="undefined on copy 3"):
+            fold({1: 1, 2: 1}, x(1) * z(2))
+
 
 class TestProjection:
     def test_displayed_example(self):

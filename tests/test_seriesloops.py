@@ -12,8 +12,9 @@ from loopseries.algebras import (
     identity_check,
     is_zero,
 )
+from loopseries import coloops
 from loopseries.errors import DomainError, StructuralError
-from loopseries.freealg import NCPolynomial
+from loopseries.freealg import NCPolynomial, evaluate
 from loopseries.seriesloops import (
     DEFAULT_SEED,
     TruncatedSeries,
@@ -46,6 +47,15 @@ def symbolic_series(flavor, order, copy):
 def random_series(rng, flavor, order, dim=2):
     return TruncatedSeries(flavor, order,
                            [random_matrix(rng, dim) for _ in range(order)])
+
+
+def antipode_inverse(a):
+    """The diff inverse by the representability route: the right antipode
+    of the fdb tables evaluated on the coefficients of ``a``."""
+    return TruncatedSeries("diff", a.order, [
+        evaluate(coloops.antipode("fdb", "right", n),
+                 lambda cp, idx: a.coeff(idx), a.one)
+        for n in range(1, a.order + 1)], a.one)
 
 
 class TestLoopLaws:
@@ -261,6 +271,7 @@ class TestDivisionProperties:
             e = unit_series("diff", a.order, a.one)
             assert diff_compose(a, inv) == e
             assert diff_compose(inv, a) == e
+            assert inv == antipode_inverse(a)
         check()
 
 
@@ -276,6 +287,7 @@ class TestInverse:
         assert inv.coeff(2) == 2 * (x1 * x1)
         assert inv.coeff(3) == -5 * (x1 * x1 * x1)
         assert inv.coeff(4) == 14 * (x1 * x1 * x1 * x1)
+        assert inv == antipode_inverse(a)
 
     def test_diff_inverse_two_sided_matrices(self):
         rng = Random(54)
@@ -284,7 +296,9 @@ class TestInverse:
         e = unit_series("diff", 8, a.one)
         assert diff_compose(a, inv) == e
         assert diff_compose(inv, a) == e
-        # antipode evaluation agrees with the recursive-solve oracle
+        # the recursive solve agrees with the antipode evaluation and with
+        # the other side's division
+        assert inv == antipode_inverse(a)
         assert inv == divide("right", e, a)
         assert inv == divide("left", a, e)
 
