@@ -7,10 +7,14 @@ counit, the right and left codivisions and the two antipodes, living in
 the labeled free algebra of :mod:`loopseries.freealg` (copy 1 letters
 ``x``, copy 2 letters ``y``, copy 3 letters ``z``).
 
-For ``fdb`` each table is built once, from the direct coefficient formula
-with (labeled) Lagrange coefficients. ``operator_expansions`` rebuilds the
-same entries from the recursive operators of :mod:`loopseries.operators`;
-the tests check that every expansion equals its table.
+Every entry of the coproduct and the two codivisions is a signed sum of
+words, and each table is built once by adding the ``(word, coefficient)``
+pairs of its direct formula into one term dict: ``u_k = x_k - y_k`` and
+``v_k = y_k - x_k`` become two words each, and no polynomial product is
+taken. For ``fdb`` the coefficients are binomials and (labeled) Lagrange
+coefficients. ``operator_expansions`` rebuilds the same entries from the
+recursive operators of :mod:`loopseries.operators`, which it imports on
+first use; the tests check that every expansion equals its table.
 
 Axiom checks are assembled exclusively from generator-table morphisms,
 copy relabelings and folds, so one composition engine exercises the
@@ -25,7 +29,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from . import operators as ops
 from .combinatorics import (
     bit_sequences,
     bit_sign,
@@ -59,6 +62,15 @@ def _v(n: int) -> NCPolynomial:
 
 def _labeled(bit: int, n: int) -> NCPolynomial:
     return _X(n) if bit == 1 else _Y(n)
+
+
+def _signed_sum(words) -> NCPolynomial:
+    """The polynomial of ``(word, coefficient)`` pairs, added into one
+    term dict; a word may repeat and coefficients may cancel."""
+    terms: dict = {}
+    for w, c in words:
+        terms[w] = terms.get(w, 0) + c
+    return NCPolynomial(terms)
 
 
 class Coloop:
@@ -103,72 +115,72 @@ class Coloop:
             self._cache[key] = got
         return got
 
-    # -- invertible-series tables -------------------------------------------
+    # -- table builds: signed words summed into one term dict ---------------
 
     def _build_delta(self, n: int) -> NCPolynomial:
-        return NCPolynomial.sum(self._delta_words(n))
+        return _signed_sum(self._delta_words(n))
 
     def _delta_words(self, n: int):
-        yield _X(n) + _Y(n)
+        """``x_n + y_n`` and ``c x_{k0} y_{k1} ... y_{kl}`` with ``c = 1``
+        for inv (``l = 1``) and ``c = binom(k_0 + 1, l)`` for fdb."""
+        yield ((1, n),), 1
+        yield ((2, n),), 1
         if self.flavor == "inv":
             for m in range(1, n):
-                yield _X(m) * _Y(n - m)
+                yield ((1, m), (2, n - m)), 1
             return
         for ell in range(1, n):
             for comp in compositions(n, ell + 1):
-                word = NCPolynomial.scalar(math.comb(comp[0] + 1, ell)) * _X(comp[0])
-                for k in comp[1:]:
-                    word = word * _Y(k)
-                yield word
+                yield (((1, comp[0]),) + tuple((2, k) for k in comp[1:]),
+                       math.comb(comp[0] + 1, ell))
 
     def _build_delta_r(self, n: int) -> NCPolynomial:
-        return NCPolynomial.sum(self._delta_r_words(n))
+        return _signed_sum(self._delta_r_words(n))
 
     def _delta_r_words(self, n: int):
-        if self.flavor == "inv":
-            yield _u(n)
-            for ell in range(1, n):
-                sign = -1 if ell % 2 else 1
-                for comp in compositions(n, ell + 1):
-                    word = _u(comp[0])
-                    for k in comp[1:]:
-                        word = word * _Y(k)
-                    yield sign * word
-            return
-        for ell in range(n):
+        """``(-1)^l c u_{k0} y_{k1} ... y_{kl}`` with ``c = 1`` for inv and
+        ``c = d_l(k_0..k_{l-1})`` for fdb; ``u = x - y`` gives two words."""
+        inv = self.flavor == "inv"
+        if inv:
+            yield ((1, n),), 1
+            yield ((2, n),), -1
+        for ell in range(1 if inv else 0, n):
             sign = -1 if ell % 2 else 1
             for comp in compositions(n, ell + 1):
-                coeff = lagrange_d(comp[:ell])
-                word = NCPolynomial.scalar(sign * coeff) * _u(comp[0])
-                for k in comp[1:]:
-                    word = word * _Y(k)
-                yield word
+                coeff = sign if inv else sign * lagrange_d(comp[:ell])
+                tail = tuple((2, k) for k in comp[1:])
+                yield ((1, comp[0]),) + tail, coeff
+                yield ((2, comp[0]),) + tail, -coeff
 
     def _build_delta_l(self, n: int) -> NCPolynomial:
-        return NCPolynomial.sum(self._delta_l_words(n))
+        return _signed_sum(self._delta_l_words(n))
 
     def _delta_l_words(self, n: int):
-        if self.flavor == "inv":
-            yield _v(n)
-            for ell in range(1, n):
-                sign = -1 if ell % 2 else 1
-                for comp in compositions(n, ell + 1):
-                    word = NCPolynomial.one()
-                    for k in comp[:ell]:
-                        word = word * _X(k)
-                    yield sign * (word * _v(comp[ell]))
-            return
-        for ell in range(n):
+        """``(-1)^l c w v_{kl}`` with ``v = y - x``: for inv ``c = 1`` and
+        ``w = x_{k0} ... x_{k(l-1)}``; for fdb ``c = (-1)^e d_l^e(k_0 ..
+        k_{l-1})`` and ``w`` has the letter of copy ``e_i`` at place ``i``
+        (bit 1 labels ``x``, bit 2 labels ``y``)."""
+        inv = self.flavor == "inv"
+        if inv:
+            yield ((2, n),), 1
+            yield ((1, n),), -1
+        for ell in range(1 if inv else 0, n):
             sign = -1 if ell % 2 else 1
             for comp in compositions(n, ell + 1):
+                last = comp[ell]
+                if inv:
+                    head = tuple((1, k) for k in comp[:ell])
+                    yield head + ((2, last),), sign
+                    yield head + ((1, last),), -sign
+                    continue
                 for e in bit_sequences(ell):
                     coeff = lagrange_d_labeled(e, comp[:ell])
                     if coeff == 0:
                         continue
-                    word = NCPolynomial.scalar(sign * bit_sign(e) * coeff)
-                    for bit, k in zip(e, comp[:ell]):
-                        word = word * _labeled(bit, k)
-                    yield word * _v(comp[ell])
+                    coeff *= sign * bit_sign(e)
+                    head = tuple(zip(e, comp[:ell]))
+                    yield head + ((2, last),), coeff
+                    yield head + ((1, last),), -coeff
 
     def _build_s_r(self, n: int) -> NCPolynomial:
         return self._hom("eps", "x")(self.codivision("right", n))
@@ -324,6 +336,7 @@ def operator_expansions(kind: str, n: int) -> dict[str, NCPolynomial]:
     Each must equal the table built from the direct formula with (labeled)
     Lagrange coefficients; the tables never call this, the tests compare.
     """
+    from . import operators as ops
     if n < 1:
         raise StructuralError("tables are indexed by n >= 1")
     if kind == "delta":

@@ -25,6 +25,7 @@ the text of one monomial and its product.
 from __future__ import annotations
 
 import json
+from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from .errors import StructuralError
@@ -57,17 +58,6 @@ def _add_terms(out: dict, terms: Mapping, scale: int = 1) -> None:
     coefficients are left for the final container to drop."""
     for k, c in terms.items():
         out[k] = out.get(k, 0) + scale * c
-
-
-def _mul_terms(left: Mapping[Word, int], right: Mapping[Word, int]
-               ) -> dict[Word, int]:
-    """Concatenation product of two term dicts, zeros not yet dropped."""
-    out: dict[Word, int] = {}
-    for w1, c1 in left.items():
-        for w2, c2 in right.items():
-            w = w1 + w2
-            out[w] = out.get(w, 0) + c1 * c2
-    return out
 
 
 class Sparse:
@@ -200,9 +190,14 @@ class NCPolynomial(Sparse):
     # -- ring structure --------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, NCPolynomial):
-            return NCPolynomial(_mul_terms(self.terms, other.terms))
-        return super().__mul__(other)
+        if not isinstance(other, NCPolynomial):
+            return super().__mul__(other)
+        out: dict[Word, int] = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = w1 + w2
+                out[w] = out.get(w, 0) + c1 * c2
+        return NCPolynomial(out)
 
     # -- inspection -------------------------------------------------------
 
@@ -250,10 +245,12 @@ class MultiMorphism:
     Images may be supplied lazily through ``image_fn`` so that co-operation
     tables extend on demand; computed images are cached and the extension
     is idempotent (the same generator always maps to the same polynomial).
+    Next to each image the morphism keeps its term list, read by every
+    later application.
 
-    Applying it costs time linear in the output terms: each word's image
-    is multiplied out in a running term dict and added into one output
-    dict, and a single ``NCPolynomial`` is built at the end.
+    Applying it costs time linear in the output terms: each word is
+    expanded once, over the Cartesian product of its letters' term lists,
+    into one output dict, and a single ``NCPolynomial`` is built at the end.
     """
 
     def __init__(self,
@@ -261,6 +258,7 @@ class MultiMorphism:
                  image_fn: Callable[[int, int], NCPolynomial] | None = None):
         self.images: dict[Letter, NCPolynomial] = dict(images or {})
         self.image_fn = image_fn
+        self.image_terms: dict[Letter, tuple[tuple[Word, int], ...]] = {}
 
     def image(self, copy: int, index: int) -> NCPolynomial:
         key = (copy, index)
@@ -274,17 +272,25 @@ class MultiMorphism:
 
     def __call__(self, p: NCPolynomial) -> NCPolynomial:
         out: dict[Word, int] = {}
+        image_terms = self.image_terms
         for w, c in p.terms.items():
-            prod = {(): c}
-            for cp, idx in w:
-                image = self.image(cp, idx).terms
-                # the free algebra has no zero divisors, so a partial
-                # product vanishes exactly when a factor's image does
-                if not image:
+            factors = []
+            for a in w:
+                terms = image_terms.get(a)
+                if terms is None:
+                    terms = image_terms[a] = tuple(self.image(*a).terms.items())
+                # the free algebra has no zero divisors, so the image of a
+                # word vanishes exactly when a letter's image does
+                if not terms:
                     break
-                prod = _mul_terms(prod, image)
+                factors.append(terms)
             else:
-                _add_terms(out, prod)
+                for choice in product(*factors):
+                    word, coeff = (), c
+                    for w2, c2 in choice:
+                        word += w2
+                        coeff *= c2
+                    out[word] = out.get(word, 0) + coeff
         return NCPolynomial(out)
 
 

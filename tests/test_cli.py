@@ -10,7 +10,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from loopseries import __version__, cli, coloops, seriesloops
+from loopseries import __version__, cli, coloops, operators, seriesloops
 from loopseries.cli import main, series_from_json, series_to_json
 from loopseries.seriesloops import DEFAULT_SEED, TruncatedSeries
 
@@ -188,7 +188,7 @@ def test_divide_computes_one_route_only(capsys, monkeypatch):
         raise AssertionError("a second route was evaluated")
 
     for name in ("triangle", "right_op", "left_op", "right_op_e"):
-        monkeypatch.setattr(coloops.ops, name, forbidden)
+        monkeypatch.setattr(operators, name, forbidden)
     monkeypatch.setattr(coloops, "_COLOOPS", {})
     for n in range(1, 6):
         coloops.coproduct("fdb", n)
@@ -247,9 +247,9 @@ IMPORT_GRAPH = [
     (["operators", "--op", "R", "--degrees", "1,2"],
      {"seriesloops", "algebras"}),
     (["coop", "--flavor", "fdb", "--kind", "s_l", "--n", "3"],
-     {"seriesloops", "algebras"}),
+     {"seriesloops", "algebras", "operators"}),
     (["verify", "--flavor", "both", "--max-degree", "2"],
-     {"seriesloops", "algebras"}),
+     {"seriesloops", "algebras", "operators"}),
     (["divide", "--flavor", "diff", "--side", "left", "--order", "3",
       "--algebra", "q", "--a", '["1"]', "--b", '["2"]'],
      {"coloops", "operators", "freealg"}),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from loopseries.combinatorics import (
@@ -25,6 +27,7 @@ from loopseries.coloops import (
 )
 from loopseries.errors import StructuralError
 from loopseries.freealg import NCPolynomial, TensorPoly, include_iota, project_pi
+from test_freealg import apply_by_sums
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
 y = lambda n: NCPolynomial.generator(2, n)  # noqa: E731
@@ -32,6 +35,54 @@ u = lambda n: x(n) - y(n)  # noqa: E731
 v = lambda n: y(n) - x(n)  # noqa: E731
 
 MAX_DEGREE = 7
+
+
+def product_chain_table(flavor, kind, n):
+    """The table entry built from the direct formula as a sum of products
+    of generator polynomials: the oracle for the signed-word builds."""
+    if kind in ("s_r", "s_l"):
+        # S_r = (eps u id) delta_r and S_l = (id u eps) delta_l
+        keep = 2 if kind == "s_r" else 1
+        images = {(cp, k): x(k) if cp == keep else NCPolynomial.zero()
+                  for cp in (1, 2) for k in range(1, n + 1)}
+        return apply_by_sums(
+            images, product_chain_table(flavor, "delta" + kind[1:], n))
+    terms = []
+    if kind == "delta":
+        terms.append(x(n) + y(n))
+        if flavor == "inv":
+            terms += [x(m) * y(n - m) for m in range(1, n)]
+        else:
+            for ell in range(1, n):
+                for comp in compositions(n, ell + 1):
+                    word = NCPolynomial.scalar(math.comb(comp[0] + 1, ell)) \
+                        * x(comp[0])
+                    for k in comp[1:]:
+                        word = word * y(k)
+                    terms.append(word)
+    elif kind == "delta_r":
+        for ell in range(n):
+            sign = -1 if ell % 2 else 1
+            for comp in compositions(n, ell + 1):
+                coeff = 1 if flavor == "inv" else lagrange_d(comp[:ell])
+                word = NCPolynomial.scalar(sign * coeff) * u(comp[0])
+                for k in comp[1:]:
+                    word = word * y(k)
+                terms.append(word)
+    elif kind == "delta_l":
+        for ell in range(n):
+            sign = -1 if ell % 2 else 1
+            for comp in compositions(n, ell + 1):
+                # inv: the letters before v are all x (bit 1)
+                labels = [(1,) * ell] if flavor == "inv" else bit_sequences(ell)
+                for e in labels:
+                    coeff = 1 if flavor == "inv" \
+                        else bit_sign(e) * lagrange_d_labeled(e, comp[:ell])
+                    word = NCPolynomial.scalar(sign * coeff)
+                    for bit, k in zip(e, comp[:ell]):
+                        word = word * (x(k) if bit == 1 else y(k))
+                    terms.append(word * v(comp[ell]))
+    return NCPolynomial.sum(terms)
 
 
 class TestTables:
@@ -108,6 +159,27 @@ class TestTables:
                         sign = -1 if ell % 2 else 1
                         want = sign * bit_sign(e) * lagrange_d_labeled(e, comp[:ell])
                         assert dl.coefficient(word) == want, (n, comp, e)
+
+    @pytest.mark.parametrize("flavor", ["inv", "fdb"])
+    @pytest.mark.parametrize("kind", ["delta", "delta_r", "delta_l",
+                                      "s_r", "s_l"])
+    def test_equal_product_chain_oracle(self, flavor, kind):
+        for n in range(1, 9):
+            got = Coloop(flavor)._entry(kind, n)
+            assert got == product_chain_table(flavor, kind, n), (kind, n)
+
+    def test_builds_take_no_products(self, monkeypatch):
+        # every table entry is a signed sum of words: building one never
+        # multiplies two polynomials
+        def forbidden(self, other):
+            raise AssertionError("a table build multiplied polynomials")
+
+        monkeypatch.setattr(NCPolynomial, "__mul__", forbidden)
+        for flavor in ("inv", "fdb"):
+            table = Coloop(flavor)
+            for n in range(1, 7):
+                for kind in ("delta", "delta_r", "delta_l", "s_r", "s_l"):
+                    table._entry(kind, n)
 
     def test_caching_is_idempotent(self):
         table = Coloop("fdb")

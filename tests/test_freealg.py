@@ -157,6 +157,38 @@ class TestLinearAccumulation:
         images, p = case
         assert MultiMorphism(images=images)(p) == apply_by_sums(images, p)
 
+    # (images, argument, expected image), one case per corner of the
+    # one-pass expansion
+    EDGE_CASES = {
+        "scalar-argument-term": (
+            {(1, 1): y(1) + y(2), (1, 2): y(1)},
+            NCPolynomial.scalar(3) + x(1) * x(2),
+            NCPolynomial.scalar(3) + y(1) * y(1) + y(2) * y(1)),
+        "scalar-image-term": (
+            {(1, 1): NCPolynomial.scalar(2) + y(1)},
+            x(1) * x(1) - x(1),
+            NCPolynomial.scalar(2) + 3 * y(1) + y(1) * y(1)),
+        "zero-image-kills-word": (
+            {(1, 1): NCPolynomial.zero(), (1, 2): y(2)},
+            x(2) * x(1) * x(2) + 5 * x(2),
+            5 * y(2)),
+        "repeated-letter": (
+            {(1, 1): y(1) - 2 * z(1)},
+            x(1) * x(1) * x(1),
+            (y(1) - 2 * z(1)) * (y(1) - 2 * z(1)) * (y(1) - 2 * z(1))),
+        "cancels-across-words": (
+            {(1, 1): y(1) - y(2), (1, 2): y(2) + y(3)},
+            x(1) + x(2),
+            y(1) + y(3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_morphism_edge_cases(self, name):
+        images, p, want = self.EDGE_CASES[name]
+        got = MultiMorphism(images=images)(p)
+        assert got == apply_by_sums(images, p)
+        assert got == want
+
     def test_morphism_cancelling_and_killing_examples(self):
         assert MultiMorphism(images=CANCELLING[0])(CANCELLING[1]) == 3 * y(1)
         assert MultiMorphism(images=KILLING[0])(KILLING[1]) == \
