@@ -269,7 +269,7 @@ def cd_parse(text: str, level: int) -> CDElement:
         else:
             cur += ch
     chunks.append(cur)
-    total = CDElement.zero(level)
+    coords = list(CDElement.zero(level).coords)
     for chunk in chunks:
         sign = 1
         while chunk and chunk[0] in "+-":
@@ -285,8 +285,10 @@ def cd_parse(text: str, level: int) -> CDElement:
                 index = int(factor[1:])
             else:
                 coeff *= Fraction(factor)
-        total = total + CDElement.basis(level, index, coeff)
-    return total
+        if not 0 <= index < len(coords):
+            raise StructuralError(f"basis index {index} outside level {level}")
+        coords[index] += coeff
+    return CDElement(level, coords)
 
 
 class MatrixElement:

@@ -16,14 +16,28 @@ a ``StructuralError``.
 Both loop laws are written once, as the degree-``n`` coefficient of the
 law. The products use it, and so does the ``recursive`` division mode: it
 solves the defining cancellation equation degree by degree, the same way
-for both flavors and both sides. The ``closed`` mode evaluates the
-explicit formulas with (labeled) Lagrange coefficients, and
-``convolution_eval`` evaluates the generator tables of
-:mod:`loopseries.coloops` under the coefficient assignment. Each call
-computes one route only; the tests check that all three agree. The
-``diff`` inverse is the recursive left division of the unit series, so
-the module needs the table layer (``coloops``, ``freealg``) only inside
-``convolution_eval``, which imports it on call.
+for both flavors and both sides. The ``inv`` law is the binary
+convolution ``(ab)_n = sum_m a_m b_{n-m}``. The ``diff`` law is
+``a(b(t)) = b(t) + sum_m a_m b(t)^(m+1)``; with ``B = 1 + sum_k b_k t^k``
+its degree-``n`` coefficient is
+
+    (a o b)_n = a_n + b_n + sum_{m=1}^{n-1} a_m [t^(n-m)] B^(m+1),
+
+read from a table of the truncated powers ``B^p = B^(p-1) B``, built one
+column at a time on demand (Brent and Kung's power-series composition):
+``O(N^3)`` coefficient products for order ``N``, and the unit is never
+multiplied. Expanding ``b(t)^(m+1)`` into ``B^(m+1)`` and grouping the
+products of ``B^p`` in any order needs associativity, which is why
+``diff`` refuses non-associative carriers. The ``closed`` mode evaluates
+the explicit formulas with (labeled) Lagrange coefficients; it alone
+loads :mod:`loopseries.combinatorics`. ``convolution_eval`` evaluates the
+generator tables of :mod:`loopseries.coloops` under the coefficient
+assignment. Each call computes one route only; the tests check that all
+three agree, and keep the weak-composition sum over coefficient chains as
+the oracle of the ``diff`` law. The ``diff`` inverse is the recursive
+left division of the unit series, so the module needs the table layer
+(``coloops``, ``freealg``) only inside ``convolution_eval``, which
+imports it on call.
 
 The module also hosts the element loops (invertible elements, unitary
 elements, unitary elements of a Cayley-Dickson doubling) with their
@@ -48,14 +62,6 @@ from .algebras import (
     known_nonassociative,
     one_of,
     zero_of,
-)
-from .combinatorics import (
-    bit_sequences,
-    bit_sign,
-    compositions,
-    lagrange_d,
-    lagrange_d_labeled,
-    weak_compositions,
 )
 from .errors import DomainError, StructuralError
 
@@ -147,23 +153,63 @@ def unit_series(flavor: str, order: int, one) -> TruncatedSeries:
     return TruncatedSeries(flavor, order, [zero_of(one)] * order, one)
 
 
-def _law_coeff(flavor: str, a: Sequence, b: Sequence, n: int):
+class _Powers:
+    """Coefficients ``[t^j] B^p`` of the powers of ``B = sum_k b_k t^k``.
+
+    ``b`` is the indexed coefficient list of ``B`` (``b[0]`` is the unit);
+    it may still grow while the table is in use. ``B^p = B^(p-1) B`` is
+    built one column at a time, on demand, so column ``j`` of any power
+    reads only ``b_0 .. b_j``. The unit factors of the convolution are
+    added, not multiplied: column ``j >= 1`` of ``B^p`` costs ``j - 1``
+    coefficient products.
+    """
+
+    __slots__ = ("b", "rows")
+
+    def __init__(self, b: Sequence):
+        self.b = b
+        self.rows: list[list] = []  # rows[p - 2] holds the columns of B^p
+
+    def coeff(self, p: int, j: int):
+        """``[t^j] B^p``, for ``p >= 1``."""
+        b, rows = self.b, self.rows
+        if p == 1:
+            return b[j]
+        while len(rows) < p - 1:
+            rows.append([b[0]])
+        if len(rows[p - 2]) <= j:
+            # extend B^2 .. B^p to column j, each from the one before
+            for prev, row in zip([b] + rows[:p - 2], rows[:p - 1]):
+                for k in range(len(row), j + 1):
+                    acc = prev[k] + b[k]
+                    for i in range(1, k):
+                        acc = acc + prev[i] * b[k - i]
+                    row.append(acc)
+        return rows[p - 2][j]
+
+
+def _law_coeff(flavor: str, a: Sequence, powers: _Powers, n: int):
     """Degree-``n`` coefficient of the loop law ``a * b``.
 
-    ``a`` and ``b`` are coefficient sequences indexed from 0, where index 0
-    is the unit; unit factors are never multiplied. ``inv``:
-    ``(ab)_n = sum_m a_m b_{n-m}``, binary products only, so valid over
-    non-associative coefficients. ``diff``: ``(a o b)_n = sum_{m=0}^{n}
-    sum_{k_0+...+k_m = n-m} a_m b_{k_0}...b_{k_m}`` over non-negative
-    indices, chained left to right.
+    ``a`` is a coefficient sequence indexed from 0, where index 0 is the
+    unit, and ``powers`` is the power table of ``b``; unit factors are
+    never multiplied. ``inv``: ``(ab)_n = sum_m a_m b_{n-m}``, binary
+    products only, so valid over non-associative coefficients. ``diff``:
+    ``(a o b)_n = a_n + b_n + sum_{m=1}^{n-1} a_m [t^(n-m)] B^(m+1)``,
+    the degree-``n`` part of ``b(t) + sum_m a_m t^(m+1) B(t)^(m+1)``.
+    It equals the chain sum ``sum_m sum_{k_0+...+k_m = n-m} a_m b_{k_0}
+    ... b_{k_m}`` only because the products are associative: the power
+    table groups each chain as ``a_m ((b_{k_0} ... b_{k_{m-1}}) b_{k_m})``
+    and sums the chains of a power before multiplying them on. The
+    ``m >= 1`` terms read column ``n - m`` of the powers, so only
+    ``b_1 .. b_{n-1}``.
     """
-    acc = a[n] + b[n]
+    acc = a[n] + powers.b[n]
     for m in range(1, n):
         if flavor == "inv":
-            acc = acc + a[m] * b[n - m]
+            acc = acc + a[m] * powers.b[n - m]
         else:
-            for ks in weak_compositions(n - m, m + 1):
-                acc = acc + _chain([a[m]] + [b[k] for k in ks if k])
+            acc = acc + a[m] * powers.coeff(m + 1, n - m)
     return acc
 
 
@@ -172,8 +218,8 @@ def _indexed(s: TruncatedSeries) -> tuple:
 
 
 def _law(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    ia, ib = _indexed(a), _indexed(b)
-    out = [_law_coeff(a.flavor, ia, ib, n) for n in range(1, a.order + 1)]
+    ia, powers = _indexed(a), _Powers(_indexed(b))
+    out = [_law_coeff(a.flavor, ia, powers, n) for n in range(1, a.order + 1)]
     return TruncatedSeries(a.flavor, a.order, out, a.one)
 
 
@@ -186,20 +232,15 @@ def inv_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return _law(a, b)
 
 
-def _chain(factors: Sequence):
-    acc = None
-    for f in factors:
-        acc = f if acc is None else acc * f
-    return acc
-
-
 def diff_compose(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Composition ``a(b(t))`` of formal diffeomorphisms.
 
-    ``(a o b)_n = sum_{m=0}^{n} sum_{k_0+...+k_m = n-m} a_m b_{k_0}...b_{k_m}``
-    over non-negative indices. The fdb coproduct evaluated on the
-    coefficients (``convolution_eval("delta", ...)``) is the same law; the
-    tests check that the two agree.
+    ``(a o b)_n = a_n + b_n + sum_{m=1}^{n-1} a_m [t^(n-m)] B^(m+1)`` with
+    ``B = 1 + sum_k b_k t^k``, from the truncated powers of ``B``:
+    ``O(N^3)`` coefficient products at order ``N``. The fdb coproduct
+    evaluated on the coefficients (``convolution_eval("delta", ...)``) and
+    the chain sum over weak compositions are the same law; the tests check
+    that all three agree.
     """
     a._check(b)
     if a.flavor != "diff":
@@ -246,18 +287,24 @@ def _solve(flavor: str, side: str, target: TruncatedSeries,
     In both laws the unknown ``x_n`` enters the degree-``n`` coefficient
     once, with the unit as its cofactor, and every other term involves
     only ``x_1 .. x_{n-1}``. So with ``x_n`` set to zero the law
-    coefficient is exactly the part to subtract from ``target_n``.
+    coefficient is exactly the part to subtract from ``target_n``. The
+    right factor's power table is shared by all degrees: the right
+    division reads the powers of the known ``b``; the left division reads
+    the powers of the growing ``x``, whose columns ``1 .. n-1`` are final
+    once ``x_{n-1}`` is solved.
     """
     x = [target.one]
     zero = zero_of(target.one)
+    lhs, powers = (x, _Powers(known)) if side == "right" \
+        else (known, _Powers(x))
     for n in range(1, target.order + 1):
         x.append(zero)
-        lhs, rhs = (x, known) if side == "right" else (known, x)
-        x[n] = target.coeff(n) - _law_coeff(flavor, lhs, rhs, n)
+        x[n] = target.coeff(n) - _law_coeff(flavor, lhs, powers, n)
     return TruncatedSeries(flavor, target.order, x[1:], target.one)
 
 
 def _inv_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    from .combinatorics import compositions
     acc = a.coeff(n) - b.coeff(n)
     for ell in range(1, n):
         sign = -1 if ell % 2 else 1
@@ -270,6 +317,7 @@ def _inv_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
 
 
 def _inv_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    from .combinatorics import compositions
     acc = b.coeff(n) - a.coeff(n)
     for ell in range(1, n):
         sign = -1 if ell % 2 else 1
@@ -282,6 +330,7 @@ def _inv_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
 
 
 def _diff_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    from .combinatorics import compositions, lagrange_d
     acc = a.coeff(n) - b.coeff(n)
     for ell in range(1, n):
         sign = -1 if ell % 2 else 1
@@ -295,6 +344,8 @@ def _diff_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
 
 
 def _diff_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    from .combinatorics import (
+        bit_sequences, bit_sign, compositions, lagrange_d_labeled)
     acc = b.coeff(n) - a.coeff(n)
     for ell in range(1, n):
         sign = -1 if ell % 2 else 1

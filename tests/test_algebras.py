@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from random import Random
 
@@ -124,6 +125,36 @@ class TestCayleyDickson:
         assert cd_parse(str(-2 * b), 4) == -2 * b
         assert cd_parse("1/2 - 3*e7", 3) == \
             CDElement.one(3) * q(1, 2) - e(3, 7) * 3
+
+    def test_parse_equals_basis_sum(self):
+        rng = Random(11)
+        for _ in range(200):
+            level = rng.randint(0, 4)
+            terms, want = [], CDElement.zero(level)
+            for _ in range(rng.randint(1, 8)):
+                i = rng.randrange(1 << level)
+                c = q(rng.randint(-5, 5), rng.randint(1, 4))
+                body = f"e{i}" if abs(c) == 1 else f"{abs(c)}*e{i}"
+                if i == 0 and rng.random() < 0.5:
+                    body = str(abs(c))  # a bare number is the scalar
+                terms.append(("-" if c < 0 else "+") + body)
+                want = want + CDElement.basis(level, i, c)
+            assert cd_parse(" ".join(terms), level) == want
+
+    def test_parse_repeated_and_cancelling_indices(self):
+        assert cd_parse("e1+e1", 2) == e(2, 1) * 2
+        assert cd_parse("e3 - 2*e1 + e1 + e1", 2) == e(2, 3)
+        assert cd_parse("e5 - e5", 3) == CDElement.zero(3)
+        assert cd_parse("1 - 1", 0) == CDElement.zero(0)
+
+    @pytest.mark.parametrize("text, level, message", [
+        ("  ", 2, "empty Cayley-Dickson literal"),
+        ("e1+*e2", 2, "bad term in 'e1+*e2'"),
+        ("e1 + e16", 4, "basis index 16 outside level 4"),
+    ])
+    def test_parse_errors(self, text, level, message):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            cd_parse(text, level)
 
 
 class TestDoubling:

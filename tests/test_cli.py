@@ -252,11 +252,12 @@ IMPORT_GRAPH = [
      {"seriesloops", "algebras", "operators"}),
     (["divide", "--flavor", "diff", "--side", "left", "--order", "3",
       "--algebra", "q", "--a", '["1"]', "--b", '["2"]'],
-     {"coloops", "operators", "freealg"}),
+     {"coloops", "operators", "freealg", "combinatorics"}),
     (["invert", "--flavor", "diff", "--order", "3", "--algebra", "m2q",
       "--a", '[["1", "1", "0", "1"]]'],
-     {"coloops", "operators", "freealg"}),
-    (["witness", "ucd-not-loop"], {"coloops", "operators", "freealg"}),
+     {"coloops", "operators", "freealg", "combinatorics"}),
+    (["witness", "ucd-not-loop"],
+     {"coloops", "operators", "freealg", "combinatorics"}),
 ]
 
 LOADED_MODULES = """

@@ -13,6 +13,7 @@ from loopseries.algebras import (
     is_zero,
 )
 from loopseries import coloops
+from loopseries.combinatorics import weak_compositions
 from loopseries.errors import DomainError, StructuralError
 from loopseries.freealg import NCPolynomial, evaluate
 from loopseries.seriesloops import (
@@ -56,6 +57,29 @@ def antipode_inverse(a):
         evaluate(coloops.antipode("fdb", "right", n),
                  lambda cp, idx: a.coeff(idx), a.one)
         for n in range(1, a.order + 1)], a.one)
+
+
+def chain_law_coeff(a, b, n):
+    """Degree-``n`` coefficient of ``a o b`` by the chain sum
+    ``sum_m sum_{k_0+...+k_m = n-m} a_m b_{k_0} ... b_{k_m}`` over
+    non-negative indices, each chain multiplied left to right and unit
+    factors skipped. ``a`` and ``b`` are indexed from 0 (the unit); the
+    oracle of the power-table law, exponential in ``n``."""
+    acc = a[n] + b[n]
+    for m in range(1, n):
+        for ks in weak_compositions(n - m, m + 1):
+            term = a[m]
+            for k in ks:
+                if k:
+                    term = term * b[k]
+            acc = acc + term
+    return acc
+
+
+def chain_compose(a, b):
+    ia, ib = (a.one,) + a.coeffs, (b.one,) + b.coeffs
+    return TruncatedSeries("diff", a.order, [
+        chain_law_coeff(ia, ib, n) for n in range(1, a.order + 1)], a.one)
 
 
 class TestLoopLaws:
@@ -273,6 +297,53 @@ class TestDivisionProperties:
             assert diff_compose(inv, a) == e
             assert inv == antipode_inverse(a)
         check()
+
+
+class TestChainOracle:
+    """The power-table law against the weak-composition chain sum."""
+
+    @pytest.mark.parametrize("algebra", ["q", "m2q", "h"])
+    def test_compose_and_quotients_match_chain_sum(self, algebra):
+        @PROPERTY_SETTINGS
+        @given(series_pairs("diff", algebra, max_order=7))
+        def check(ab):
+            a, b = ab
+            assert diff_compose(a, b) == chain_compose(a, b)
+            assert chain_compose(divide("right", a, b), b) == a
+            assert chain_compose(a, divide("left", a, b)) == b
+        check()
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_compose_matches_chain_sum_symbolic(self, order):
+        a = symbolic_series("diff", order, 1)
+        b = symbolic_series("diff", order, 2)
+        assert diff_compose(a, b) == chain_compose(a, b)
+        assert chain_compose(divide("right", a, b), b) == a
+        assert chain_compose(a, divide("left", a, b)) == b
+
+
+@pytest.mark.parametrize("order", [8, 10, 12])
+def test_diff_law_products_are_cubic(monkeypatch, order):
+    # counts every matrix product: the power table needs C(N+1, 3) of them
+    # for the law, either division and the inverse; the chain sum needs
+    # exponentially many (1016 at N = 8, 24564 at N = 12)
+    rng = Random(59)
+    a = random_series(rng, "diff", order)
+    b = random_series(rng, "diff", order)
+    products = 0
+    plain = MatrixElement.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(MatrixElement, "__mul__", counting)
+    for op in (lambda: diff_compose(a, b), lambda: divide("left", a, b),
+               lambda: divide("right", a, b), lambda: series_inverse(a)):
+        products = 0
+        op()
+        assert products <= order ** 3 / 2
 
 
 class TestInverse:
