@@ -153,36 +153,47 @@ def _emit_csv(header: list[str], rows: list[list]) -> str:
 
 # -- subcommand implementations --------------------------------------------------
 
+def _tuple_text(t: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, t)) + ")"
+
+
 def _cmd_coeffs(args) -> tuple[str, int]:
     from .combinatorics import (
         all_compositions,
         bit_sequences,
         lagrange_d,
-        lagrange_d_labeled,
+        lagrange_d_labeled_row,
     )
 
     n = args.n
+    json_out = args.format == "json"
+    rows = []
+    data = []
     if args.kind == "d":
         header = ["n", "composition", "d"]
-        rows = []
-        data = []
         for comp in all_compositions(n):
             ns = comp[:-1]
             value = lagrange_d(ns)
-            rows.append([n, "(" + ",".join(map(str, ns)) + ")", value])
-            data.append({"n": n, "composition": list(ns), "d": value})
+            rows.append([n, _tuple_text(ns), value])
+            if json_out:
+                data.append({"n": n, "composition": list(ns), "d": value})
     else:
         header = ["n", "e", "composition", "d_e"]
-        rows = []
-        data = []
+        # E(l) and its text, once per length
+        labels: dict[int, list] = {}
         for comp in all_compositions(n):
             ns = comp[:-1]
-            for e in bit_sequences(len(ns)):
-                value = lagrange_d_labeled(e, ns)
-                rows.append([n, "(" + ",".join(map(str, e)) + ")",
-                             "(" + ",".join(map(str, ns)) + ")", value])
-                data.append({"n": n, "e": list(e),
-                             "composition": list(ns), "d_e": value})
+            ell = len(ns)
+            if ell not in labels:
+                labels[ell] = [(e, _tuple_text(e))
+                               for e in bit_sequences(ell)]
+            ns_text = _tuple_text(ns)
+            for (e, e_text), value in zip(labels[ell],
+                                          lagrange_d_labeled_row(ns)):
+                rows.append([n, e_text, ns_text, value])
+                if json_out:
+                    data.append({"n": n, "e": list(e),
+                                 "composition": list(ns), "d_e": value})
     if args.format == "csv":
         return _emit_csv(header, rows), 0
     if args.format == "json":
@@ -231,6 +242,10 @@ def _cmd_operators(args) -> tuple[str, int]:
     from .freealg import NCPolynomial
     from .operators import left_op, right_op, right_op_e, right_op_m
 
+    if args.bits is not None and args.op != "Re":
+        raise StructuralError(f"--bits applies to --op Re, not {args.op}")
+    if args.m is not None and args.op != "Rm":
+        raise StructuralError(f"--m applies to --op Rm, not {args.op}")
     degrees = _parse_int_tuple(args.degrees, "--degrees")
     factors = [NCPolynomial.generator(1, d) for d in degrees]
     if args.op == "L":
@@ -372,16 +387,13 @@ def _cmd_witness(args) -> tuple[str, int]:
 
 
 def _cmd_trees(args) -> tuple[str, int]:
-    from .combinatorics import m_sequences, tree_of_msequence, tree_to_parens
+    from .combinatorics import msequence_trees
 
-    rows = []
-    for m in m_sequences(args.length):
-        rows.append(["(" + ",".join(map(str, m)) + ")",
-                     tree_to_parens(tree_of_msequence(m))])
+    table = msequence_trees(args.length)
     if args.format == "json":
-        data = [{"m": list(map(int, r[0][1:-1].split(",")))
-                 if r[0] != "()" else [], "tree": r[1]} for r in rows]
+        data = [{"m": list(m), "tree": tree} for m, tree in table]
         return _emit_json("trees", data), 0
+    rows = [[_tuple_text(m), tree] for m, tree in table]
     if args.format == "csv":
         return _emit_csv(["m", "tree"], rows), 0
     return "\n".join(f"{m} {t}" for m, t in rows) + "\n", 0

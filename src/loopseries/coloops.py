@@ -12,16 +12,20 @@ words, and each table is built once by adding the ``(word, coefficient)``
 pairs of its direct formula into one term dict: ``u_k = x_k - y_k`` and
 ``v_k = y_k - x_k`` become two words each, and no polynomial product is
 taken. For ``fdb`` the coefficients are binomials and (labeled) Lagrange
-coefficients. ``operator_expansions`` rebuilds the same entries from the
-recursive operators of :mod:`loopseries.operators`, which it imports on
-first use; the tests check that every expansion equals its table.
+coefficients; a ``delta_l`` entry reads all ``d^e`` of one composition
+from one ``lagrange_d_labeled_row``. ``operator_expansions`` rebuilds the
+same entries from the recursive operators of :mod:`loopseries.operators`,
+which it imports on first use; the tests check that every expansion
+equals its table.
 
 Axiom checks are assembled exclusively from generator-table morphisms,
-copy relabelings and folds, so one composition engine exercises the
-counitary property, the four cocancellations, partial counitality, the
-5-terms identities, ``mu . codivision = unit . counit``, the coinverse
-properties, the coassociator and the projection onto the tensor Hopf
-algebra.
+so one composition engine exercises the counitary property, the four
+cocancellations, partial counitality, the 5-terms identities, ``mu .
+codivision = unit . counit``, the coinverse properties, the coassociator
+and the projection onto the tensor Hopf algebra. A copy relabeling
+(``fold``) after a morphism is composed into the morphism's images
+instead, so every composite side is one morphism application; only ``mu
+. codivision`` folds a table entry.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .combinatorics import (
     bit_sign,
     compositions,
     lagrange_d,
-    lagrange_d_labeled,
+    lagrange_d_labeled_row,
 )
 from .errors import StructuralError
 from .freealg import (
@@ -173,8 +177,8 @@ class Coloop:
                     yield head + ((2, last),), sign
                     yield head + ((1, last),), -sign
                     continue
-                for e in bit_sequences(ell):
-                    coeff = lagrange_d_labeled(e, comp[:ell])
+                for e, coeff in zip(bit_sequences(ell),
+                                    lagrange_d_labeled_row(comp[:ell])):
                     if coeff == 0:
                         continue
                     coeff *= sign * bit_sign(e)
@@ -200,12 +204,10 @@ class Coloop:
         "delta": lambda self, k: self.coproduct(k),
         "delta@23": lambda self, k: fold({1: 2, 2: 3}, self.coproduct(k)),
         "delta_r": lambda self, k: self.codivision("right", k),
-        "delta_l@23": lambda self, k: fold({1: 2, 2: 3},
-                                           self.codivision("left", k)),
+        "delta_l": lambda self, k: self.codivision("left", k),
         "s_r": lambda self, k: self.antipode("right", k),
         "s_r@2": lambda self, k: fold({1: 2}, self.antipode("right", k)),
         "s_l": lambda self, k: self.antipode("left", k),
-        "s_l@2": lambda self, k: fold({1: 2}, self.antipode("left", k)),
     }
 
     def _hom(self, *names: str) -> MultiMorphism:
@@ -254,13 +256,15 @@ class Coloop:
         return True, None
 
     def _axiom_sides(self, axiom: str, n: int):
+        """The pairs of sides of ``axiom`` on ``x_n``. A fold after a
+        morphism is the morphism whose images are already folded, so each
+        composite below is one homomorphism: ``(id u mu)(Delta_r u id)``
+        is ``hom("delta_r", "y")``, ``mu(S_r u id)`` is ``hom("s_r",
+        "x")``, and so on."""
         delta = self.coproduct
         delta_r = lambda k: self.codivision("right", k)  # noqa: E731
         delta_l = lambda k: self.codivision("left", k)  # noqa: E731
         hom = self._hom
-        mu = lambda p: fold({1: 1, 2: 1}, p)  # noqa: E731
-        id_fold_mu = lambda p: fold({1: 1, 2: 2, 3: 2}, p)  # noqa: E731
-        mu_fold_id = lambda p: fold({1: 1, 2: 1, 3: 2}, p)  # noqa: E731
 
         if axiom == "counit":
             return [
@@ -268,32 +272,27 @@ class Coloop:
                 (hom("x", "eps")(delta(n)), _X(n)),
             ]
         if axiom == "right-cocancel-1":
-            step = hom("delta_r", "z")(delta(n))
-            return [(id_fold_mu(step), _X(n))]
+            return [(hom("delta_r", "y")(delta(n)), _X(n))]
         if axiom == "right-cocancel-2":
-            step = hom("delta", "z")(delta_r(n))
-            return [(id_fold_mu(step), _X(n))]
+            return [(hom("delta", "y")(delta_r(n)), _X(n))]
         if axiom == "left-cocancel-1":
-            step = hom("x", "delta_l@23")(delta(n))
-            return [(mu_fold_id(step), _Y(n))]
+            return [(hom("x", "delta_l")(delta(n)), _Y(n))]
         if axiom == "left-cocancel-2":
-            step = hom("x", "delta@23")(delta_l(n))
-            return [(mu_fold_id(step), _Y(n))]
+            return [(hom("x", "delta")(delta_l(n)), _Y(n))]
         if axiom == "partial-counit":
             return [
                 (hom("x", "eps")(delta_r(n)), _X(n)),
                 (hom("eps", "y")(delta_l(n)), _Y(n)),
             ]
         if axiom == "five-terms-left":
-            step = hom("s_r", "y")(delta(n))
-            return [(mu(step), NCPolynomial.zero())]
+            return [(hom("s_r", "x")(delta(n)), NCPolynomial.zero())]
         if axiom == "five-terms-right":
-            step = hom("x", "s_l@2")(delta(n))
-            return [(mu(step), NCPolynomial.zero())]
+            return [(hom("x", "s_l")(delta(n)), NCPolynomial.zero())]
         if axiom == "mu-delta":
+            mu = {1: 1, 2: 1}
             return [
-                (mu(delta_r(n)), NCPolynomial.zero()),
-                (mu(delta_l(n)), NCPolynomial.zero()),
+                (fold(mu, delta_r(n)), NCPolynomial.zero()),
+                (fold(mu, delta_l(n)), NCPolynomial.zero()),
             ]
         if axiom == "coinverse-right":
             composite = hom("x", "s_r@2")(delta(n))

@@ -15,9 +15,14 @@ The integer combinatorics driving all coefficient formulas in this library:
 
 ``d_l`` and ``d_l^e`` are defined as sums over ``M(l)``, but they are
 computed by a prefix-sum dynamic program over (position, running prefix
-sum) in ``O(l^3)`` integer operations. The enumeration of ``M(l)`` and
-``M(l)^e`` is kept as the definition, for the tree bijection and the
-operators' closed forms, and as the oracle the tests compare against.
+sum) in ``O(l^3)`` integer operations. ``lagrange_d_labeled_row`` gives
+all ``2^l`` values ``d_l^e`` of one composition in one depth-first walk
+over the bit prefixes: each DP step is taken once and shared by every
+``e`` that extends its prefix, and a prefix whose DP vector vanishes (as
+for every ``e`` that starts with the bit 2) fills its subtree with zeros.
+The enumeration of ``M(l)`` and ``M(l)^e`` is kept as the definition, for
+the tree bijection and the operators' closed forms, and as the oracle the
+tests compare against.
 
 Everything here is exact integer arithmetic.
 """
@@ -192,6 +197,44 @@ def lagrange_d_labeled(e: Sequence[int], ns: Sequence[int]) -> int:
     return _d_sum(e, ns)
 
 
+def lagrange_d_labeled_row(ns: Sequence[int]) -> list[int]:
+    """``d_l^e(ns)`` for every ``e`` in ``bit_sequences(l)``, in that order.
+
+    The DP of ``_d_sum`` run depth first over the bit prefixes, bit 1
+    before bit 2: a step from ``ways`` to ``nxt`` is taken once per prefix
+    and shared by all ``2^(l-j)`` sequences extending it. A prefix whose
+    ``ways`` vanishes contributes zeros to its whole subtree.
+    """
+    ns = tuple(ns)
+    ell = len(ns)
+    row: list[int] = []
+    # weights[j][m] = binom(n_{j+1} + 1, m) for m up to l - j
+    weights = [[math.comb(n + 1, m) for m in range(ell - j + 1)]
+               for j, n in enumerate(ns)]
+
+    def walk(j: int, ways: list[int]) -> None:
+        # ways covers the first j bits; the next letter is at position j+1
+        if j == ell:
+            row.append(ways[ell])
+            return
+        if not any(ways):
+            row.extend([0] * (1 << (ell - j)))
+            return
+        nxt = [0] * (ell + 1)
+        weight = weights[j]
+        for s in range(j, ell + 1):
+            w = ways[s]
+            if w:
+                for m in range(max(j + 1 - s, 0), ell - s + 1):
+                    nxt[s + m] += w * weight[m]
+        walk(j + 1, nxt)
+        # bit 2 forces m = 0, and the prefix sum must reach j + 1
+        walk(j + 1, [0] * (j + 1) + ways[j + 1:])
+
+    walk(0, [1] + [0] * ell)
+    return row
+
+
 def d_cache_rows() -> list[tuple[str, str]]:
     """Snapshot of the ``lagrange_d`` memo as ``(args, value)`` string
     pairs, deterministically ordered."""
@@ -279,6 +322,39 @@ def _phi(m: tuple[int, ...]) -> Tree:
     # indecomposable: m = (k+1, m_2, ..., m_{l-1}, 0)
     reduced = (m[0] - 1,) + m[1:-1] if len(m) > 1 else ()
     return (_phi(reduced), LEAF)
+
+
+def msequence_trees(length: int) -> list[tuple[tuple[int, ...], str]]:
+    """Every ``m`` in ``M(length)`` with the parenthesis form of its tree.
+
+    The bijection of ``tree_of_msequence`` evaluated on the text form,
+    through a memo keyed by sub-sequence that lives for this call, so a
+    sub-tree shared by many sequences and its text are built once. The
+    rightmost leaf of a tree is the last ``.`` of its text, so grafting
+    replaces that character.
+    """
+    memo: dict[tuple[int, ...], str] = {(): "."}
+
+    def parens(m: tuple[int, ...]) -> str:
+        got = memo.get(m)
+        if got is not None:
+            return got
+        split = total = 0
+        for h in range(1, len(m)):
+            total += m[h - 1]
+            if total == h:
+                split = h
+        if split:
+            head = parens(m[:split])
+            leaf = head.rindex(".")
+            got = head[:leaf] + parens(m[split:]) + head[leaf + 1:]
+        else:
+            got = "(" + parens((m[0] - 1,) + m[1:-1] if len(m) > 1 else ()) \
+                + ".)"
+        memo[m] = got
+        return got
+
+    return [(m, parens(m)) for m in m_sequences(length)]
 
 
 def _graft_rightmost(t: Tree, s: Tree) -> Tree:

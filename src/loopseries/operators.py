@@ -66,7 +66,6 @@ class GradedTensorPoly(Sparse):
         Every factor must be homogeneous of positive degree (so that a
         difference like ``x_n - y_n`` is a legal degree-``n`` entry).
         """
-        out = cls({(): coeff})
         for f in factors:
             if not isinstance(f, NCPolynomial):
                 raise StructuralError("tensor factors must be polynomials")
@@ -75,13 +74,7 @@ class GradedTensorPoly(Sparse):
             if not f.is_homogeneous() or f.degree() < 1:
                 raise StructuralError(
                     f"tensor factor must be homogeneous of positive degree: {f}")
-            acc: dict[TensorKey, int] = {}
-            for key, c in out.terms.items():
-                for w, cw in f.terms.items():
-                    nk = key + (w,)
-                    acc[nk] = acc.get(nk, 0) + c * cw
-            out = cls(acc)
-        return out
+        return _tensor_monomial(factors, coeff)
 
     def tensor(self, other: "GradedTensorPoly") -> "GradedTensorPoly":
         out: dict[TensorKey, int] = {}
@@ -108,6 +101,21 @@ class GradedTensorPoly(Sparse):
     def _key_text(self, k: TensorKey) -> str:
         return " | ".join("*".join(f"{COPY_NAMES[cp]}{i}" for cp, i in w)
                           for w in k)
+
+
+def _tensor_monomial(factors: Sequence[NCPolynomial],
+                     coeff: int = 1) -> GradedTensorPoly:
+    """``from_factors`` without its checks, for nonzero factors that the
+    caller has validated or built from validated ones."""
+    out: dict[TensorKey, int] = {(): coeff}
+    for f in factors:
+        acc: dict[TensorKey, int] = {}
+        for key, c in out.items():
+            for w, cw in f.terms.items():
+                nk = key + (w,)
+                acc[nk] = acc.get(nk, 0) + c * cw
+        out = acc
+    return GradedTensorPoly(out)
 
 
 def _mono_triangle(lk: TensorKey, rk: TensorKey) -> tuple[int, TensorKey]:
@@ -202,12 +210,22 @@ def right_op(factors: Sequence[NCPolynomial],
     """
     factors = _check_factors(factors)
     if mode == "closed":
-        total = GradedTensorPoly.sum(right_op_m(m, factors)
-                                     for m in m_sequences(len(factors)))
-        return total if factors else GradedTensorPoly.unit()
+        return _closed_sum(m_sequences(len(factors)), factors)
     if mode != "recursive":
         raise StructuralError(f"unknown mode {mode!r}")
     return _right_labeled((1,) * len(factors), tuple(factors), {})
+
+
+def _closed_sum(msequences, factors: list[NCPolynomial]) -> GradedTensorPoly:
+    """The sum of ``R_m`` over ``msequences`` on checked ``factors``; the
+    unit on no letters. The sequences come from ``m_sequences`` or
+    ``m_sequences_labeled``, so they are M-sequences of the right length
+    and ``_right_op_m`` checks nothing."""
+    if not factors:
+        return GradedTensorPoly.unit()
+    degrees = [f.degree() for f in factors]
+    return GradedTensorPoly.sum(_right_op_m(m, factors, degrees)
+                                for m in msequences)
 
 
 def right_op_m(m: Sequence[int],
@@ -226,6 +244,13 @@ def right_op_m(m: Sequence[int],
         raise StructuralError(f"{m} is not an M-sequence matching the input")
     if not m:
         return GradedTensorPoly.unit()
+    return _right_op_m(m, factors, [f.degree() for f in factors])
+
+
+def _right_op_m(m: tuple[int, ...], factors: list[NCPolynomial],
+                degrees: list[int]) -> GradedTensorPoly:
+    """``R_m`` for a nonempty M-sequence ``m`` of the length of
+    ``factors``, which are homogeneous of the positive ``degrees``."""
 
     def build_item(i: int) -> tuple[NCPolynomial, int]:
         a = factors[i]
@@ -233,7 +258,7 @@ def right_op_m(m: Sequence[int],
         if nested == 0:
             return a, i + 1
         items, nxt = build_items(i + 1, nested)
-        coeff = math.comb(a.degree() + 1, nested)
+        coeff = math.comb(degrees[i] + 1, nested)
         prod = a * coeff
         for it in items:
             prod = prod * it
@@ -251,7 +276,7 @@ def right_op_m(m: Sequence[int],
         raise StructuralError(f"sequence {m} does not parse to length {len(m)}")
     if any(f.is_zero() for f in top):
         return GradedTensorPoly.zero()
-    return GradedTensorPoly.from_factors(top)
+    return _tensor_monomial(top)
 
 
 def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
@@ -279,9 +304,7 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
     if any(b not in (1, 2) for b in e):
         raise StructuralError(f"bits must be 1 or 2: {e}")
     if mode == "closed":
-        total = GradedTensorPoly.sum(right_op_m(m, factors)
-                                     for m in m_sequences_labeled(len(factors), e))
-        return total if factors else GradedTensorPoly.unit()
+        return _closed_sum(m_sequences_labeled(len(factors), e), factors)
     if mode != "recursive":
         raise StructuralError(f"unknown mode {mode!r}")
     return _right_labeled(e, tuple(factors), {})

@@ -345,13 +345,13 @@ def _diff_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
 
 def _diff_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
     from .combinatorics import (
-        bit_sequences, bit_sign, compositions, lagrange_d_labeled)
+        bit_sequences, bit_sign, compositions, lagrange_d_labeled_row)
     acc = b.coeff(n) - a.coeff(n)
     for ell in range(1, n):
         sign = -1 if ell % 2 else 1
         for comp in compositions(n, ell + 1):
-            for e in bit_sequences(ell):
-                d = lagrange_d_labeled(e, comp[:ell])
+            for e, d in zip(bit_sequences(ell),
+                            lagrange_d_labeled_row(comp[:ell])):
                 if d == 0:
                     continue
                 term = (b.coeff(comp[ell]) - a.coeff(comp[ell])) \

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -335,6 +337,14 @@ BAD_INPUTS = [
     ["operators", "--op", "R", "--degrees", "1,,2"],
     ["operators", "--op", "Re", "--degrees", "1,2", "--bits", "1,b"],
     ["operators", "--op", "Rm", "--degrees", "1,2", "--m", "2,"],
+    ["operators", "--op", "L", "--degrees", "1,1", "--bits", "1,2"],
+    ["operators", "--op", "R", "--degrees", "1,1", "--bits", "1,2"],
+    ["operators", "--op", "Rm", "--degrees", "1,1", "--m", "2,0",
+     "--bits", "1,2"],
+    ["operators", "--op", "L", "--degrees", "1,1", "--m", "2,0"],
+    ["operators", "--op", "R", "--degrees", "1,1", "--m", "2,0"],
+    ["operators", "--op", "Re", "--degrees", "1,1", "--bits", "1,2",
+     "--m", "2,0"],
     ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
      "--algebra", "q", "--a", '["1"]', "--b", "{not json"],
     ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
@@ -374,6 +384,35 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert len([line for line in proc.stderr.splitlines()
                 if "error:" in line]) == 1
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the ``loopseries`` lines in the README's
+    ``sh`` blocks, continuation lines joined and comments dropped."""
+    with open(README) as fh:
+        text = fh.read()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "loopseries":
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_examples_run(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code == 0, argv
 
 
 class TestHarness:

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from loopseries import combinatorics
 from loopseries.combinatorics import (
     LEAF,
+    _phi,
     all_compositions,
     bit_sequences,
     bit_sign,
@@ -15,8 +17,10 @@ from loopseries.combinatorics import (
     is_m_sequence,
     lagrange_d,
     lagrange_d_labeled,
+    lagrange_d_labeled_row,
     m_sequences,
     m_sequences_labeled,
+    msequence_trees,
     tree_leaves,
     tree_of_msequence,
     tree_to_parens,
@@ -182,6 +186,44 @@ class TestRecurrences:
             d_recurrence_check("nope", (1,))
 
 
+class TestLabeledRow:
+    def test_row_equals_single_values(self):
+        # every composition of sum <= 9, every e, in bit_sequences order
+        for total in range(1, 10):
+            for ns in all_compositions(total):
+                es = bit_sequences(len(ns))
+                assert lagrange_d_labeled_row(ns) == \
+                    [lagrange_d_labeled(e, ns) for e in es], ns
+        assert lagrange_d_labeled_row(()) == [1]
+
+    def test_row_equals_brute_sum(self):
+        labeled = {e: m_sequences_labeled(len(e), e)
+                   for ell in range(1, 8) for e in bit_sequences(ell)}
+        zeros = 0
+        for total in range(1, 10):
+            for ns in all_compositions(total):
+                if len(ns) > 7:
+                    continue
+                row = lagrange_d_labeled_row(ns)
+                for e, value in zip(bit_sequences(len(ns)), row):
+                    brute = sum(math.prod(math.comb(n + 1, m)
+                                          for n, m in zip(ns, mseq))
+                                for mseq in labeled[e])
+                    assert value == brute, (e, ns)
+                    zeros += value == 0
+                # every e starting with the bit 2 is a zero row entry
+                assert row[len(row) // 2:] == [0] * (len(row) // 2)
+        assert zeros > 0
+
+    def test_zero_entries_past_the_first_bit(self):
+        # M(3)^(1,2,2) = {(3, 0, 0)}, whose weight binom(2, 3) vanishes
+        ns = (1, 1, 1)
+        row = dict(zip(bit_sequences(3), lagrange_d_labeled_row(ns)))
+        assert m_sequences_labeled(3, (1, 2, 2)) == [(3, 0, 0)]
+        assert row[(1, 2, 2)] == 0
+        assert row[(1, 1, 1)] == lagrange_d(ns)
+
+
 def enumerate_trees(leaves):
     if leaves == 1:
         return [LEAF]
@@ -230,6 +272,24 @@ class TestTreeBijection:
     def test_parens(self):
         assert tree_to_parens(LEAF) == "."
         assert tree_to_parens((LEAF, LEAF)) == "(..)"
+
+    @pytest.mark.parametrize("ell", range(0, 10))
+    def test_memoized_table_equals_unmemoized_bijection(self, ell):
+        assert msequence_trees(ell) == [(m, tree_to_parens(_phi(m)))
+                                        for m in m_sequences(ell)]
+
+    def test_no_memo_survives_the_call(self):
+        def state():
+            return {name: len(value)
+                    for name, value in vars(combinatorics).items()
+                    if isinstance(value, (dict, list, set))}
+
+        before = state()
+        first = msequence_trees(7)
+        assert state() == before
+        assert msequence_trees.__defaults__ is None
+        assert not vars(msequence_trees)
+        assert msequence_trees(7) == first
 
 
 class TestCache:

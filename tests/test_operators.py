@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from loopseries import operators
 from loopseries.combinatorics import (
     bit_sequences,
     lagrange_d,
@@ -172,6 +173,47 @@ class TestStructureOperators:
             right_op_m((1, 2), [x(1), x(1)])
         with pytest.raises(StructuralError):
             right_op_m((2, 0), [x(1)])
+
+
+class TestInputChecks:
+    def test_closed_modes_check_letters_once(self, monkeypatch):
+        calls = []
+        check = operators._check_factors
+
+        def counted(factors):
+            calls.append(len(factors))
+            return check(factors)
+
+        monkeypatch.setattr(operators, "_check_factors", counted)
+        fs = [x(1), x(2), x(1), x(1), x(2)]
+        closed = right_op(fs, "closed")
+        assert calls == [5]
+        calls.clear()
+        labeled = right_op_e((1, 2, 1, 1, 2), fs, "closed")
+        assert calls == [5]
+        monkeypatch.undo()
+        assert closed == right_op(fs)
+        assert labeled == right_op_e((1, 2, 1, 1, 2), fs)
+
+    @pytest.mark.parametrize("mode", ["closed", "recursive"])
+    def test_right_ops_reject_bad_letters(self, mode):
+        for bad in (x(1) + x(2), NCPolynomial.one(), NCPolynomial.zero()):
+            with pytest.raises(StructuralError):
+                right_op([x(1), bad], mode)
+            with pytest.raises(StructuralError):
+                right_op_e((1, 1), [x(1), bad], mode)
+
+    def test_right_op_m_keeps_its_checks(self):
+        with pytest.raises(StructuralError, match="homogeneous"):
+            right_op_m((2, 0), [x(1), x(1) + x(2)])
+        with pytest.raises(StructuralError, match="homogeneous"):
+            right_op_m((1,), [NCPolynomial.one()])
+        with pytest.raises(StructuralError, match="homogeneous"):
+            right_op_m((1,), [NCPolynomial.zero()])
+        with pytest.raises(StructuralError, match="M-sequence"):
+            right_op_m((0, 2), [x(1), x(1)])
+        with pytest.raises(StructuralError, match="M-sequence"):
+            right_op_m((1, 1), [x(1)])
 
 
 class TestLabeledOperators:
