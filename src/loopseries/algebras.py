@@ -43,9 +43,11 @@ Rational = Fraction
 
 
 def _as_fraction(v) -> Fraction:
+    """An exact rational from a ``Fraction``, an integer or a string;
+    floats and booleans are refused."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         return Fraction(v)

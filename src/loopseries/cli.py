@@ -37,6 +37,8 @@ ALGEBRA_NAMES = ("c", "h", "m2q", "m2sed", "m3q", "o", "q", "sed")
 WITNESS_NAMES = ("diff-power-assoc", "diff-right-alt",
                  "inv-left-right-inverse", "inv-power-assoc",
                  "inv-right-alt", "ucd-not-loop")
+# commands whose output has no table form, so no csv encoding
+NO_CSV = ("operators", "divide", "invert", "witness")
 
 
 # -- coefficient algebra codecs for series JSON --------------------------------
@@ -69,14 +71,14 @@ _ALGEBRAS: dict[str, tuple] = {}
 def _register_algebras() -> None:
     from fractions import Fraction
 
-    from .algebras import CDElement, MatrixElement
+    from .algebras import CDElement, MatrixElement, _as_fraction
 
-    _ALGEBRAS["q"] = (str, Fraction, Fraction(1))
+    _ALGEBRAS["q"] = (str, _as_fraction, Fraction(1))
     for name, level in (("c", 1), ("h", 2), ("o", 3), ("sed", 4)):
         enc, dec = _cd_codec(level)
         _ALGEBRAS[name] = (enc, dec, CDElement.one(level))
     for dim in (2, 3):
-        enc, dec = _matrix_codec(dim, str, Fraction)
+        enc, dec = _matrix_codec(dim, str, _as_fraction)
         one = MatrixElement.identity(dim, Fraction(1), Fraction(0))
         _ALGEBRAS[f"m{dim}q"] = (enc, dec, one)
     enc_s, dec_s = _cd_codec(4)
@@ -488,6 +490,8 @@ def main(argv=None) -> int:
     if args.command == "witness" and args.name == "ucd-not-loop":
         print(f"seed {args.seed}", file=sys.stderr)
     try:
+        if args.format == "csv" and args.command in NO_CSV:
+            raise StructuralError(f"{args.command} has no csv output")
         output, code = args.func(args)
     except (StructuralError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,10 @@ entry costs ``l`` blocks rather than ``2^(l-1)`` compositions. Left-hand
 scalar parts of ``a_1 |> R_l(...)`` reproduce the Lagrange coefficients
 of :mod:`loopseries.combinatorics`.
 
+Every public operator checks its letters once, at entry, through
+``_check_factors``, which returns them with their degrees; the recursions
+below trust the letters and everything they build from them.
+
 ``GradedTensorPoly`` is a ``freealg.Sparse`` combination: it inherits the
 linear structure and text form and adds its key order and ``tensor``.
 """
@@ -63,18 +67,18 @@ class GradedTensorPoly(Sparse):
                      coeff: int = 1) -> "GradedTensorPoly":
         """Tensor monomial with polynomial entries, expanded bilinearly.
 
-        Every factor must be homogeneous of positive degree (so that a
-        difference like ``x_n - y_n`` is a legal degree-``n`` entry).
+        Every nonzero factor must be a letter in the sense of
+        ``_check_factors`` (so a difference like ``x_n - y_n`` is a legal
+        degree-``n`` entry); a zero factor anywhere makes the monomial
+        zero.
         """
-        for f in factors:
-            if not isinstance(f, NCPolynomial):
-                raise StructuralError("tensor factors must be polynomials")
-            if f.is_zero():
-                return cls.zero()
-            if not f.is_homogeneous() or f.degree() < 1:
-                raise StructuralError(
-                    f"tensor factor must be homogeneous of positive degree: {f}")
-        return _tensor_monomial(factors, coeff)
+        factors = list(factors)
+        letters, _ = _check_factors(
+            [f for f in factors
+             if not (isinstance(f, NCPolynomial) and f.is_zero())])
+        if len(letters) < len(factors):
+            return cls.zero()
+        return _tensor_monomial(letters, coeff)
 
     def tensor(self, other: "GradedTensorPoly") -> "GradedTensorPoly":
         out: dict[TensorKey, int] = {}
@@ -103,12 +107,12 @@ class GradedTensorPoly(Sparse):
                           for w in k)
 
 
-def _tensor_monomial(factors: Sequence[NCPolynomial],
+def _tensor_monomial(letters: Sequence[NCPolynomial],
                      coeff: int = 1) -> GradedTensorPoly:
-    """``from_factors`` without its checks, for nonzero factors that the
-    caller has validated or built from validated ones."""
+    """``from_factors`` without its checks, for checked letters and what
+    is built from them; a zero factor gives zero."""
     out: dict[TensorKey, int] = {(): coeff}
-    for f in factors:
+    for f in letters:
         acc: dict[TensorKey, int] = {}
         for key, c in out.items():
             for w, cw in f.terms.items():
@@ -118,28 +122,22 @@ def _tensor_monomial(factors: Sequence[NCPolynomial],
     return GradedTensorPoly(out)
 
 
-def _mono_triangle(lk: TensorKey, rk: TensorKey) -> tuple[int, TensorKey]:
-    """``|>`` on one pair of monomial keys; returns (coefficient, key)."""
-    if not lk:
-        if len(rk) <= 1:
-            return 1, rk
-        return 0, ()
-    deg = word_degree(lk[0])
-    k = len(lk) + len(rk) - 1
-    coeff = math.comb(deg + 1, k)
-    if coeff == 0:
-        return 0, ()
-    merged: Word = tuple(itertools.chain.from_iterable(lk + rk))
-    return coeff, (merged,)
-
-
 def triangle(lhs: GradedTensorPoly, rhs: GradedTensorPoly) -> GradedTensorPoly:
     """The graded operation ``lhs |> rhs``, extended bilinearly."""
     out: dict[TensorKey, int] = {}
     for lk, lc in lhs.terms.items():
+        if not lk:
+            # 1 |> 1 = 1, 1 |> b = b, 1 |> (length >= 2) = 0
+            for rk, rc in rhs.terms.items():
+                if len(rk) <= 1:
+                    out[rk] = out.get(rk, 0) + lc * rc
+            continue
+        top = word_degree(lk[0]) + 1
+        head = tuple(itertools.chain.from_iterable(lk))
         for rk, rc in rhs.terms.items():
-            coeff, key = _mono_triangle(lk, rk)
+            coeff = math.comb(top, len(lk) + len(rk) - 1)
             if coeff:
+                key = (head + tuple(itertools.chain.from_iterable(rk)),)
                 out[key] = out.get(key, 0) + lc * rc * coeff
     return GradedTensorPoly(out)
 
@@ -149,14 +147,25 @@ def element(p: NCPolynomial) -> GradedTensorPoly:
     return GradedTensorPoly.from_factors([p])
 
 
-def _check_factors(factors: Sequence[NCPolynomial]) -> list[NCPolynomial]:
-    factors = list(factors)
-    for f in factors:
-        if not isinstance(f, NCPolynomial) or not f.is_homogeneous() \
-                or f.degree() < 1:
-            raise StructuralError(
-                f"operator inputs must be homogeneous of positive degree: {f}")
-    return factors
+def _check_factors(factors: Sequence[NCPolynomial]
+                   ) -> tuple[list[NCPolynomial], list[int]]:
+    """The one check of the letter rule (nonzero, homogeneous, positive
+    degree); returns the letters and their degrees."""
+    letters = list(factors)
+    degrees = []
+    for f in letters:
+        found = ({word_degree(w) for w in f.terms}
+                 if isinstance(f, NCPolynomial) else set())
+        if len(found) != 1 or 0 in found:
+            raise StructuralError("letters must be homogeneous polynomials"
+                                  f" of positive degree: {f}")
+        degrees.extend(found)
+    return letters, degrees
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("recursive", "closed"):
+        raise StructuralError(f"unknown mode {mode!r}")
 
 
 def left_op(factors: Sequence[NCPolynomial],
@@ -172,24 +181,23 @@ def left_op(factors: Sequence[NCPolynomial],
     L_{l-1} (x) a_l``, i.e. the signed sum of all 2^(l-1) left-nested
     ``|>``/tensor combinations. Both agree; ``L_1(a) = a``.
     """
-    factors = _check_factors(factors)
-    ell = len(factors)
+    _check_mode(mode)
+    letters, _ = _check_factors(factors)
+    ell = len(letters)
     if ell == 0:
         return GradedTensorPoly.unit()
+    single = [_tensor_monomial([f]) for f in letters]
     if mode == "closed":
-        acc = element(factors[0])
-        for f in factors[1:]:
-            e = element(f)
+        acc = single[0]
+        for e in single[1:]:
             acc = triangle(acc, e) - acc.tensor(e)
         return acc
-    if mode != "recursive":
-        raise StructuralError(f"unknown mode {mode!r}")
     memo: list[GradedTensorPoly] = [GradedTensorPoly.unit()]
     for i in range(1, ell + 1):
         memo.append(GradedTensorPoly.sum(
             (-1) ** (i - 1 - j)
-            * triangle(memo[j], element(factors[j])).tensor(
-                GradedTensorPoly.from_factors(factors[j + 1: i]))
+            * triangle(memo[j], single[j]).tensor(
+                _tensor_monomial(letters[j + 1: i]))
             for j in range(i)))
     return memo[ell]
 
@@ -208,23 +216,22 @@ def right_op(factors: Sequence[NCPolynomial],
     ``closed`` sums the single-structure operators ``R_m`` over all
     M-sequences. ``R_1(a) = a`` and ``R_2(a, b) = a |> b + a (x) b``.
     """
-    factors = _check_factors(factors)
+    _check_mode(mode)
+    letters, degrees = _check_factors(factors)
     if mode == "closed":
-        return _closed_sum(m_sequences(len(factors)), factors)
-    if mode != "recursive":
-        raise StructuralError(f"unknown mode {mode!r}")
-    return _right_labeled((1,) * len(factors), tuple(factors), {})
+        return _closed_sum(m_sequences(len(letters)), letters, degrees)
+    return _right_labeled((1,) * len(letters), tuple(letters), {})
 
 
-def _closed_sum(msequences, factors: list[NCPolynomial]) -> GradedTensorPoly:
-    """The sum of ``R_m`` over ``msequences`` on checked ``factors``; the
-    unit on no letters. The sequences come from ``m_sequences`` or
-    ``m_sequences_labeled``, so they are M-sequences of the right length
-    and ``_right_op_m`` checks nothing."""
-    if not factors:
+def _closed_sum(msequences, letters: list[NCPolynomial],
+                degrees: list[int]) -> GradedTensorPoly:
+    """The sum of ``R_m`` over ``msequences`` on checked ``letters`` of
+    the given ``degrees``; the unit on no letters. The sequences come from
+    ``m_sequences`` or ``m_sequences_labeled``, so they are M-sequences of
+    the right length and ``_right_op_m`` checks nothing."""
+    if not letters:
         return GradedTensorPoly.unit()
-    degrees = [f.degree() for f in factors]
-    return GradedTensorPoly.sum(_right_op_m(m, factors, degrees)
+    return GradedTensorPoly.sum(_right_op_m(m, letters, degrees)
                                 for m in msequences)
 
 
@@ -238,22 +245,23 @@ def right_op_m(m: Sequence[int],
     The result is one tensor monomial whose total coefficient is
     ``prod_i binom(|a_i|+1, m_{i+1})`` (trailing entry read as 0).
     """
-    factors = _check_factors(factors)
+    letters, degrees = _check_factors(factors)
     m = tuple(m)
-    if not is_m_sequence(m) or len(m) != len(factors):
+    if not is_m_sequence(m) or len(m) != len(letters):
         raise StructuralError(f"{m} is not an M-sequence matching the input")
     if not m:
         return GradedTensorPoly.unit()
-    return _right_op_m(m, factors, [f.degree() for f in factors])
+    return _right_op_m(m, letters, degrees)
 
 
-def _right_op_m(m: tuple[int, ...], factors: list[NCPolynomial],
+def _right_op_m(m: tuple[int, ...], letters: list[NCPolynomial],
                 degrees: list[int]) -> GradedTensorPoly:
     """``R_m`` for a nonempty M-sequence ``m`` of the length of
-    ``factors``, which are homogeneous of the positive ``degrees``."""
+    ``letters``, which are homogeneous of the positive ``degrees``. A
+    vanishing binomial makes its item, and so the monomial, zero."""
 
     def build_item(i: int) -> tuple[NCPolynomial, int]:
-        a = factors[i]
+        a = letters[i]
         nested = m[i + 1] if i + 1 < len(m) else 0
         if nested == 0:
             return a, i + 1
@@ -274,8 +282,6 @@ def _right_op_m(m: tuple[int, ...], factors: list[NCPolynomial],
     top, end = build_items(0, m[0])
     if end != len(m):
         raise StructuralError(f"sequence {m} does not parse to length {len(m)}")
-    if any(f.is_zero() for f in top):
-        return GradedTensorPoly.zero()
     return _tensor_monomial(top)
 
 
@@ -297,42 +303,43 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
     evaluates this with a memo that lives for one call; ``closed`` sums
     ``R_m`` over the restricted set ``M_l^e``.
     """
-    factors = _check_factors(factors)
+    _check_mode(mode)
+    letters, degrees = _check_factors(factors)
     e = tuple(e)
-    if len(e) != len(factors):
-        raise StructuralError(f"{len(e)} bits for {len(factors)} letters")
+    if len(e) != len(letters):
+        raise StructuralError(f"{len(e)} bits for {len(letters)} letters")
     if any(b not in (1, 2) for b in e):
         raise StructuralError(f"bits must be 1 or 2: {e}")
     if mode == "closed":
-        return _closed_sum(m_sequences_labeled(len(factors), e), factors)
-    if mode != "recursive":
-        raise StructuralError(f"unknown mode {mode!r}")
-    return _right_labeled(e, tuple(factors), {})
+        return _closed_sum(m_sequences_labeled(len(letters), e), letters,
+                           degrees)
+    return _right_labeled(e, tuple(letters), {})
 
 
-def _right_labeled(e: tuple[int, ...], factors: tuple[NCPolynomial, ...],
+def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
                    memo: dict) -> GradedTensorPoly:
-    """``R_l^e`` by its first-block factorization; ``memo`` maps
-    ``(e, factors)`` to the result and lives for one top-level call."""
-    ell = len(factors)
+    """``R_l^e`` on checked ``letters`` by its first-block factorization;
+    ``memo`` maps ``(e, letters)`` to the result and lives for one
+    top-level call."""
+    ell = len(letters)
     if ell == 0:
         return GradedTensorPoly.unit()
     if e[0] == 2:
         return GradedTensorPoly.zero()
     if ell == 1:
-        return element(factors[0])
-    got = memo.get((e, factors))
+        return _tensor_monomial(letters)
+    got = memo.get((e, letters))
     if got is not None:
         return got
-    lead = element(factors[0])
+    lead = _tensor_monomial(letters[:1])
     blocks = []
     for p in range(1, ell + 1):
-        block = triangle(lead, _right_labeled(e[1:p], factors[1:p], memo))
+        block = triangle(lead, _right_labeled(e[1:p], letters[1:p], memo))
         if p < ell and not block.is_zero():
             block = block.tensor(_right_labeled(
-                (1,) + e[p + 1:], factors[p:], memo))
+                (1,) + e[p + 1:], letters[p:], memo))
         blocks.append(block)
-    got = memo[(e, factors)] = GradedTensorPoly.sum(blocks)
+    got = memo[(e, letters)] = GradedTensorPoly.sum(blocks)
     return got
 
 

@@ -29,15 +29,16 @@ column at a time on demand (Brent and Kung's power-series composition):
 multiplied. Expanding ``b(t)^(m+1)`` into ``B^(m+1)`` and grouping the
 products of ``B^p`` in any order needs associativity, which is why
 ``diff`` refuses non-associative carriers. The ``closed`` mode evaluates
-the explicit formulas with (labeled) Lagrange coefficients; it alone
-loads :mod:`loopseries.combinatorics`. ``convolution_eval`` evaluates the
-generator tables of :mod:`loopseries.coloops` under the coefficient
-assignment. Each call computes one route only; the tests check that all
-three agree, and keep the weak-composition sum over coefficient chains as
-the oracle of the ``diff`` law. The ``diff`` inverse is the recursive
-left division of the unit series, so the module needs the table layer
-(``coloops``, ``freealg``) only inside ``convolution_eval``, which
-imports it on call.
+the explicit formulas with (labeled) Lagrange coefficients, one per side
+for both flavors, the flavor picking only each term's coefficient; it
+alone loads :mod:`loopseries.combinatorics`. ``convolution_eval``
+evaluates the generator tables of :mod:`loopseries.coloops` under the
+coefficient assignment. Each call computes one route only; the tests
+check that all three agree, and keep the weak-composition sum over
+coefficient chains as the oracle of the ``diff`` law. The ``diff``
+inverse is the recursive left division of the unit series, so the module
+needs the table layer (``coloops``, ``freealg``) only inside
+``convolution_eval``, which imports it on call.
 
 The module also hosts the element loops (invertible elements, unitary
 elements, unitary elements of a Cayley-Dickson doubling) with their
@@ -271,8 +272,8 @@ def divide(side: str, a: TruncatedSeries, b: TruncatedSeries,
     if mode not in ("recursive", "closed"):
         raise StructuralError(f"mode must be recursive or closed, got {mode!r}")
     if mode == "closed":
-        out = [_CLOSED[(a.flavor, side)](a, b, n)
-               for n in range(1, a.order + 1)]
+        closed = _right_closed if side == "right" else _left_closed
+        out = [closed(a, b, n) for n in range(1, a.order + 1)]
         return TruncatedSeries(a.flavor, a.order, out, a.one)
     if side == "right":
         return _solve(a.flavor, side, a, _indexed(b))
@@ -303,39 +304,19 @@ def _solve(flavor: str, side: str, target: TruncatedSeries,
     return TruncatedSeries(flavor, target.order, x[1:], target.one)
 
 
-def _inv_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
-    from .combinatorics import compositions
-    acc = a.coeff(n) - b.coeff(n)
-    for ell in range(1, n):
-        sign = -1 if ell % 2 else 1
-        for comp in compositions(n, ell + 1):
-            term = a.coeff(comp[0]) - b.coeff(comp[0])
-            for k in comp[1:]:
-                term = term * b.coeff(k)
-            acc = acc + term * sign
-    return acc
-
-
-def _inv_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
-    from .combinatorics import compositions
-    acc = b.coeff(n) - a.coeff(n)
-    for ell in range(1, n):
-        sign = -1 if ell % 2 else 1
-        for comp in compositions(n, ell + 1):
-            term = b.coeff(comp[ell]) - a.coeff(comp[ell])
-            for k in reversed(comp[:ell]):
-                term = a.coeff(k) * term
-            acc = acc + term * sign
-    return acc
-
-
-def _diff_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+def _right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    """Degree ``n`` of the closed right division ``a/b``: the sum over
+    compositions ``(k_0..k_l)`` of ``n`` of
+    ``(-1)^l c ((a-b)_(k_0) b_(k_1)) ... b_(k_l)``, left-nested, with
+    ``c = 1`` for ``inv`` and ``c = d_l(k_0..k_(l-1))`` for ``diff``."""
     from .combinatorics import compositions, lagrange_d
     acc = a.coeff(n) - b.coeff(n)
     for ell in range(1, n):
         sign = -1 if ell % 2 else 1
         for comp in compositions(n, ell + 1):
-            coeff = sign * lagrange_d(comp[:ell])
+            coeff = sign
+            if a.flavor == "diff":
+                coeff *= lagrange_d(comp[:ell])
             term = (a.coeff(comp[0]) - b.coeff(comp[0])) * coeff
             for k in comp[1:]:
                 term = term * b.coeff(k)
@@ -343,15 +324,25 @@ def _diff_right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
     return acc
 
 
-def _diff_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+def _left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
+    """Degree ``n`` of the closed left division ``a\\b``: the sum over
+    compositions ``(k_1..k_l, k)`` of ``n`` and bit sequences ``e`` of
+    ``(-1)^l (-1)^e c c_(e_1,k_1) (... (c_(e_l,k_l) (b-a)_k))``,
+    right-nested, where ``c_(1,k) = a_k`` and ``c_(2,k) = b_k``; for
+    ``inv`` the only bit sequence is ``(1..1)`` with ``c = 1``, for
+    ``diff`` ``c = d_l^e(k_1..k_l)``."""
     from .combinatorics import (
         bit_sequences, bit_sign, compositions, lagrange_d_labeled_row)
     acc = b.coeff(n) - a.coeff(n)
     for ell in range(1, n):
         sign = -1 if ell % 2 else 1
         for comp in compositions(n, ell + 1):
-            for e, d in zip(bit_sequences(ell),
-                            lagrange_d_labeled_row(comp[:ell])):
+            if a.flavor == "inv":
+                labeled = [((1,) * ell, 1)]
+            else:
+                labeled = zip(bit_sequences(ell),
+                              lagrange_d_labeled_row(comp[:ell]))
+            for e, d in labeled:
                 if d == 0:
                     continue
                 term = (b.coeff(comp[ell]) - a.coeff(comp[ell])) \
@@ -361,15 +352,6 @@ def _diff_left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
                     term = c * term
                 acc = acc + term
     return acc
-
-
-# degree-n coefficient of the closed division formulas, by (flavor, side)
-_CLOSED = {
-    ("inv", "right"): _inv_right_closed,
-    ("inv", "left"): _inv_left_closed,
-    ("diff", "right"): _diff_right_closed,
-    ("diff", "left"): _diff_left_closed,
-}
 
 
 def series_inverse(a: TruncatedSeries, side: str = "both") -> TruncatedSeries:

@@ -199,12 +199,10 @@ def test_divide_computes_one_route_only(capsys, monkeypatch):
     a = json.dumps({"coeffs": [["1", "1", "0", "1"], ["1", "0", "1", "0"]]})
     b = json.dumps({"coeffs": [["0", "1", "1", "0"]]})
     outputs = {}
-    for mode, other in (("recursive", "_CLOSED"), ("closed", "_solve")):
+    for mode, others in (("recursive", ("_right_closed", "_left_closed")),
+                         ("closed", ("_solve",))):
         with monkeypatch.context() as patch:
-            if other == "_CLOSED":
-                patch.setattr(seriesloops, other,
-                              dict.fromkeys(seriesloops._CLOSED, forbidden))
-            else:
+            for other in others:
                 patch.setattr(seriesloops, other, forbidden)
             for side in ("left", "right"):
                 code, out, _ = run(capsys, "divide", "--flavor", "diff",
@@ -367,6 +365,20 @@ BAD_INPUTS = [
      "--b", '{"order":2,"coeffs":["2"]}'],
     ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
      "--algebra", "q", "--a", '{"algebra":"h","coeffs":["1"]}'],
+    ["divide", "--flavor", "inv", "--side", "left", "--order", "1",
+     "--algebra", "q", "--a", '["0"]', "--b", "[0.1]"],
+    ["divide", "--flavor", "inv", "--side", "left", "--order", "1",
+     "--algebra", "q", "--a", '["0"]', "--b", "[true]"],
+    ["invert", "--flavor", "diff", "--order", "1", "--algebra", "m2q",
+     "--a", '[["1", 0.5, "0", "1"]]'],
+    ["invert", "--flavor", "diff", "--order", "1", "--algebra", "m3q",
+     "--a", '[[1, 0, 0, 0, 1, 0, 0, 0, false]]'],
+    ["--format", "csv", "operators", "--op", "R", "--degrees", "1,2"],
+    ["--format", "csv", "divide", "--flavor", "inv", "--side", "left",
+     "--order", "1", "--algebra", "q", "--a", '["1"]', "--b", '["2"]'],
+    ["--format", "csv", "invert", "--flavor", "inv", "--side", "right",
+     "--order", "1", "--algebra", "q", "--a", '["1"]'],
+    ["--format", "csv", "witness", "diff-power-assoc"],
     ["verify", "--max-degree", "0"],
     ["verify", "--max-degree", "-3"],
     ["trees", "--length", "0"],

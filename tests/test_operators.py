@@ -195,6 +195,58 @@ class TestInputChecks:
         assert closed == right_op(fs)
         assert labeled == right_op_e((1, 2, 1, 1, 2), fs)
 
+    def test_interior_does_not_recheck(self, monkeypatch):
+        # the letters are checked once at entry; nothing below builds a
+        # tensor through the checked constructors
+        fs = [x(2), x(1), x(3), x(1), x(2), x(1)]
+        e = (1, 2, 1, 1, 2, 2)
+        ops = {
+            "L": lambda mode: left_op(fs, mode),
+            "R": lambda mode: right_op(fs, mode),
+            "Re": lambda mode: right_op_e(e, fs, mode),
+        }
+        modes = ("recursive", "closed")
+        want = {(op, mode): run(mode) for op, run in ops.items()
+                for mode in modes}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a built value was checked again")
+
+        calls = []
+        check = operators._check_factors
+
+        def counted(factors):
+            calls.append(len(factors))
+            return check(factors)
+
+        monkeypatch.setattr(GradedTensorPoly, "from_factors", forbidden)
+        monkeypatch.setattr(operators, "element", forbidden)
+        monkeypatch.setattr(operators, "_check_factors", counted)
+        for (op, mode), value in want.items():
+            calls.clear()
+            assert ops[op](mode) == value, (op, mode)
+            assert calls == [6], (op, mode)
+
+    @pytest.mark.parametrize("ell", range(4))
+    def test_unknown_mode_raises_for_any_length(self, ell):
+        fs = [x(1)] * ell
+        with pytest.raises(StructuralError, match="unknown mode"):
+            left_op(fs, "bogus")
+        with pytest.raises(StructuralError, match="unknown mode"):
+            right_op(fs, "bogus")
+        with pytest.raises(StructuralError, match="unknown mode"):
+            right_op_e((1,) * ell, fs, "bogus")
+
+    def test_from_factors_rule_ignores_zero_position(self):
+        zero, bad = NCPolynomial.zero(), x(1) + x(2)
+        for factors in ([bad, zero], [zero, bad], [x(1), zero, bad],
+                        [zero, NCPolynomial.one()], [zero, 3]):
+            with pytest.raises(StructuralError, match="homogeneous"):
+                GradedTensorPoly.from_factors(factors)
+        for factors in ([x(1), zero], [zero, x(2)], [zero]):
+            assert GradedTensorPoly.from_factors(factors).is_zero()
+        assert element(zero).is_zero()
+
     @pytest.mark.parametrize("mode", ["closed", "recursive"])
     def test_right_ops_reject_bad_letters(self, mode):
         for bad in (x(1) + x(2), NCPolynomial.one(), NCPolynomial.zero()):
