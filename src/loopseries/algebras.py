@@ -258,7 +258,8 @@ def cd_norm(x: CDElement) -> Fraction:
 
 def cd_parse(text: str, level: int) -> CDElement:
     """Parse the text form: signed rational coefficients on ``e<i>``,
-    e.g. ``e1 + e10`` or ``1/2 - 3*e7``; a bare number is the scalar."""
+    e.g. ``e1 + e10`` or ``1/2 - 3*e7``; a bare number is the scalar. A
+    term is a product of rationals and at most one basis letter."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise StructuralError("empty Cayley-Dickson literal")
@@ -279,14 +280,18 @@ def cd_parse(text: str, level: int) -> CDElement:
                 sign = -sign
             chunk = chunk[1:]
         coeff = Fraction(sign)
-        index = 0
+        index = None
         for factor in chunk.split("*"):
             if not factor:
                 raise StructuralError(f"bad term in {text!r}")
             if factor.startswith("e"):
+                if index is not None:
+                    raise StructuralError(
+                        f"term {chunk!r} has more than one basis letter")
                 index = int(factor[1:])
             else:
                 coeff *= Fraction(factor)
+        index = 0 if index is None else index
         if not 0 <= index < len(coords):
             raise StructuralError(f"basis index {index} outside level {level}")
         coords[index] += coeff

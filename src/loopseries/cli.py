@@ -50,6 +50,9 @@ def _matrix_codec(dim: int, enc_entry, dec_entry):
         return [enc_entry(e) for row in m.entries for e in row]
 
     def dec(flat):
+        if not isinstance(flat, list):
+            raise StructuralError(
+                f"a matrix coefficient must be a JSON array, got {flat!r}")
         if len(flat) != dim * dim:
             raise StructuralError(f"expected {dim * dim} entries, got {len(flat)}")
         rows = [[dec_entry(flat[i * dim + j]) for j in range(dim)]
@@ -61,7 +64,14 @@ def _matrix_codec(dim: int, enc_entry, dec_entry):
 
 def _cd_codec(level: int):
     from .algebras import cd_parse
-    return str, (lambda s: cd_parse(s, level))
+
+    def dec(text):
+        if not isinstance(text, str):
+            raise StructuralError(f"a Cayley-Dickson coefficient must be "
+                                  f"a JSON string, got {text!r}")
+        return cd_parse(text, level)
+
+    return str, dec
 
 
 # (encode, decode, unit) by algebra name, filled on first use
@@ -124,6 +134,9 @@ def series_from_json(data, flavor: str, order: int, algebra: str
         coeffs = data["coeffs"]
     else:
         coeffs = data
+    if not isinstance(coeffs, list):
+        raise StructuralError(
+            f"series coefficients must be a JSON array, got {coeffs!r}")
     _, dec, one = _codec(algebra)
     return TruncatedSeries(flavor, order, [dec(c) for c in coeffs], one)
 

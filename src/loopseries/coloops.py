@@ -11,9 +11,11 @@ Every entry of the coproduct and the two codivisions is a signed sum of
 words, and each table is built once by adding the ``(word, coefficient)``
 pairs of its direct formula into one term dict: ``u_k = x_k - y_k`` and
 ``v_k = y_k - x_k`` become two words each, and no polynomial product is
-taken. For ``fdb`` the coefficients are binomials and (labeled) Lagrange
-coefficients; a ``delta_l`` entry reads all ``d^e`` of one composition
-from one ``lagrange_d_labeled_row``. ``operator_expansions`` rebuilds the
+taken. The ``delta`` coefficients are binomials for ``fdb`` and 1 for
+``inv``. The codivisions read their signs, coefficients and bit labels
+from ``combinatorics.codivision_terms``, the one place that writes the
+closed formulas; the flavor only says whether the terms carry (labeled)
+Lagrange coefficients. ``operator_expansions`` rebuilds the
 same entries from the recursive operators of :mod:`loopseries.operators`,
 which it imports on first use; the tests check that every expansion
 equals its table.
@@ -36,9 +38,8 @@ from typing import Callable
 from .combinatorics import (
     bit_sequences,
     bit_sign,
+    codivision_terms,
     compositions,
-    lagrange_d,
-    lagrange_d_labeled_row,
 )
 from .errors import StructuralError
 from .freealg import (
@@ -142,49 +143,24 @@ class Coloop:
         return _signed_sum(self._delta_r_words(n))
 
     def _delta_r_words(self, n: int):
-        """``(-1)^l c u_{k0} y_{k1} ... y_{kl}`` with ``c = 1`` for inv and
-        ``c = d_l(k_0..k_{l-1})`` for fdb; ``u = x - y`` gives two words."""
-        inv = self.flavor == "inv"
-        if inv:
-            yield ((1, n),), 1
-            yield ((2, n),), -1
-        for ell in range(1 if inv else 0, n):
-            sign = -1 if ell % 2 else 1
-            for comp in compositions(n, ell + 1):
-                coeff = sign if inv else sign * lagrange_d(comp[:ell])
-                tail = tuple((2, k) for k in comp[1:])
-                yield ((1, comp[0]),) + tail, coeff
-                yield ((2, comp[0]),) + tail, -coeff
+        """``c u_{k0} y_{k1} ... y_{kl}`` for each term of
+        ``codivision_terms``; ``u = x - y`` gives two words."""
+        for c, _, comp in codivision_terms("right", self.flavor == "fdb", n):
+            tail = tuple((2, k) for k in comp[1:])
+            yield ((1, comp[0]),) + tail, c
+            yield ((2, comp[0]),) + tail, -c
 
     def _build_delta_l(self, n: int) -> NCPolynomial:
         return _signed_sum(self._delta_l_words(n))
 
     def _delta_l_words(self, n: int):
-        """``(-1)^l c w v_{kl}`` with ``v = y - x``: for inv ``c = 1`` and
-        ``w = x_{k0} ... x_{k(l-1)}``; for fdb ``c = (-1)^e d_l^e(k_0 ..
-        k_{l-1})`` and ``w`` has the letter of copy ``e_i`` at place ``i``
-        (bit 1 labels ``x``, bit 2 labels ``y``)."""
-        inv = self.flavor == "inv"
-        if inv:
-            yield ((2, n),), 1
-            yield ((1, n),), -1
-        for ell in range(1 if inv else 0, n):
-            sign = -1 if ell % 2 else 1
-            for comp in compositions(n, ell + 1):
-                last = comp[ell]
-                if inv:
-                    head = tuple((1, k) for k in comp[:ell])
-                    yield head + ((2, last),), sign
-                    yield head + ((1, last),), -sign
-                    continue
-                for e, coeff in zip(bit_sequences(ell),
-                                    lagrange_d_labeled_row(comp[:ell])):
-                    if coeff == 0:
-                        continue
-                    coeff *= sign * bit_sign(e)
-                    head = tuple(zip(e, comp[:ell]))
-                    yield head + ((2, last),), coeff
-                    yield head + ((1, last),), -coeff
+        """``c w v_{kl}`` for each term of ``codivision_terms``, where ``w``
+        has the letter of copy ``e_i`` at place ``i`` (bit 1 labels ``x``,
+        bit 2 labels ``y``); ``v = y - x`` gives two words."""
+        for c, e, comp in codivision_terms("left", self.flavor == "fdb", n):
+            head = tuple(zip(e, comp))
+            yield head + ((2, comp[-1]),), c
+            yield head + ((1, comp[-1]),), -c
 
     def _build_s_r(self, n: int) -> NCPolynomial:
         return self._hom("eps", "x")(self.codivision("right", n))

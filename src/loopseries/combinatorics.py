@@ -20,9 +20,12 @@ all ``2^l`` values ``d_l^e`` of one composition in one depth-first walk
 over the bit prefixes: each DP step is taken once and shared by every
 ``e`` that extends its prefix, and a prefix whose DP vector vanishes (as
 for every ``e`` that starts with the bit 2) fills its subtree with zeros.
-The enumeration of ``M(l)`` and ``M(l)^e`` is kept as the definition, for
-the tree bijection and the operators' closed forms, and as the oracle the
-tests compare against.
+``codivision_terms`` turns them into the signed, labeled terms of the
+closed codivisions, the paper's generalized Lagrange inversion, for the
+coloop tables and the closed series divisions alike. The enumeration of
+``M(l)`` and ``M(l)^e`` is kept as the definition, for the tree
+bijection and the operators' closed forms, and as the oracle the tests
+compare against.
 
 Everything here is exact integer arithmetic.
 """
@@ -233,6 +236,29 @@ def lagrange_d_labeled_row(ns: Sequence[int]) -> list[int]:
 
     walk(0, [1] + [0] * ell)
     return row
+
+
+def codivision_terms(side: str, lagrange: bool, n: int):
+    """``(c, e, comp)`` for every composition ``comp = (k_0..k_l)`` of
+    ``n``, shortest first: the term ``c u_{k_0} y_{k_1} ... y_{k_l}`` of
+    ``Delta_r`` with ``c = (-1)^l d_l(k_0..k_{l-1})`` and ``e = (1..1)``,
+    or the term ``c c_{e_1,k_0} ... c_{e_l,k_{l-1}} v_{k_l}`` of
+    ``Delta_l`` with ``c = (-1)^l (-1)^e d_l^e(k_0..k_{l-1})``, zero terms
+    skipped. Without ``lagrange`` (flavor ``inv``) ``c = (-1)^l`` and ``e =
+    (1..1)``. Representability makes them the closed series divisions."""
+    for ell in range(n):
+        sign = -1 if ell % 2 else 1
+        ones = (1,) * ell
+        for comp in compositions(n, ell + 1):
+            if not lagrange:
+                yield sign, ones, comp
+            elif side == "right":
+                yield sign * lagrange_d(comp[:ell]), ones, comp
+            else:
+                for e, d in zip(bit_sequences(ell),
+                                lagrange_d_labeled_row(comp[:ell])):
+                    if d:
+                        yield sign * bit_sign(e) * d, e, comp
 
 
 def d_cache_rows() -> list[tuple[str, str]]:

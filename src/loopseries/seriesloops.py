@@ -28,12 +28,12 @@ column at a time on demand (Brent and Kung's power-series composition):
 ``O(N^3)`` coefficient products for order ``N``, and the unit is never
 multiplied. Expanding ``b(t)^(m+1)`` into ``B^(m+1)`` and grouping the
 products of ``B^p`` in any order needs associativity, which is why
-``diff`` refuses non-associative carriers. The ``closed`` mode evaluates
-the explicit formulas with (labeled) Lagrange coefficients, one per side
-for both flavors, the flavor picking only each term's coefficient; it
-alone loads :mod:`loopseries.combinatorics`. ``convolution_eval``
-evaluates the generator tables of :mod:`loopseries.coloops` under the
-coefficient assignment. Each call computes one route only; the tests
+``diff`` refuses non-associative carriers. The ``closed`` mode multiplies
+out the terms of ``combinatorics.codivision_terms``, the ones the coloop
+tables read, one formula per side for both flavors; it alone loads
+:mod:`loopseries.combinatorics`. ``convolution_eval`` evaluates the
+generator tables of :mod:`loopseries.coloops` under the coefficient
+assignment. Each call computes one route only; the tests
 check that all three agree, and keep the weak-composition sum over
 coefficient chains as the oracle of the ``diff`` law. The ``diff``
 inverse is the recursive left division of the unit series, so the module
@@ -305,52 +305,30 @@ def _solve(flavor: str, side: str, target: TruncatedSeries,
 
 
 def _right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
-    """Degree ``n`` of the closed right division ``a/b``: the sum over
-    compositions ``(k_0..k_l)`` of ``n`` of
-    ``(-1)^l c ((a-b)_(k_0) b_(k_1)) ... b_(k_l)``, left-nested, with
-    ``c = 1`` for ``inv`` and ``c = d_l(k_0..k_(l-1))`` for ``diff``."""
-    from .combinatorics import compositions, lagrange_d
-    acc = a.coeff(n) - b.coeff(n)
-    for ell in range(1, n):
-        sign = -1 if ell % 2 else 1
-        for comp in compositions(n, ell + 1):
-            coeff = sign
-            if a.flavor == "diff":
-                coeff *= lagrange_d(comp[:ell])
-            term = (a.coeff(comp[0]) - b.coeff(comp[0])) * coeff
-            for k in comp[1:]:
-                term = term * b.coeff(k)
-            acc = acc + term
+    """Degree ``n`` of the closed right division ``a/b``: the sum of
+    ``c ((a-b)_(k_0) b_(k_1)) ... b_(k_l)``, left-nested, over the terms
+    ``(c, e, comp)`` of ``codivision_terms("right", ...)``."""
+    from .combinatorics import codivision_terms
+    acc = zero_of(a.one)
+    for c, _, comp in codivision_terms("right", a.flavor == "diff", n):
+        term = (a.coeff(comp[0]) - b.coeff(comp[0])) * c
+        for k in comp[1:]:
+            term = term * b.coeff(k)
+        acc = acc + term
     return acc
 
 
 def _left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
-    """Degree ``n`` of the closed left division ``a\\b``: the sum over
-    compositions ``(k_1..k_l, k)`` of ``n`` and bit sequences ``e`` of
-    ``(-1)^l (-1)^e c c_(e_1,k_1) (... (c_(e_l,k_l) (b-a)_k))``,
-    right-nested, where ``c_(1,k) = a_k`` and ``c_(2,k) = b_k``; for
-    ``inv`` the only bit sequence is ``(1..1)`` with ``c = 1``, for
-    ``diff`` ``c = d_l^e(k_1..k_l)``."""
-    from .combinatorics import (
-        bit_sequences, bit_sign, compositions, lagrange_d_labeled_row)
-    acc = b.coeff(n) - a.coeff(n)
-    for ell in range(1, n):
-        sign = -1 if ell % 2 else 1
-        for comp in compositions(n, ell + 1):
-            if a.flavor == "inv":
-                labeled = [((1,) * ell, 1)]
-            else:
-                labeled = zip(bit_sequences(ell),
-                              lagrange_d_labeled_row(comp[:ell]))
-            for e, d in labeled:
-                if d == 0:
-                    continue
-                term = (b.coeff(comp[ell]) - a.coeff(comp[ell])) \
-                    * (sign * bit_sign(e) * d)
-                for bit, k in zip(reversed(e), reversed(comp[:ell])):
-                    c = a.coeff(k) if bit == 1 else b.coeff(k)
-                    term = c * term
-                acc = acc + term
+    """Degree ``n`` of the closed left division ``a\\b``: the sum of
+    ``c_(e_1,k_0) (... (c (b-a)_(k_l)))``, right-nested, with ``c_(1,k) =
+    a_k`` and ``c_(2,k) = b_k``, over ``codivision_terms("left", ...)``."""
+    from .combinatorics import codivision_terms
+    acc = zero_of(a.one)
+    for c, e, comp in codivision_terms("left", a.flavor == "diff", n):
+        term = (b.coeff(comp[-1]) - a.coeff(comp[-1])) * c
+        for bit, k in zip(reversed(e), reversed(comp[:-1])):
+            term = (a.coeff(k) if bit == 1 else b.coeff(k)) * term
+        acc = acc + term
     return acc
 
 

@@ -151,6 +151,8 @@ class TestCayleyDickson:
         ("  ", 2, "empty Cayley-Dickson literal"),
         ("e1+*e2", 2, "bad term in 'e1+*e2'"),
         ("e1 + e16", 4, "basis index 16 outside level 4"),
+        ("e1*e2", 2, "term 'e1*e2' has more than one basis letter"),
+        ("1 - 2*e1*e1", 2, "term '2*e1*e1' has more than one basis letter"),
     ])
     def test_parse_errors(self, text, level, message):
         with pytest.raises(StructuralError, match=re.escape(message)):

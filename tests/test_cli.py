@@ -14,6 +14,7 @@ except ImportError:  # pragma: no cover
 
 from loopseries import __version__, cli, coloops, operators, seriesloops
 from loopseries.cli import main, series_from_json, series_to_json
+from loopseries.errors import StructuralError
 from loopseries.seriesloops import DEFAULT_SEED, TruncatedSeries
 
 
@@ -357,6 +358,14 @@ BAD_INPUTS = [
      "--algebra", "h", "--a", '["ex"]'],
     ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
      "--algebra", "h", "--a", "[1]"],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "h", "--a", '["e1*e2"]'],
+    ["divide", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "q", "--a", '"12"', "--b", '["0"]'],
+    ["divide", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "q", "--a", '{"coeffs": "12"}', "--b", '["0"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "m2q", "--a", '["1234"]'],
     ["divide", "--flavor", "diff", "--side", "right", "--order", "3",
      "--algebra", "sed", "--a", '{"flavor":"inv","coeffs":["e1"]}',
      "--b", '{"flavor":"inv","coeffs":["e2"]}'],
@@ -383,6 +392,19 @@ BAD_INPUTS = [
     ["verify", "--max-degree", "-3"],
     ["trees", "--length", "0"],
 ]
+
+
+@pytest.mark.parametrize("data, algebra, expected", [
+    ('"12"', "q", "series coefficients must be a JSON array"),
+    ({"coeffs": "12"}, "q", "series coefficients must be a JSON array"),
+    (["1234"], "m2q", "a matrix coefficient must be a JSON array"),
+    ([1], "h", "a Cayley-Dickson coefficient must be a JSON string"),
+    ([["e1", 1, "0", "1"]], "m2sed",
+     "a Cayley-Dickson coefficient must be a JSON string"),
+])
+def test_series_json_names_the_expected_type(data, algebra, expected):
+    with pytest.raises(StructuralError, match=expected):
+        series_from_json(data, "inv", 2, algebra)
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a))

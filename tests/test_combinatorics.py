@@ -11,6 +11,7 @@ from loopseries.combinatorics import (
     bit_sequences,
     bit_sign,
     catalan,
+    codivision_terms,
     compositions,
     d_cache_rows,
     d_recurrence_check,
@@ -222,6 +223,69 @@ class TestLabeledRow:
         assert m_sequences_labeled(3, (1, 2, 2)) == [(3, 0, 0)]
         assert row[(1, 2, 2)] == 0
         assert row[(1, 1, 1)] == lagrange_d(ns)
+
+
+class TestCodivisionTerms:
+    @pytest.mark.parametrize("lagrange", [True, False])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_terms_equal_the_definition(self, side, lagrange):
+        # each coefficient summed over M(l)^e directly, (-1)^e from the bits
+        for n in range(1, 8):
+            want = []
+            for comp in all_compositions(n):
+                ell = len(comp) - 1
+                labels = bit_sequences(ell) if side == "left" and lagrange \
+                    else [(1,) * ell]
+                for e in labels:
+                    d = 1
+                    if lagrange and ell:
+                        d = sum(math.prod(math.comb(k + 1, m)
+                                          for k, m in zip(comp, mseq))
+                                for mseq in m_sequences_labeled(ell, e))
+                    c = (-1) ** ell * (-1) ** (sum(e) - ell) * d
+                    if c:
+                        want.append((c, e, comp))
+            got = list(codivision_terms(side, lagrange, n))
+            assert got == want, (side, lagrange, n)
+            assert all(c != 0 for c, _, _ in got)
+            if not lagrange:
+                assert len(got) == 2 ** (n - 1)
+                assert [c for c, _, _ in got] == \
+                    [(-1) ** (len(comp) - 1) for _, _, comp in got]
+
+    def test_tables_and_closed_divisions_read_the_terms(self, monkeypatch):
+        from fractions import Fraction
+
+        from loopseries import coloops, seriesloops
+        calls = []
+        terms = combinatorics.codivision_terms
+
+        def counting(side, lagrange, n):
+            calls.append((side, lagrange, n))
+            return terms(side, lagrange, n)
+
+        monkeypatch.setattr(combinatorics, "codivision_terms", counting)
+        monkeypatch.setattr(coloops, "codivision_terms", counting)
+
+        fdb = coloops.Coloop("fdb")
+        for kind, side in (("delta_r", "right"), ("delta_l", "left")):
+            calls.clear()
+            got = fdb.codivision(side, 5)
+            assert calls == [(side, True, 5)]
+            for expansion in coloops.operator_expansions(kind, 5).values():
+                assert got == expansion
+
+        for flavor in seriesloops.FLAVORS:
+            a = seriesloops.TruncatedSeries(
+                flavor, 5, [Fraction(v) for v in (1, -2, 3, 0, 1)])
+            b = seriesloops.TruncatedSeries(
+                flavor, 5, [Fraction(v) for v in (2, 1, -1, 4, 0)])
+            for side in ("right", "left"):
+                calls.clear()
+                got = seriesloops.divide(side, a, b, "closed")
+                assert sorted(calls) == [
+                    (side, flavor == "diff", n) for n in range(1, 6)]
+                assert got == seriesloops.divide(side, a, b, "recursive")
 
 
 def enumerate_trees(leaves):
