@@ -259,7 +259,8 @@ def cd_norm(x: CDElement) -> Fraction:
 def cd_parse(text: str, level: int) -> CDElement:
     """Parse the text form: signed rational coefficients on ``e<i>``,
     e.g. ``e1 + e10`` or ``1/2 - 3*e7``; a bare number is the scalar. A
-    term is a product of rationals and at most one basis letter."""
+    term is a product of rationals and at most one basis letter; a
+    rational in exponent notation (``2e1``) is refused."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise StructuralError("empty Cayley-Dickson literal")
@@ -289,6 +290,9 @@ def cd_parse(text: str, level: int) -> CDElement:
                     raise StructuralError(
                         f"term {chunk!r} has more than one basis letter")
                 index = int(factor[1:])
+            elif "e" in factor.lower():
+                # Fraction would read the exponent of "2e1" as 20
+                raise StructuralError(f"bad factor {factor!r} in term {chunk!r}")
             else:
                 coeff *= Fraction(factor)
         index = 0 if index is None else index

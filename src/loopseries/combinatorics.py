@@ -24,8 +24,8 @@ for every ``e`` that starts with the bit 2) fills its subtree with zeros.
 closed codivisions, the paper's generalized Lagrange inversion, for the
 coloop tables and the closed series divisions alike. The enumeration of
 ``M(l)`` and ``M(l)^e`` is kept as the definition, for the tree
-bijection and the operators' closed forms, and as the oracle the tests
-compare against.
+bijection and the operator identity check ``R1``, and as the oracle the
+tests compare against; the operators' closed forms read ``d^e`` instead.
 
 Everything here is exact integer arithmetic.
 """

@@ -16,11 +16,14 @@ On top of it sit the left operator ``L_l``, the right operator ``R_l``,
 the single-structure operators ``R_m`` indexed by M-sequences, and the
 labeled operators ``R_l^e``, each available both through its recursive
 definition and through its closed form, plus executable checks for every
-identity relating them. ``R_l`` and ``R_l^e`` share one recursion, the
-defining sum grouped by its first block (see ``right_op_e``), so a memo
-entry costs ``l`` blocks rather than ``2^(l-1)`` compositions. Left-hand
-scalar parts of ``a_1 |> R_l(...)`` reproduce the Lagrange coefficients
-of :mod:`loopseries.combinatorics`.
+identity relating them. ``R_l`` and ``R_l^e`` share one recursion in
+both modes, the defining sum grouped by its first block (see
+``right_op_e``), so a memo entry costs ``l`` blocks rather than
+``2^(l-1)`` compositions. Left-hand scalar parts of ``a_1 |> R_l(...)``
+reproduce the Lagrange coefficients of :mod:`loopseries.combinatorics`
+(identity ``R1``); the closed mode reads its first blocks from them, so
+no mode enumerates M-sequences. The sum of ``R_m`` over M-sequences, the
+paper's definition, stays the oracle of the tests.
 
 Every public operator checks its letters once, at entry, through
 ``_check_factors``, which returns them with their degrees; the recursions
@@ -36,12 +39,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .combinatorics import (
-    bit_sequences,
-    is_m_sequence,
-    m_sequences,
-    m_sequences_labeled,
-)
+from .combinatorics import bit_sequences, is_m_sequence, lagrange_d_labeled
 from .errors import StructuralError
 from .freealg import COPY_NAMES, NCPolynomial, Sparse, Word, word_degree
 
@@ -212,27 +210,14 @@ def right_op(factors: Sequence[NCPolynomial],
 
         R_l(a_1..a_l) = sum_p (a_1 |> R_{p-1}(a_2..a_p)) (x) R_{l-p}(a_{p+1}..a_l),
 
-    which ``recursive`` evaluates, as ``right_op_e`` with all bits 1.
-    ``closed`` sums the single-structure operators ``R_m`` over all
-    M-sequences. ``R_1(a) = a`` and ``R_2(a, b) = a |> b + a (x) b``.
+    which both modes evaluate, as ``right_op_e`` with all bits 1; they
+    differ only in the first block (see ``right_op_e``). ``R_1(a) = a``
+    and ``R_2(a, b) = a |> b + a (x) b``.
     """
     _check_mode(mode)
     letters, degrees = _check_factors(factors)
-    if mode == "closed":
-        return _closed_sum(m_sequences(len(letters)), letters, degrees)
-    return _right_labeled((1,) * len(letters), tuple(letters), {})
-
-
-def _closed_sum(msequences, letters: list[NCPolynomial],
-                degrees: list[int]) -> GradedTensorPoly:
-    """The sum of ``R_m`` over ``msequences`` on checked ``letters`` of
-    the given ``degrees``; the unit on no letters. The sequences come from
-    ``m_sequences`` or ``m_sequences_labeled``, so they are M-sequences of
-    the right length and ``_right_op_m`` checks nothing."""
-    if not letters:
-        return GradedTensorPoly.unit()
-    return GradedTensorPoly.sum(_right_op_m(m, letters, degrees)
-                                for m in msequences)
+    return _right_labeled((1,) * len(letters), tuple(letters),
+                          tuple(degrees), mode == "closed", {})
 
 
 def right_op_m(m: Sequence[int],
@@ -243,7 +228,8 @@ def right_op_m(m: Sequence[int],
     entry ``m_{i+1}`` closes the current item after ``a_i`` while a value
     ``c > 0`` opens ``a_i |> (item ... item)`` over the next ``c`` items.
     The result is one tensor monomial whose total coefficient is
-    ``prod_i binom(|a_i|+1, m_{i+1})`` (trailing entry read as 0).
+    ``prod_i binom(|a_i|+1, m_{i+1})`` (trailing entry read as 0); a
+    vanishing binomial makes its item, and so the monomial, zero.
     """
     letters, degrees = _check_factors(factors)
     m = tuple(m)
@@ -251,14 +237,6 @@ def right_op_m(m: Sequence[int],
         raise StructuralError(f"{m} is not an M-sequence matching the input")
     if not m:
         return GradedTensorPoly.unit()
-    return _right_op_m(m, letters, degrees)
-
-
-def _right_op_m(m: tuple[int, ...], letters: list[NCPolynomial],
-                degrees: list[int]) -> GradedTensorPoly:
-    """``R_m`` for a nonempty M-sequence ``m`` of the length of
-    ``letters``, which are homogeneous of the positive ``degrees``. A
-    vanishing binomial makes its item, and so the monomial, zero."""
 
     def build_item(i: int) -> tuple[NCPolynomial, int]:
         a = letters[i]
@@ -299,9 +277,11 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
                               (x) R^(1, e_(p+2)..e_l)(a_(p+1)..a_l)
 
     for ``e_1 = 1``, with ``R`` of no letters the unit; the suffix's first
-    bit is 1 because it sits under a later block lead. ``recursive``
-    evaluates this with a memo that lives for one call; ``closed`` sums
-    ``R_m`` over the restricted set ``M_l^e``.
+    bit is 1 because it sits under a later block lead. Both modes evaluate
+    this with a memo that lives for one call. ``recursive`` computes each
+    first block from its definition; ``closed`` reads it from identity
+    ``R1``, ``a_1 |> R^(e_2..e_p)(a_2..a_p) = d^(e_2..e_p)(n_1..n_(p-1))
+    a_1...a_p``, so it builds no ``|>`` of a first block.
     """
     _check_mode(mode)
     letters, degrees = _check_factors(factors)
@@ -310,15 +290,15 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
         raise StructuralError(f"{len(e)} bits for {len(letters)} letters")
     if any(b not in (1, 2) for b in e):
         raise StructuralError(f"bits must be 1 or 2: {e}")
-    if mode == "closed":
-        return _closed_sum(m_sequences_labeled(len(letters), e), letters,
-                           degrees)
-    return _right_labeled(e, tuple(letters), {})
+    return _right_labeled(e, tuple(letters), tuple(degrees),
+                          mode == "closed", {})
 
 
 def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
+                   degrees: tuple[int, ...], closed: bool,
                    memo: dict) -> GradedTensorPoly:
-    """``R_l^e`` on checked ``letters`` by its first-block factorization;
+    """``R_l^e`` on checked ``letters`` of the given ``degrees`` by its
+    first-block factorization, the first blocks by ``R1`` when ``closed``;
     ``memo`` maps ``(e, letters)`` to the result and lives for one
     top-level call."""
     ell = len(letters)
@@ -332,12 +312,19 @@ def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
     if got is not None:
         return got
     lead = _tensor_monomial(letters[:1])
+    product = NCPolynomial.one()
     blocks = []
     for p in range(1, ell + 1):
-        block = triangle(lead, _right_labeled(e[1:p], letters[1:p], memo))
+        if closed:
+            product = product * letters[p - 1]
+            block = _tensor_monomial(
+                [product], lagrange_d_labeled(e[1:p], degrees[:p - 1]))
+        else:
+            block = triangle(lead, _right_labeled(
+                e[1:p], letters[1:p], degrees[1:p], closed, memo))
         if p < ell and not block.is_zero():
             block = block.tensor(_right_labeled(
-                (1,) + e[p + 1:], letters[p:], memo))
+                (1,) + e[p + 1:], letters[p:], degrees[p:], closed, memo))
         blocks.append(block)
     got = memo[(e, letters)] = GradedTensorPoly.sum(blocks)
     return got
@@ -431,7 +418,7 @@ def operator_identity_check(identity: str, ell: int,
                     return False
         return True
     if identity == "R1":
-        from .combinatorics import lagrange_d, lagrange_d_labeled
+        from .combinatorics import lagrange_d, m_sequences
         for degs in _degree_tuples(ell + 1, degree_bound):
             a = _letters(degs)
             product = NCPolynomial.one()

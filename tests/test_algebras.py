@@ -153,6 +153,11 @@ class TestCayleyDickson:
         ("e1 + e16", 4, "basis index 16 outside level 4"),
         ("e1*e2", 2, "term 'e1*e2' has more than one basis letter"),
         ("1 - 2*e1*e1", 2, "term '2*e1*e1' has more than one basis letter"),
+        # exponent notation is not a rational literal: "2e1" is not 20
+        ("2e1", 2, "bad factor '2e1' in term '2e1'"),
+        ("e1 + 3E3", 2, "bad factor '3E3' in term '3E3'"),
+        ("1/2*2e1", 2, "bad factor '2e1' in term '1/2*2e1'"),
+        ("e2*1e0", 2, "bad factor '1e0' in term 'e2*1e0'"),
     ])
     def test_parse_errors(self, text, level, message):
         with pytest.raises(StructuralError, match=re.escape(message)):

@@ -360,6 +360,8 @@ BAD_INPUTS = [
      "--algebra", "h", "--a", "[1]"],
     ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
      "--algebra", "h", "--a", '["e1*e2"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["2e1"]'],
     ["divide", "--flavor", "inv", "--side", "right", "--order", "2",
      "--algebra", "q", "--a", '"12"', "--b", '["0"]'],
     ["divide", "--flavor", "inv", "--side", "right", "--order", "2",

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from loopseries import operators
+from loopseries import combinatorics, operators
 from loopseries.combinatorics import (
     bit_sequences,
     lagrange_d,
@@ -283,16 +283,37 @@ class TestLabeledOperators:
         assert got == want
 
     def test_closed_equals_labeled_sum(self):
-        for ell in range(1, 6):
-            for degs in itertools.product((1, 2), repeat=ell):
-                fs = [x(n) for n in degs]
-                for e in bit_sequences(ell):
-                    got = right_op_e(e, fs)
-                    assert got == right_op_e(e, fs, "closed")
-                    total = GradedTensorPoly.zero()
-                    for m in m_sequences_labeled(ell, e):
-                        total = total + right_op_m(m, fs)
-                    assert got == total
+        # the M-sequence sum is the definition; closed reads R1 blocks
+        cases = [*(d for ell in range(1, 5)
+                   for d in itertools.product((1, 2, 3), repeat=ell)),
+                 *itertools.product((1, 2), repeat=5),
+                 (2, 1, 3, 1, 2), (3, 1, 1, 2, 3),
+                 (1, 3, 2, 1, 1, 2), (2, 2, 1, 3, 1, 1)]
+        for degs in cases:
+            ell = len(degs)
+            fs = [x(n) for n in degs]
+            structures = {m: right_op_m(m, fs) for m in m_sequences(ell)}
+            for e in bit_sequences(ell):
+                want = GradedTensorPoly.sum(
+                    structures[m] for m in m_sequences_labeled(ell, e))
+                assert right_op_e(e, fs) == want, (degs, e)
+                assert right_op_e(e, fs, "closed") == want, (degs, e)
+            assert right_op(fs, "closed") == right_op(fs) == \
+                GradedTensorPoly.sum(structures.values()), degs
+
+    def test_closed_modes_enumerate_no_m_sequences(self, monkeypatch):
+        fs = [x(2), x(1), x(3), x(1), x(1), x(2), x(1)]
+        e = (1, 2, 1, 1, 2, 1, 1)
+        want = right_op(fs), right_op_e(e, fs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed modes enumerated M-sequences")
+
+        for module in (combinatorics, operators):
+            for name in ("m_sequences", "m_sequences_labeled"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        monkeypatch.setattr(operators, "right_op_m", forbidden)
+        assert (right_op(fs, "closed"), right_op_e(e, fs, "closed")) == want
 
     def test_bit_validation(self):
         with pytest.raises(StructuralError):

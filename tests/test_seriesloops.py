@@ -11,6 +11,7 @@ from loopseries.algebras import (
     MatrixElement,
     identity_check,
     is_zero,
+    zero_of,
 )
 from loopseries import coloops
 from loopseries.combinatorics import weak_compositions
@@ -248,7 +249,7 @@ def coefficients(algebra):
     if algebra == "m2q":
         return st.lists(_fractions, min_size=4, max_size=4).map(
             lambda e: MatrixElement([e[:2], e[2:]]))
-    level = {"h": 2, "sed": 4}[algebra]
+    level = {"c": 1, "h": 2, "sed": 4}[algebra]
     return st.lists(_small, min_size=1 << level, max_size=1 << level).map(
         lambda c: CDElement(level, c))
 
@@ -297,6 +298,60 @@ class TestDivisionProperties:
             assert diff_compose(inv, a) == e
             assert inv == antipode_inverse(a)
         check()
+
+
+def lagrange_inverse(a):
+    """The compositional inverse of ``f = t + sum_k a_k t^(k+1)`` over a
+    commutative carrier by classical Lagrange inversion,
+    ``[t^(n+1)] f^(-1) = (1/(n+1)) [t^n] (t/f)^(n+1)``, where ``t/f`` is
+    the reciprocal ``h`` of ``1 + sum_k a_k t^k``; an oracle that shares
+    nothing with the loop law."""
+    order, ia = a.order, (a.one,) + a.coeffs
+    zero = zero_of(a.one)
+
+    def times(p, r):  # the product truncated at t^order
+        return [sum((p[i] * r[j - i] for i in range(1, j + 1)), p[0] * r[j])
+                for j in range(order + 1)]
+
+    h = [a.one]
+    for j in range(1, order + 1):
+        h.append(-sum((ia[i] * h[j - i] for i in range(1, j + 1)), zero))
+    out, power = [], h
+    for n in range(1, order + 1):
+        power = times(power, h)  # h^(n+1)
+        out.append(power[n] * Fraction(1, n + 1))
+    return TruncatedSeries("diff", order, out, a.one)
+
+
+class TestClassicalLagrangeInversion:
+    """Over commutative carriers the diff inverse, by the solver and by the
+    closed left codivision, is classical Lagrange inversion, and the left
+    quotient is ``a\\b = a^(-1) o b``. The closed mode stops at order 8:
+    the closed left diff division is still exponential."""
+
+    @pytest.mark.parametrize("algebra", ["q", "c"])
+    @pytest.mark.parametrize("mode, max_order",
+                             [("recursive", 12), ("closed", 8)])
+    def test_inverse_is_lagrange_inversion(self, algebra, mode, max_order):
+        @PROPERTY_SETTINGS
+        @given(series_pairs("diff", algebra, max_order=max_order))
+        def check(ab):
+            a, b = ab
+            inverse = lagrange_inverse(a)
+            e = unit_series("diff", a.order, a.one)
+            assert divide("left", a, e, mode) == inverse
+            assert divide("left", a, b, mode) == diff_compose(inverse, b)
+        check()
+
+    def test_order_30_over_rationals(self):
+        rng = Random(61)
+        a, b = (TruncatedSeries("diff", 30, [q(rng.randint(-4, 4),
+                                                rng.randint(1, 3))
+                                              for _ in range(30)])
+                for _ in range(2))
+        inverse = lagrange_inverse(a)
+        assert series_inverse(a) == inverse
+        assert divide("left", a, b) == diff_compose(inverse, b)
 
 
 class TestChainOracle:
