@@ -33,24 +33,30 @@ All arithmetic is exact; nothing here ever touches floating point.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .errors import StructuralError
 
-Rational = Fraction
-
 
 def _as_fraction(v) -> Fraction:
-    """An exact rational from a ``Fraction``, an integer or a string;
-    floats and booleans are refused."""
+    """An exact rational from a ``Fraction``, an integer or a string.
+
+    The one rule for rational literals: floats and booleans are refused,
+    and so are strings with digit-group underscores or an exponent, which
+    ``Fraction`` would read as ``"1_0" == 10`` and ``"2e1" == 20``.
+    """
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
+    if isinstance(v, str) and "_" not in v and "e" not in v.lower():
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise StructuralError(f"not an exact rational: {v!r}")
 
 
@@ -259,28 +265,16 @@ def cd_norm(x: CDElement) -> Fraction:
 def cd_parse(text: str, level: int) -> CDElement:
     """Parse the text form: signed rational coefficients on ``e<i>``,
     e.g. ``e1 + e10`` or ``1/2 - 3*e7``; a bare number is the scalar. A
-    term is a product of rationals and at most one basis letter; a
-    rational in exponent notation (``2e1``) is refused."""
+    term is a product of rationals, read by ``_as_fraction``, and at most
+    one basis letter, whose index is plain digits."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise StructuralError("empty Cayley-Dickson literal")
-    chunks: list[str] = []
-    cur = ""
-    for ch in stripped:
-        if ch in "+-" and cur and cur[-1] not in "+-*/":
-            chunks.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    chunks.append(cur)
     coords = list(CDElement.zero(level).coords)
-    for chunk in chunks:
-        sign = 1
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        coeff = Fraction(sign)
+    # a sign opens a term unless it follows a sign, ``*`` or ``/``
+    for signed in re.split(r"(?<=[^-+*/])(?=[-+])", stripped):
+        chunk = signed.lstrip("+-")
+        coeff = Fraction((-1) ** signed[:len(signed) - len(chunk)].count("-"))
         index = None
         for factor in chunk.split("*"):
             if not factor:
@@ -289,12 +283,17 @@ def cd_parse(text: str, level: int) -> CDElement:
                 if index is not None:
                     raise StructuralError(
                         f"term {chunk!r} has more than one basis letter")
-                index = int(factor[1:])
-            elif "e" in factor.lower():
-                # Fraction would read the exponent of "2e1" as 20
-                raise StructuralError(f"bad factor {factor!r} in term {chunk!r}")
+                digits = factor[1:]
+                if not (digits.isascii() and digits.isdigit()):
+                    raise StructuralError(
+                        f"bad basis letter {factor!r} in term {chunk!r}")
+                index = int(digits)
             else:
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= _as_fraction(factor)
+                except StructuralError:
+                    raise StructuralError(
+                        f"bad factor {factor!r} in term {chunk!r}") from None
         index = 0 if index is None else index
         if not 0 <= index < len(coords):
             raise StructuralError(f"basis index {index} outside level {level}")

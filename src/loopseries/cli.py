@@ -303,17 +303,6 @@ def _verify_records(flavor: str, max_degree: int) -> list[dict]:
                 "expected_failure": expected,
                 "discrepancy": None if disc is None else str(disc),
             })
-    for n in range(1, max_degree + 1):
-        two_sided = (coloops.antipode(flavor, "right", n)
-                     == coloops.antipode(flavor, "left", n))
-        records.append({
-            "flavor": flavor,
-            "axiom": "antipode-two-sided",
-            "n": n,
-            "pass": two_sided,
-            "expected_failure": False,
-            "discrepancy": None,
-        })
     return records
 
 

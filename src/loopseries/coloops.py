@@ -23,11 +23,11 @@ equals its table.
 Axiom checks are assembled exclusively from generator-table morphisms,
 so one composition engine exercises the counitary property, the four
 cocancellations, partial counitality, the 5-terms identities, ``mu .
-codivision = unit . counit``, the coinverse properties, the coassociator
-and the projection onto the tensor Hopf algebra. A copy relabeling
-(``fold``) after a morphism is composed into the morphism's images
-instead, so every composite side is one morphism application; only ``mu
-. codivision`` folds a table entry.
+codivision = unit . counit``, the coinverse properties, the two-sided
+antipode, the coassociator and the projection onto the tensor Hopf
+algebra. A copy relabeling (``fold``) after a morphism is composed into
+the morphism's images instead, so every composite side is one morphism
+application; only ``mu . codivision`` folds a table entry.
 """
 
 from __future__ import annotations
@@ -276,6 +276,8 @@ class Coloop:
         if axiom == "coinverse-left":
             composite = hom("s_l", "y")(delta(n))
             return [(delta_l(n), composite)]
+        if axiom == "antipode-two-sided":
+            return [(self.antipode("right", n), self.antipode("left", n))]
         raise StructuralError(f"unknown axiom {axiom!r}")
 
 
@@ -291,6 +293,7 @@ AXIOMS = (
     "mu-delta",
     "coinverse-right",
     "coinverse-left",
+    "antipode-two-sided",
 )
 
 # Known negative results: axioms that are REQUIRED to fail,

@@ -15,11 +15,16 @@ The integer combinatorics driving all coefficient formulas in this library:
 
 ``d_l`` and ``d_l^e`` are defined as sums over ``M(l)``, but they are
 computed by a prefix-sum dynamic program over (position, running prefix
-sum) in ``O(l^3)`` integer operations. ``lagrange_d_labeled_row`` gives
-all ``2^l`` values ``d_l^e`` of one composition in one depth-first walk
-over the bit prefixes: each DP step is taken once and shared by every
-``e`` that extends its prefix, and a prefix whose DP vector vanishes (as
-for every ``e`` that starts with the bit 2) fills its subtree with zeros.
+sum) in ``O(l^3)`` integer operations. Its step is written once
+(``_step``) and read three ways: ``lagrange_d_labeled`` folds it along
+``e``, ``lagrange_d`` is the memoized all-ones fold, and
+``lagrange_d_labeled_row`` gives all ``2^l`` values ``d_l^e`` of one
+composition in one depth-first walk over the bit prefixes: each step is
+taken once and shared by every ``e`` that extends its prefix, and a
+prefix whose DP vector vanishes (as for every ``e`` that starts with the
+bit 2) fills its subtree with zeros. ``check_lagrange_args`` holds the
+one argument check of all three, and of ``m_sequences_labeled`` and the
+labeled operators: positive degrees, one bit 1 or 2 per degree.
 ``codivision_terms`` turns them into the signed, labeled terms of the
 closed codivisions, the paper's generalized Lagrange inversion, for the
 coloop tables and the closed series divisions alike. The enumeration of
@@ -131,13 +136,28 @@ def bit_sign(e: Sequence[int]) -> int:
     return -1 if (sum(e) - len(e)) % 2 else 1
 
 
+def check_lagrange_args(ns: Sequence[int], e: Sequence[int] | None = None
+                        ) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """The one check of the degree rule (every degree in ``ns`` is a
+    positive integer) and, given ``e``, the bit rule (one bit, 1 or 2, per
+    degree). Returns ``(ns, e)`` as tuples."""
+    ns = tuple(ns)
+    if not all(isinstance(n, int) and n >= 1 for n in ns):
+        raise StructuralError(f"degrees must be positive integers, got {ns}")
+    if e is None:
+        return ns, None
+    e = tuple(e)
+    if len(e) != len(ns):
+        raise StructuralError(f"{len(e)} bits for length {len(ns)}")
+    if any(b not in (1, 2) for b in e):
+        raise StructuralError(f"bits must be 1 or 2, got {e}")
+    return ns, e
+
+
 def m_sequences_labeled(length: int, e: Sequence[int]) -> list[tuple[int, ...]]:
     """The subset ``M(length)^e``: sequences with ``m_i = 0`` wherever
     ``e_i = 2``. Empty whenever ``e`` starts with the bit 2."""
-    if len(e) != length:
-        raise StructuralError(f"bit sequence has length {len(e)}, expected {length}")
-    if any(b not in (1, 2) for b in e):
-        raise StructuralError(f"bits must be 1 or 2, got {tuple(e)}")
+    _, e = check_lagrange_args((1,) * length, e)
     return [m for m in m_sequences(length)
             if all(m[i] == 0 for i in range(length) if e[i] == 2)]
 
@@ -145,26 +165,36 @@ def m_sequences_labeled(length: int, e: Sequence[int]) -> list[tuple[int, ...]]:
 _D_CACHE: dict[tuple[int, ...], int] = {}
 
 
-def _d_sum(e: Sequence[int], ns: Sequence[int]) -> int:
-    """``sum over m in M(l)^e of prod_i binom(n_i + 1, m_i)`` by a DP.
+def _weights(ns: Sequence[int]) -> list[list[int]]:
+    """``w[j][m] = binom(n_{j+1} + 1, m)`` for ``m`` up to ``l - j``."""
+    return [[math.comb(n + 1, m) for m in range(len(ns) - j + 1)]
+            for j, n in enumerate(ns)]
 
-    ``ways[s]`` is the weighted count of admissible prefixes
-    ``(m_1, ..., m_j)`` with sum ``s``. Every prefix needs ``s >= j``,
-    which at ``j = l`` means ``s == l`` as no sum exceeds ``l``; the bit
-    ``e_j = 2`` forces ``m_j = 0``.
-    """
-    ell = len(ns)
-    ways = [1] + [0] * ell
-    for j, (bit, n) in enumerate(zip(e, ns), start=1):
-        top = ell - j + 1 if bit == 1 else 0
-        weights = [math.comb(n + 1, m) for m in range(top + 1)]
-        nxt = [0] * (ell + 1)
-        for s in range(j - 1, ell + 1):
-            if ways[s]:
-                for m in range(max(j - s, 0), min(top, ell - s) + 1):
-                    nxt[s + m] += ways[s] * weights[m]
-        ways = nxt
-    return ways[ell]
+
+def _step(ways: list[int], j: int, bit: int, weight: list[int]) -> list[int]:
+    """The DP step from position ``j`` to ``j + 1``. ``ways[s]`` is the
+    weighted count of admissible prefixes ``(m_1..m_j)`` with sum ``s``;
+    each needs ``s >= j``, which at ``j = l`` means ``s == l``. The bit 1
+    lets ``m_{j+1} = m`` add the weight ``weight[m]``; the bit 2 forces
+    ``m_{j+1} = 0``, so it only drops the sums below ``j + 1``."""
+    if bit == 2:
+        return [0] * (j + 1) + ways[j + 1:]
+    ell = len(ways) - 1
+    nxt = [0] * (ell + 1)
+    for s in range(j, ell + 1):
+        w = ways[s]
+        if w:
+            for m in range(max(j + 1 - s, 0), ell - s + 1):
+                nxt[s + m] += w * weight[m]
+    return nxt
+
+
+def _d_fold(e: Sequence[int], ns: Sequence[int]) -> int:
+    """``d^e(ns)``, the step folded along ``e``, on checked arguments."""
+    ways = [1] + [0] * len(ns)
+    for j, (bit, weight) in enumerate(zip(e, _weights(ns))):
+        ways = _step(ways, j, bit, weight)
+    return ways[-1]
 
 
 def lagrange_d(ns: Sequence[int]) -> int:
@@ -173,16 +203,14 @@ def lagrange_d(ns: Sequence[int]) -> int:
     The sum over ``m in M(l)`` of ``prod_i binom(n_i + 1, m_i)``, with
     ``d_0 = 1`` on the empty argument. These are the coefficients of the
     right division of formal diffeomorphisms; ``d_l(1, ..., 1)`` is the
-    Catalan number ``C(l+1)``. Computed by the prefix-sum DP and memoized.
+    Catalan number ``C(l+1)``. The all-ones fold of the DP, memoized.
     """
     key = tuple(ns)
     hit = _D_CACHE.get(key)
     if hit is not None:
         return hit
-    if any(n < 1 for n in key):
-        raise StructuralError(f"degrees must be positive, got {key}")
-    value = _d_sum((1,) * len(key), key)
-    _D_CACHE[key] = value
+    check_lagrange_args(key)
+    value = _D_CACHE[key] = _d_fold((1,) * len(key), key)
     return value
 
 
@@ -191,48 +219,34 @@ def lagrange_d_labeled(e: Sequence[int], ns: Sequence[int]) -> int:
 
     The ``d``-sum restricted to ``M(l)^e``; equals ``lagrange_d`` when
     ``e = (1, ..., 1)`` and vanishes when ``e`` starts with the bit 2.
-    Computed by the prefix-sum DP.
+    The fold of the DP along ``e``.
     """
-    if len(e) != len(ns):
-        raise StructuralError(f"{len(e)} bits for {len(ns)} degrees")
-    if any(b not in (1, 2) for b in e):
-        raise StructuralError(f"bits must be 1 or 2, got {tuple(e)}")
-    return _d_sum(e, ns)
+    ns, e = check_lagrange_args(ns, e)
+    return _d_fold(e, ns)
 
 
 def lagrange_d_labeled_row(ns: Sequence[int]) -> list[int]:
     """``d_l^e(ns)`` for every ``e`` in ``bit_sequences(l)``, in that order.
 
-    The DP of ``_d_sum`` run depth first over the bit prefixes, bit 1
-    before bit 2: a step from ``ways`` to ``nxt`` is taken once per prefix
-    and shared by all ``2^(l-j)`` sequences extending it. A prefix whose
-    ``ways`` vanishes contributes zeros to its whole subtree.
+    The DP run depth first over the bit prefixes, bit 1 before bit 2: a
+    step is taken once per prefix and shared by all ``2^(l-j)`` sequences
+    extending it, with the weights of each position computed once. A
+    prefix whose ``ways`` vanishes contributes zeros to its whole subtree.
     """
-    ns = tuple(ns)
+    ns, _ = check_lagrange_args(ns)
     ell = len(ns)
     row: list[int] = []
-    # weights[j][m] = binom(n_{j+1} + 1, m) for m up to l - j
-    weights = [[math.comb(n + 1, m) for m in range(ell - j + 1)]
-               for j, n in enumerate(ns)]
+    weights = _weights(ns)
 
     def walk(j: int, ways: list[int]) -> None:
-        # ways covers the first j bits; the next letter is at position j+1
         if j == ell:
             row.append(ways[ell])
             return
         if not any(ways):
             row.extend([0] * (1 << (ell - j)))
             return
-        nxt = [0] * (ell + 1)
-        weight = weights[j]
-        for s in range(j, ell + 1):
-            w = ways[s]
-            if w:
-                for m in range(max(j + 1 - s, 0), ell - s + 1):
-                    nxt[s + m] += w * weight[m]
-        walk(j + 1, nxt)
-        # bit 2 forces m = 0, and the prefix sum must reach j + 1
-        walk(j + 1, [0] * (j + 1) + ways[j + 1:])
+        walk(j + 1, _step(ways, j, 1, weights[j]))
+        walk(j + 1, _step(ways, j, 2, weights[j]))
 
     walk(0, [1] + [0] * ell)
     return row

@@ -25,6 +25,7 @@ the text of one monomial and its product.
 from __future__ import annotations
 
 import json
+import re
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
@@ -242,11 +243,10 @@ class MultiMorphism:
     """Algebra homomorphism out of a labeled free algebra, given by its
     images on generators: a map ``(copy, index) -> NCPolynomial``.
 
-    Images may be supplied lazily through ``image_fn`` so that co-operation
-    tables extend on demand; computed images are cached and the extension
-    is idempotent (the same generator always maps to the same polynomial).
-    Next to each image the morphism keeps its term list, read by every
-    later application.
+    Images are given up front in ``images`` or supplied lazily through
+    ``image_fn``, so that co-operation tables extend on demand. The one
+    memo is ``image_terms``: the term list of each image, fetched on the
+    first application that meets its letter and read by every later one.
 
     Applying it costs time linear in the output terms: each word is
     expanded once, over the Cartesian product of its letters' term lists,
@@ -263,12 +263,11 @@ class MultiMorphism:
     def image(self, copy: int, index: int) -> NCPolynomial:
         key = (copy, index)
         got = self.images.get(key)
-        if got is None:
-            if self.image_fn is None:
-                raise StructuralError(f"no image for generator {key}")
-            got = self.image_fn(copy, index)
-            self.images[key] = got
-        return got
+        if got is not None:
+            return got
+        if self.image_fn is None:
+            raise StructuralError(f"no image for generator {key}")
+        return self.image_fn(copy, index)
 
     def __call__(self, p: NCPolynomial) -> NCPolynomial:
         out: dict[Word, int] = {}
@@ -427,37 +426,27 @@ def parse_polynomial(text: str) -> NCPolynomial:
     stripped = text.replace(" ", "")
     if not stripped or stripped == "0":
         return NCPolynomial.zero()
-    # split into signed chunks
-    chunks: list[str] = []
-    cur = ""
-    for ch in stripped:
-        if ch in "+-" and cur and cur[-1] not in "+-":
-            chunks.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    chunks.append(cur)
-    return NCPolynomial.sum(_parse_monomial(chunk, text) for chunk in chunks)
+    # a sign opens a term unless it follows a sign
+    return NCPolynomial.sum(_parse_monomial(signed, text) for signed
+                            in re.split(r"(?<=[^-+])(?=[-+])", stripped))
 
 
-def _parse_monomial(chunk: str, text: str) -> NCPolynomial:
-    sign = 1
-    while chunk and chunk[0] in "+-":
-        if chunk[0] == "-":
-            sign = -sign
-        chunk = chunk[1:]
-    coeff = sign
+def _parse_monomial(signed: str, text: str) -> NCPolynomial:
+    """One signed term; its integer factors and letter indices are plain
+    ASCII digits, as ``int`` alone would also read ``1_0`` as 10."""
+    chunk = signed.lstrip("+-")
+    coeff = (-1) ** signed[:len(signed) - len(chunk)].count("-")
     w: list[Letter] = []
     for factor in chunk.split("*"):
         if not factor:
             raise StructuralError(f"empty factor in {text!r}")
-        if factor[0].isdigit():
+        name, idx = factor[0], factor[1:]
+        if factor.isascii() and factor.isdigit():
             coeff *= int(factor)
-        else:
-            name, idx = factor[0], factor[1:]
-            if name not in COPY_OF_NAME or not idx.isdigit():
-                raise StructuralError(f"bad letter {factor!r} in {text!r}")
+        elif name in COPY_OF_NAME and idx.isascii() and idx.isdigit():
             w.append(letter(COPY_OF_NAME[name], int(idx)))
+        else:
+            raise StructuralError(f"bad factor {factor!r} in {text!r}")
     return NCPolynomial({tuple(w): coeff})
 
 

@@ -26,8 +26,10 @@ no mode enumerates M-sequences. The sum of ``R_m`` over M-sequences, the
 paper's definition, stays the oracle of the tests.
 
 Every public operator checks its letters once, at entry, through
-``_check_factors``, which returns them with their degrees; the recursions
-below trust the letters and everything they build from them.
+``_check_factors``, which returns them with their degrees, and
+``right_op_e`` its bits through ``combinatorics.check_lagrange_args``;
+the recursions below trust the letters, the bits and everything they
+build from them, so the closed first blocks read the unchecked DP fold.
 
 ``GradedTensorPoly`` is a ``freealg.Sparse`` combination: it inherits the
 linear structure and text form and adds its key order and ``tensor``.
@@ -39,7 +41,13 @@ import itertools
 import math
 from typing import Sequence
 
-from .combinatorics import bit_sequences, is_m_sequence, lagrange_d_labeled
+from .combinatorics import (
+    _d_fold,
+    bit_sequences,
+    check_lagrange_args,
+    is_m_sequence,
+    lagrange_d_labeled,
+)
 from .errors import StructuralError
 from .freealg import COPY_NAMES, NCPolynomial, Sparse, Word, word_degree
 
@@ -285,13 +293,8 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
     """
     _check_mode(mode)
     letters, degrees = _check_factors(factors)
-    e = tuple(e)
-    if len(e) != len(letters):
-        raise StructuralError(f"{len(e)} bits for {len(letters)} letters")
-    if any(b not in (1, 2) for b in e):
-        raise StructuralError(f"bits must be 1 or 2: {e}")
-    return _right_labeled(e, tuple(letters), tuple(degrees),
-                          mode == "closed", {})
+    degrees, e = check_lagrange_args(degrees, e)
+    return _right_labeled(e, tuple(letters), degrees, mode == "closed", {})
 
 
 def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
@@ -318,7 +321,7 @@ def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
         if closed:
             product = product * letters[p - 1]
             block = _tensor_monomial(
-                [product], lagrange_d_labeled(e[1:p], degrees[:p - 1]))
+                [product], _d_fold(e[1:p], degrees[:p - 1]))
         else:
             block = triangle(lead, _right_labeled(
                 e[1:p], letters[1:p], degrees[1:p], closed, memo))

@@ -11,6 +11,7 @@ from loopseries.algebras import (
     HQUnit,
     MatrixElement,
     SplitQuaternionMatrix,
+    _as_fraction,
     associator,
     cd_conj,
     cd_mul,
@@ -158,10 +159,43 @@ class TestCayleyDickson:
         ("e1 + 3E3", 2, "bad factor '3E3' in term '3E3'"),
         ("1/2*2e1", 2, "bad factor '2e1' in term '1/2*2e1'"),
         ("e2*1e0", 2, "bad factor '1e0' in term 'e2*1e0'"),
+        # nor are digit-group underscores: "1_0" is not 10
+        ("1_0*e1", 4, "bad factor '1_0' in term '1_0*e1'"),
+        ("e1_0", 4, "bad basis letter 'e1_0' in term 'e1_0'"),
+        # a basis index is plain digits
+        ("e+1", 2, "bad basis letter 'e' in term 'e'"),
+        ("e\u00b2", 2, "bad basis letter 'e\u00b2'"),
+        ("x*e1", 2, "bad factor 'x' in term 'x*e1'"),
     ])
     def test_parse_errors(self, text, level, message):
         with pytest.raises(StructuralError, match=re.escape(message)):
             cd_parse(text, level)
+
+
+class TestRationalLiterals:
+    @pytest.mark.parametrize("text, value", [
+        ("1/2", q(1, 2)), ("-3", q(-3)), ("0.5", q(1, 2)), ("+7/14", q(1, 2)),
+    ])
+    def test_plain_literals(self, text, value):
+        assert _as_fraction(text) == value
+
+    @pytest.mark.parametrize("literal", [
+        "2e1", "1E3", "1_0", "1/1_0", "x", "1/0", "", 0.5, True, None])
+    def test_refused_with_the_literal_named(self, literal):
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"not an exact rational: "
+                                           f"{literal!r}")):
+            _as_fraction(literal)
+
+    def test_one_rule_for_every_algebra(self):
+        # the rationals, the matrix entries and the Cayley-Dickson factors
+        assert CDElement(1, ["1/2", "3"]) == \
+            CDElement(1, [q(1, 2), q(3)])
+        for bad in ("2e1", "1_0"):
+            with pytest.raises(StructuralError):
+                CDElement(1, [bad, "0"])
+            with pytest.raises(StructuralError):
+                cd_parse(f"{bad}*e1", 1)
 
 
 class TestDoubling:

@@ -362,6 +362,13 @@ BAD_INPUTS = [
      "--algebra", "h", "--a", '["e1*e2"]'],
     ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
      "--algebra", "h", "--a", '["2e1"]'],
+    # Fraction alone reads "2e1" as 20 and "1_0" as 10
+    ["divide", "--flavor", "inv", "--order", "1", "--algebra", "q",
+     "--side", "right", "--a", '["2e1"]', "--b", '["0"]'],
+    ["invert", "--flavor", "diff", "--order", "1", "--algebra", "m2q",
+     "--a", '[["1_0", "0", "0", "1"]]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["1_0*e1"]'],
     ["divide", "--flavor", "inv", "--side", "right", "--order", "2",
      "--algebra", "q", "--a", '"12"', "--b", '["0"]'],
     ["divide", "--flavor", "inv", "--side", "right", "--order", "2",

@@ -380,6 +380,7 @@ def fold_composed_sides(table, axiom, n):
         "coinverse-right": lambda: [
             (delta_r(n), hom(x, moved({1: 2}, s_r))(delta(n)))],
         "coinverse-left": lambda: [(delta_l(n), hom(s_l, y)(delta(n)))],
+        "antipode-two-sided": lambda: [(s_r(n), s_l(n))],
     }
     return sides[axiom]()
 

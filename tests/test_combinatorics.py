@@ -11,6 +11,7 @@ from loopseries.combinatorics import (
     bit_sequences,
     bit_sign,
     catalan,
+    check_lagrange_args,
     codivision_terms,
     compositions,
     d_cache_rows,
@@ -159,6 +160,38 @@ class TestLagrangeCoefficients:
     def test_positive_degree_validation(self):
         with pytest.raises(StructuralError):
             lagrange_d((0, 1))
+
+
+class TestArgumentCheck:
+    @pytest.mark.parametrize("e, ns", [
+        ((1, 3), (1, 1)), ((2, 0), (1, 1)), ((1,), (1, 2)),
+        ((1, 2, 1), (1, 2))])
+    def test_bits_refused_by_the_one_check(self, e, ns, monkeypatch):
+        from loopseries import operators
+        from loopseries.freealg import NCPolynomial
+
+        calls = []
+
+        def counted(ns, e=None):
+            calls.append(e)
+            return check_lagrange_args(ns, e)
+
+        monkeypatch.setattr(combinatorics, "check_lagrange_args", counted)
+        monkeypatch.setattr(operators, "check_lagrange_args", counted)
+        letters = [NCPolynomial.generator(1, n) for n in ns]
+        for call in (lambda: m_sequences_labeled(len(ns), e),
+                     lambda: lagrange_d_labeled(e, ns),
+                     lambda: operators.right_op_e(e, letters),
+                     lambda: operators.right_op_e(e, letters, "closed")):
+            calls.clear()
+            with pytest.raises(StructuralError, match="bits"):
+                call()
+            assert calls == [e]
+
+    def test_returns_tuples(self):
+        assert check_lagrange_args([2, 1]) == ((2, 1), None)
+        assert check_lagrange_args([2, 1], [1, 2]) == ((2, 1), (1, 2))
+        assert check_lagrange_args((), ()) == ((), ())
 
 
 class TestRecurrences:

@@ -385,6 +385,12 @@ class TestTextAndJson:
             p = random_poly(rng, copies=(1, 2, 3))
             assert parse_polynomial(str(p)) == p
 
+    @pytest.mark.parametrize("text", [
+        "1_0*x1", "x1_0", "2x1", "x\u00b2", "3*q1", "x1**y1"])
+    def test_parse_refuses_bad_factors(self, text):
+        with pytest.raises(StructuralError):
+            parse_polynomial(text)
+
     def test_json_round_trip(self):
         p = -2 * (x(1) * y(1)) + x(2)
         blob = json.dumps(p.to_json())

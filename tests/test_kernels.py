@@ -32,6 +32,7 @@ from loopseries.combinatorics import (
     bit_sequences,
     lagrange_d,
     lagrange_d_labeled,
+    lagrange_d_labeled_row,
     m_sequences_labeled,
 )
 from loopseries.errors import StructuralError
@@ -173,6 +174,13 @@ class TestLagrangeDP:
         lambda: lagrange_d_labeled((1, 2, 1), (1, 2)),
         lambda: lagrange_d_labeled((1, 3), (1, 1)),
         lambda: lagrange_d_labeled((2, 0), (1, 1)),
+        # degrees <= 0 pass through no entry point
+        lambda: lagrange_d_labeled((1,), (0,)),
+        lambda: lagrange_d_labeled((1, 1), (-1, 2)),
+        lambda: lagrange_d_labeled((1, 1), (-3, 2)),
+        lambda: lagrange_d_labeled_row((0, 1)),
+        lambda: lagrange_d_labeled_row((1, "2")),
+        lambda: lagrange_d_labeled_row((1, -2)),
     ])
     def test_validation_errors_still_raise(self, call):
         with pytest.raises(StructuralError):

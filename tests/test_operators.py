@@ -195,6 +195,26 @@ class TestInputChecks:
         assert closed == right_op(fs)
         assert labeled == right_op_e((1, 2, 1, 1, 2), fs)
 
+    @pytest.mark.parametrize("mode", ["recursive", "closed"])
+    def test_labeled_checks_bits_once(self, mode, monkeypatch):
+        # the closed first blocks read the unchecked DP fold, so nothing
+        # below the entry point checks the bits again
+        calls = []
+        check = combinatorics.check_lagrange_args
+
+        def counted(ns, e=None):
+            calls.append(e)
+            return check(ns, e)
+
+        monkeypatch.setattr(combinatorics, "check_lagrange_args", counted)
+        monkeypatch.setattr(operators, "check_lagrange_args", counted)
+        fs = [x(1), x(2), x(1), x(1), x(2), x(1)]
+        e = (1, 1, 2, 1, 2, 1)
+        got = right_op_e(e, fs, mode)
+        assert calls == [e]
+        monkeypatch.undo()
+        assert got == right_op_e(e, fs)
+
     def test_interior_does_not_recheck(self, monkeypatch):
         # the letters are checked once at entry; nothing below builds a
         # tensor through the checked constructors
