@@ -13,19 +13,25 @@ with involution ``(a + bj)* = a* - bj`` and basis convention
 ``e_{2^k + i} = e_i j``; this convention is pinned by the sedenion
 zero-divisor identity ``(e1 + e10)(e5 + e14) = 0``.
 
-Storage is ``Fraction`` throughout: ``CDElement.coords`` and
-``MatrixElement.entries`` are tuples of ``Fraction`` (or of algebra
-elements, for matrices over them). The two hot products run on plain
-integers inside the kernel and build one ``Fraction`` per output
-coordinate or entry:
+Storage: a ``CDElement``, and a ``MatrixElement`` whose entries are all
+rational, hold their value as integer numerators ``nums`` over one
+denominator ``den``, in canonical form: ``den > 0``, ``gcd(den, *nums) =
+1``, and zero has ``den = 1``. Sums, differences, negation, conjugation,
+scaling by ``int``/``Fraction`` and products run on plain integers, and
+each result is reduced once, by one ``math.gcd``; equality and hashing
+compare the canonical integers. ``coords`` and ``entries`` are read-only
+``Fraction`` views for the codecs and the text form. The public
+constructors read their literals once, through ``_as_fraction``;
+results built inside this module skip that check.
 
 * a Cayley-Dickson product uses the basis rule ``e_i e_j = s(i, j)
   e_{i xor j}`` with a sign table ``s`` derived once per level from the
-  doubling rule, applied to integer numerators over each operand's common
-  denominator; the recursive doubling ``_cd_mul`` stays as the oracle;
-* a product of two matrices with only ``Fraction`` entries is one integer
-  matrix product over the two shared denominators; any other entry type
-  uses the generic entry loop.
+  doubling rule; the recursive doubling ``_cd_mul`` stays as the oracle;
+* a product of two rational matrices is one integer matrix product over
+  the product of the two denominators; a matrix with any other entry
+  type (``M_2(H)``, ``M_2(S)``) holds its entries and multiplies them
+  with the generic entry loop ``_generic_matmul``, also the oracle of the
+  integer product.
 
 All arithmetic is exact; nothing here ever touches floating point.
 """
@@ -35,10 +41,13 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import add, sub
 from typing import Sequence
 
 from .errors import StructuralError
+
+# bare instances for the unchecked private constructors
+_new = object.__new__
 
 
 def _as_fraction(v) -> Fraction:
@@ -60,27 +69,67 @@ def _as_fraction(v) -> Fraction:
     raise StructuralError(f"not an exact rational: {v!r}")
 
 
+# -- integer numerators over one denominator ----------------------------------
+
+def _integer_form(values: list[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Canonical ``(nums, den)`` of checked literals: ``den`` is the least
+    common denominator, which no prime divides together with every
+    numerator, so no gcd is needed."""
+    den = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+
+
+def _reduce(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """``nums / den`` (``den > 0``) in canonical form, by one gcd."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([v // g for v in nums]), den // g
+
+
+def _combine(op, xs, dx: int, ys, dy: int) -> tuple[tuple[int, ...], int]:
+    """``xs/dx op ys/dy`` coordinatewise, for ``op`` in ``add``, ``sub``."""
+    if dx == dy:
+        return _reduce(list(map(op, xs, ys)), dx)
+    g = math.gcd(dx, dy)
+    sx, sy = dy // g, dx // g
+    return _reduce([op(a * sx, b * sy) for a, b in zip(xs, ys)], dx * sx)
+
+
+def _scale(xs, dx: int, k) -> tuple[tuple[int, ...], int]:
+    """``xs/dx`` times the rational ``k`` (an ``int`` or a ``Fraction``)."""
+    p, q = k.as_integer_ratio()
+    return _reduce([a * p for a in xs], dx * q)
+
+
 class CDElement:
     """Element of the level-``k`` Cayley-Dickson algebra over the rationals
-    (dimension ``2^k``), held as a flat coordinate vector."""
+    (dimension ``2^k``), held as integer numerators ``nums`` over the one
+    denominator ``den``."""
 
-    __slots__ = ("level", "coords")
+    __slots__ = ("level", "nums", "den")
 
     def __init__(self, level: int, coords: Sequence):
         if level < 0:
             raise StructuralError(f"level must be >= 0, got {level}")
-        coords = tuple(_as_fraction(c) for c in coords)
-        if len(coords) != 1 << level:
+        values = [_as_fraction(c) for c in coords]
+        if len(values) != 1 << level:
             raise StructuralError(
-                f"level {level} needs {1 << level} coordinates, got {len(coords)}")
+                f"level {level} needs {1 << level} coordinates, got {len(values)}")
         self.level = level
-        self.coords = coords
+        self.nums, self.den = _integer_form(values)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as ``Fraction``, a read-only view."""
+        den = self.den
+        return tuple([Fraction(v, den) for v in self.nums])
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, level: int) -> "CDElement":
-        return cls(level, (0,) * (1 << level))
+        return _cd(level, (0,) * (1 << level), 1)
 
     @classmethod
     def one(cls, level: int) -> "CDElement":
@@ -91,9 +140,10 @@ class CDElement:
         n = 1 << level
         if not 0 <= i < n:
             raise StructuralError(f"basis index {i} outside level {level}")
-        coords = [Fraction(0)] * n
-        coords[i] = _as_fraction(coeff)
-        return cls(level, coords)
+        c = _as_fraction(coeff)
+        nums = [0] * n
+        nums[i] = c.numerator
+        return _cd(level, tuple(nums), c.denominator)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -103,23 +153,24 @@ class CDElement:
 
     def __add__(self, other: "CDElement") -> "CDElement":
         self._check(other)
-        return CDElement(self.level,
-                         [a + b for a, b in zip(self.coords, other.coords)])
+        return _cd(self.level,
+                   *_combine(add, self.nums, self.den, other.nums, other.den))
 
     def __sub__(self, other: "CDElement") -> "CDElement":
         self._check(other)
-        return CDElement(self.level,
-                         [a - b for a, b in zip(self.coords, other.coords)])
+        return _cd(self.level,
+                   *_combine(sub, self.nums, self.den, other.nums, other.den))
 
     def __neg__(self) -> "CDElement":
-        return CDElement(self.level, [-a for a in self.coords])
+        return _cd(self.level, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CDElement(self.level, [a * other for a in self.coords])
+            return _cd(self.level, *_scale(self.nums, self.den, other))
         self._check(other)
-        return CDElement(self.level,
-                         _cd_table_mul(self.level, self.coords, other.coords))
+        return _cd(self.level, *_reduce(
+            _cd_table_mul(self.level, self.nums, other.nums),
+            self.den * other.den))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -128,22 +179,26 @@ class CDElement:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CDElement) and other.level == self.level
-                and other.coords == self.coords)
+                and other.den == self.den and other.nums == self.nums)
 
     def __hash__(self) -> int:
-        return hash((self.level, self.coords))
+        return hash((self.level, self.nums, self.den))
 
     def conj(self) -> "CDElement":
-        return CDElement(self.level, _cd_conj(self.coords))
+        # the doubling involution fixes e_0 and negates every other e_i
+        nums = self.nums
+        return _cd(self.level, (nums[0],) + tuple([-a for a in nums[1:]]),
+                   self.den)
 
     def norm(self) -> Fraction:
         """Scalar part of ``q q*``; for any level this is the coordinate
         sum of squares (norm multiplicativity, not scalarity, is what
         breaks at level 4)."""
-        return (self * self.conj()).coords[0]
+        n = self * self.conj()
+        return Fraction(n.nums[0], n.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __str__(self) -> str:
         chunks = []
@@ -160,6 +215,15 @@ class CDElement:
 
     def __repr__(self) -> str:
         return f"CDElement(level={self.level}, {self})"
+
+
+def _cd(level: int, nums: tuple[int, ...], den: int) -> CDElement:
+    """A ``CDElement`` from canonical integers, unchecked."""
+    x = _new(CDElement)
+    x.level = level
+    x.nums = nums
+    x.den = den
+    return x
 
 
 def _cd_conj(coords: tuple) -> list:
@@ -223,21 +287,11 @@ def _cd_signs(level: int) -> tuple[tuple[int, ...], ...]:
     return _CD_SIGNS[level]
 
 
-def _common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators of ``Fraction`` values over their least common
-    denominator, and that denominator."""
-    pairs = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*[d for _, d in pairs])
-    return [n * (den // d) for n, d in pairs], den
-
-
-def _cd_table_mul(level: int, x: tuple, y: tuple) -> list[Fraction]:
-    """Cayley-Dickson product of two coordinate tuples of ``Fraction``
-    through the basis sign table; equal to ``_cd_mul``."""
-    xs, dx = _common_denominator(x)
-    ys, dy = _common_denominator(y)
+def _cd_table_mul(level: int, xs: tuple, ys: tuple) -> list[int]:
+    """Cayley-Dickson product of two integer coordinate tuples through the
+    basis sign table; equal to ``_cd_mul``."""
     ys = [(j, v) for j, v in enumerate(ys) if v]
-    acc = [0] * len(x)
+    acc = [0] * len(xs)
     for i, (u, row) in enumerate(zip(xs, _cd_signs(level))):
         if not u:
             continue
@@ -246,8 +300,7 @@ def _cd_table_mul(level: int, x: tuple, y: tuple) -> list[Fraction]:
                 acc[i ^ j] += u * v
             else:
                 acc[i ^ j] -= u * v
-    den = dx * dy
-    return [Fraction(a, den) for a in acc]
+    return acc
 
 
 def cd_mul(x: CDElement, y: CDElement) -> CDElement:
@@ -303,9 +356,14 @@ def cd_parse(text: str, level: int) -> CDElement:
 
 class MatrixElement:
     """Square matrix over an arbitrary (possibly non-associative) exact
-    algebra; involution is transpose composed with the entrywise one."""
+    algebra; involution is transpose composed with the entrywise one.
 
-    __slots__ = ("dim", "entries")
+    A matrix whose entries are all rational holds their integer
+    numerators ``nums``, row-major, over the one denominator ``den``. Any
+    other matrix holds its entries as given, and ``nums`` and ``den`` are
+    ``None``."""
+
+    __slots__ = ("dim", "nums", "den", "_cells")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = [tuple(r) for r in entries]
@@ -313,7 +371,23 @@ class MatrixElement:
         if n == 0 or any(len(r) != n for r in rows):
             raise StructuralError("matrix entries must form a square grid")
         self.dim = n
-        self.entries = tuple(rows)
+        flat = [a for r in rows for a in r]
+        if all(isinstance(a, (int, Fraction)) for a in flat):
+            self.nums, self.den = _integer_form([_as_fraction(a) for a in flat])
+            self._cells = None
+        else:
+            self.nums = self.den = None
+            self._cells = tuple(rows)
+
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        """The entries, row by row; a read-only ``Fraction`` view for a
+        rational matrix."""
+        if self.nums is None:
+            return self._cells
+        n, den, nums = self.dim, self.den, self.nums
+        return tuple([tuple([Fraction(v, den) for v in nums[i:i + n]])
+                      for i in range(0, n * n, n)])
 
     @classmethod
     def identity(cls, dim: int, one, zero) -> "MatrixElement":
@@ -324,26 +398,41 @@ class MatrixElement:
         if not isinstance(other, MatrixElement) or other.dim != self.dim:
             raise StructuralError("matrix dimension mismatch")
 
-    def __add__(self, other: "MatrixElement") -> "MatrixElement":
+    def _entrywise(self, op, other: "MatrixElement") -> "MatrixElement":
         self._check(other)
-        return type(self)([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
+        if self.nums is not None and other.nums is not None:
+            return _rational_matrix(type(self), self.dim, *_combine(
+                op, self.nums, self.den, other.nums, other.den))
+        return _entry_matrix(type(self), [
+            list(map(op, r1, r2))
+            for r1, r2 in zip(self.entries, other.entries)])
+
+    def __add__(self, other: "MatrixElement") -> "MatrixElement":
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "MatrixElement") -> "MatrixElement":
-        self._check(other)
-        return type(self)([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "MatrixElement":
-        return type(self)([[-a for a in r] for r in self.entries])
+        if self.nums is not None:
+            return _rational_matrix(type(self), self.dim,
+                                    tuple([-a for a in self.nums]), self.den)
+        return _entry_matrix(type(self), [[-a for a in r] for r in self._cells])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return type(self)([[a * other for a in r] for r in self.entries])
+            if self.nums is not None:
+                return _rational_matrix(type(self), self.dim,
+                                        *_scale(self.nums, self.den, other))
+            return _entry_matrix(type(self),
+                                 [[a * other for a in r] for r in self._cells])
         self._check(other)
-        if _all_fractions(self.entries) and _all_fractions(other.entries):
-            return type(self)(_fraction_matmul(self.entries, other.entries))
-        return type(self)(_generic_matmul(self.entries, other.entries))
+        if self.nums is not None and other.nums is not None:
+            return _rational_matrix(type(self), self.dim, *_reduce(
+                _int_matmul(self.dim, self.nums, other.nums),
+                self.den * other.den))
+        return _entry_matrix(type(self),
+                             _generic_matmul(self.entries, other.entries))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -351,19 +440,30 @@ class MatrixElement:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
+        # a rational matrix never equals one holding algebra entries
         return (isinstance(other, MatrixElement) and other.dim == self.dim
-                and other.entries == self.entries)
+                and other.den == self.den and other.nums == self.nums
+                and other._cells == self._cells)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.nums, self.den, self._cells))
 
     def conj(self) -> "MatrixElement":
         n = self.dim
-        return type(self)([[conj_of(self.entries[j][i]) for j in range(n)]
-                           for i in range(n)])
+        if self.nums is not None:
+            nums = self.nums
+            return _rational_matrix(type(self), n, tuple(
+                [nums[j * n + i] for i in range(n) for j in range(n)]),
+                self.den)
+        cells = self._cells
+        return _entry_matrix(type(self), [[conj_of(cells[j][i])
+                                           for j in range(n)]
+                                          for i in range(n)])
 
     def is_zero(self) -> bool:
-        return all(is_zero(a) for r in self.entries for a in r)
+        if self.nums is not None:
+            return not any(self.nums)
+        return all(is_zero(a) for r in self._cells for a in r)
 
     def __str__(self) -> str:
         rows = ["[" + ", ".join(str(a) for a in r) + "]" for r in self.entries]
@@ -373,8 +473,23 @@ class MatrixElement:
         return f"MatrixElement({self})"
 
 
-def _all_fractions(rows) -> bool:
-    return all(isinstance(a, Fraction) for r in rows for a in r)
+def _rational_matrix(cls, dim: int, nums: tuple[int, ...], den: int):
+    """A rational ``cls`` matrix from canonical integers, unchecked."""
+    m = _new(cls)
+    m.dim = dim
+    m.nums = nums
+    m.den = den
+    m._cells = None
+    return m
+
+
+def _entry_matrix(cls, rows: list[list]):
+    """A ``cls`` matrix holding the square grid ``rows``, unchecked."""
+    m = _new(cls)
+    m.dim = len(rows)
+    m.nums = m.den = None
+    m._cells = tuple([tuple(r) for r in rows])
+    return m
 
 
 def _generic_matmul(x, y) -> list[list]:
@@ -393,16 +508,16 @@ def _generic_matmul(x, y) -> list[list]:
     return out
 
 
-def _fraction_matmul(x, y) -> list[list[Fraction]]:
-    """Product of two square ``Fraction`` grids as one integer matrix
-    product over the two shared denominators."""
-    n = len(x)
-    xs, dx = _common_denominator([a for r in x for a in r])
-    ys, dy = _common_denominator([a for r in y for a in r])
-    rows = [xs[i * n:(i + 1) * n] for i in range(n)]
-    cols = [ys[j::n] for j in range(n)]
-    den = dx * dy
-    return [[Fraction(sum(map(mul, r, c)), den) for c in cols] for r in rows]
+def _int_matmul(n: int, xs: tuple, ys: tuple) -> list[int]:
+    """Product of two row-major ``n x n`` integer grids, row-major."""
+    out = []
+    for i in range(0, n * n, n):
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc += xs[i + k] * ys[k * n + j]
+            out.append(acc)
+    return out
 
 
 class SplitQuaternionMatrix(MatrixElement):
@@ -412,18 +527,23 @@ class SplitQuaternionMatrix(MatrixElement):
     doubling is the split octonion (Zorn) algebra, whose unitary set is
     the quadric ``det(a) + det(b) = 1``."""
 
+    __slots__ = ()
+
     def __init__(self, entries):
         super().__init__(entries)
         if self.dim != 2:
             raise StructuralError("the symplectic involution is for 2x2 here")
+        if self.nums is None:
+            raise StructuralError("split quaternions have rational entries")
 
     def conj(self) -> "SplitQuaternionMatrix":
-        (a, b), (c, d) = self.entries
-        return SplitQuaternionMatrix([[d, -b], [-c, a]])
+        a, b, c, d = self.nums
+        return _rational_matrix(SplitQuaternionMatrix, 2, (d, -b, -c, a),
+                                self.den)
 
-    def det(self):
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
+    def det(self) -> Fraction:
+        a, b, c, d = self.nums
+        return Fraction(a * d - b * c, self.den * self.den)
 
 
 class DoubledElement:
@@ -482,6 +602,7 @@ class DoubledElement:
         return f"DoubledElement({self})"
 
 
+
 def double(a, b) -> DoubledElement:
     return DoubledElement(a, b)
 
@@ -501,8 +622,12 @@ def one_of(x):
     if isinstance(x, CDElement):
         return CDElement.one(x.level)
     if isinstance(x, MatrixElement):
-        probe = x.entries[0][0]
-        return type(x).identity(x.dim, one_of(probe), zero_of(probe))
+        n = x.dim
+        if x.nums is not None:
+            return _rational_matrix(type(x), n, tuple(
+                [int(i == j) for i in range(n) for j in range(n)]), 1)
+        probe = x._cells[0][0]
+        return type(x).identity(n, one_of(probe), zero_of(probe))
     if isinstance(x, DoubledElement):
         return DoubledElement(one_of(x.a), zero_of(x.b))
     raise StructuralError(f"no unit for {type(x).__name__}")
@@ -527,7 +652,7 @@ def known_nonassociative(x) -> bool:
     if isinstance(x, CDElement):
         return x.level >= 3
     if isinstance(x, MatrixElement):
-        return known_nonassociative(x.entries[0][0])
+        return x.nums is None and known_nonassociative(x._cells[0][0])
     return isinstance(x, DoubledElement)
 
 

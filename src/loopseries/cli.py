@@ -121,6 +121,14 @@ def series_from_json(data, flavor: str, order: int, algebra: str
     them but not contradict them."""
     from .seriesloops import TruncatedSeries
 
+    return TruncatedSeries(flavor, order,
+                           *_decode_coeffs(data, flavor, order, algebra))
+
+
+def _decode_coeffs(data, flavor: str, order: int, algebra: str
+                   ) -> tuple[list, object]:
+    """The decoded coefficients of series JSON ``data``, and the unit of
+    ``algebra``; a bad coefficient's error names its degree."""
     if isinstance(data, str):
         import json
         data = json.loads(data)
@@ -138,7 +146,13 @@ def series_from_json(data, flavor: str, order: int, algebra: str
         raise StructuralError(
             f"series coefficients must be a JSON array, got {coeffs!r}")
     _, dec, one = _codec(algebra)
-    return TruncatedSeries(flavor, order, [dec(c) for c in coeffs], one)
+    decoded = []
+    for n, c in enumerate(coeffs, 1):
+        try:
+            decoded.append(dec(c))
+        except StructuralError as exc:
+            raise StructuralError(f"coefficient {n}: {exc}") from None
+    return decoded, one
 
 
 # -- output helpers -------------------------------------------------------------
@@ -244,13 +258,16 @@ def _cmd_coop(args) -> tuple[str, int]:
 
 
 def _parse_int_tuple(text: str, option: str) -> tuple[int, ...]:
+    """Comma-separated ASCII digit strings; ``int`` alone would also read
+    signs, spaces and digit-group underscores (``1_0`` as 10)."""
     if not text:
         return ()
-    try:
-        return tuple(int(ch) for ch in text.split(","))
-    except ValueError:
+    items = text.split(",")
+    if not all(ch.isascii() and ch.isdigit() for ch in items):
         raise StructuralError(
-            f"{option} needs comma-separated integers, got {text!r}") from None
+            f"{option} needs comma-separated non-negative integers, "
+            f"got {text!r}")
+    return tuple(int(ch) for ch in items)
 
 
 def _cmd_operators(args) -> tuple[str, int]:
@@ -338,15 +355,19 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _series_arg(text: str, option: str, args) -> TruncatedSeries:
     """Decode a series option; malformed JSON or coefficients are
-    structural errors."""
+    structural errors, named by the option."""
+    from .seriesloops import TruncatedSeries
+
     try:
-        return series_from_json(text, args.flavor, args.order, args.algebra)
-    except StructuralError:
-        raise
+        coeffs, one = _decode_coeffs(text, args.flavor, args.order,
+                                     args.algebra)
+    except StructuralError as exc:
+        raise StructuralError(f"{option}: {exc}") from None
     except (ValueError, TypeError, KeyError, AttributeError,
             ZeroDivisionError) as exc:
         raise StructuralError(f"{option}: cannot decode series: {exc}") \
             from None
+    return TruncatedSeries(args.flavor, args.order, coeffs, one)
 
 
 def _cmd_divide(args) -> tuple[str, int]:

@@ -24,7 +24,6 @@ the text of one monomial and its product.
 
 from __future__ import annotations
 
-import json
 import re
 from itertools import product
 from typing import Callable, Iterable, Mapping
@@ -231,6 +230,7 @@ class NCPolynomial(Sparse):
     @classmethod
     def from_json(cls, data: dict | str) -> "NCPolynomial":
         if isinstance(data, str):
+            import json
             data = json.loads(data)
         terms: dict[Word, int] = {}
         for t in data["terms"]:

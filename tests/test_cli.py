@@ -344,6 +344,10 @@ BAD_INPUTS = [
     ["operators", "--op", "R", "--degrees", "1,1", "--m", "2,0"],
     ["operators", "--op", "Re", "--degrees", "1,1", "--bits", "1,2",
      "--m", "2,0"],
+    # int alone reads digit-group underscores: "1_0" as 10
+    ["operators", "--op", "R", "--degrees", "1_0"],
+    ["operators", "--op", "Re", "--degrees", "1,1", "--bits", "1,1_0"],
+    ["operators", "--op", "Rm", "--degrees", "1,1", "--m", "2,0_0"],
     ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
      "--algebra", "q", "--a", '["1"]', "--b", "{not json"],
     ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
@@ -414,6 +418,44 @@ BAD_INPUTS = [
 def test_series_json_names_the_expected_type(data, algebra, expected):
     with pytest.raises(StructuralError, match=expected):
         series_from_json(data, "inv", 2, algebra)
+
+
+@pytest.mark.parametrize("option", ["--a", "--b"])
+@pytest.mark.parametrize("algebra, good, bad, message", [
+    ("q", '["1", "1"]', '["1", "2e1"]', "not an exact rational: '2e1'"),
+    ("h", '["e1", "e2"]', '["e1", "2e1"]', "bad factor '2e1' in term '2e1'"),
+    ("m2q", '[["1", "0", "0", "1"], ["1", "0", "0", "1"]]',
+     '[["1", "0", "0", "1"], ["1", "0", "0", "1_0"]]',
+     "not an exact rational: '1_0'"),
+])
+def test_decoder_error_names_option_and_degree(capsys, option, algebra,
+                                               good, bad, message):
+    series = {"--a": good, "--b": good, option: bad}
+    code, out, err = run(capsys, "divide", "--flavor", "inv", "--order", "2",
+                         "--side", "right", "--algebra", algebra,
+                         "--a", series["--a"], "--b", series["--b"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: {option}: coefficient 2: {message}"
+
+
+# Reads sys.modules without importing json itself.
+JSON_UNLOADED = """
+import contextlib, io, sys
+from loopseries.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+def test_text_verify_does_not_import_json():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", JSON_UNLOADED, "verify",
+                           "--flavor", "inv", "--max-degree", "2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a))

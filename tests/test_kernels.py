@@ -1,9 +1,14 @@
 """The integer kernels against their oracles.
 
-* the table-driven Cayley-Dickson product against the recursive doubling
-  ``_cd_mul``;
-* the shared-denominator ``Fraction`` matrix product against the generic
-  entry loop;
+* ``CDElement`` arithmetic on integer numerators over one denominator
+  against ``Fraction`` coordinate tuples: the table-driven product
+  against the recursive doubling ``_cd_mul``, sums, differences, scaling
+  and the conjugate against their coordinatewise definitions;
+* the integer rational-matrix product and sum against the generic entry
+  loop on ``Fraction`` grids, and the Zorn doubling over split
+  quaternions against a ``Fraction``-entry reference;
+* the canonical form of every result, and no literal check inside the
+  arithmetic;
 * the prefix-sum DP for ``d_l`` and ``d_l^e`` against brute enumeration of
   M-sequences, exhaustively for degree sums up to 8.
 """
@@ -19,12 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopseries import algebras
 from loopseries.algebras import (
     CDElement,
+    DoubledElement,
     MatrixElement,
     SplitQuaternionMatrix,
+    _cd_conj,
     _cd_mul,
-    _fraction_matmul,
     _generic_matmul,
 )
 from loopseries.combinatorics import (
@@ -66,6 +73,14 @@ def grids():
     return st.sampled_from([2, 3]).flatmap(of_dim)
 
 
+def assert_canonical(x):
+    """``den > 0``, coprime to every numerator, and 1 for zero."""
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
 class TestCayleyDicksonKernel:
     @KERNEL_SETTINGS
     @given(cd_pairs())
@@ -74,6 +89,27 @@ class TestCayleyDicksonKernel:
         got = CDElement(level, x) * CDElement(level, y)
         assert got.coords == tuple(_cd_mul(x, y))
         assert all(type(c) is Fraction for c in got.coords)
+        assert_canonical(got)
+
+    @KERNEL_SETTINGS
+    @given(cd_pairs(), fractions, st.integers(-6, 6))
+    def test_linear_operations_equal_fraction_tuples(self, pair, r, k):
+        level, x, y = pair
+        a, b = CDElement(level, x), CDElement(level, y)
+        cases = [
+            (a + b, [u + v for u, v in zip(x, y)]),
+            (a - b, [u - v for u, v in zip(x, y)]),
+            (-a, [-u for u in x]),
+            (a * r, [u * r for u in x]),
+            (k * a, [k * u for u in x]),
+            (a.conj(), _cd_conj(x)),
+        ]
+        for got, want in cases:
+            assert got.coords == tuple(want)
+            assert_canonical(got)
+            # the same value built from its literals: equal, same hash
+            again = CDElement(level, want)
+            assert got == again and hash(got) == hash(again)
 
     @pytest.mark.parametrize("level", range(5))
     def test_basis_products(self, level):
@@ -85,6 +121,18 @@ class TestCayleyDicksonKernel:
                 want = _cd_mul(ei.coords, ej.coords)
                 assert (ei * ej).coords == tuple(want)
                 assert [k for k, c in enumerate(want) if c] == [i ^ j]
+
+    def test_canonical_form(self):
+        half = CDElement(1, [Fraction(1, 2), Fraction(0)])
+        assert (half.nums, half.den) == ((1, 0), 2)
+        assert ((half + half).nums, (half + half).den) == ((1, 0), 1)
+        zero = half - half
+        assert (zero.nums, zero.den) == ((0, 0), 1)
+        assert zero == CDElement.zero(1) and hash(zero) == hash(CDElement.zero(1))
+        assert ((half * 0).nums, (half * 0).den) == ((0, 0), 1)
+        mixed = CDElement(2, [Fraction(1, 6), Fraction(-1, 4), 0, 3])
+        assert (mixed.nums, mixed.den) == ((2, -3, 0, 36), 12)
+        assert mixed.coords == (Fraction(1, 6), Fraction(-1, 4), 0, 3)
 
     def test_sedenion_zero_divisor(self):
         e = [CDElement.basis(4, i) for i in range(16)]
@@ -102,30 +150,119 @@ class TestCayleyDicksonKernel:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def assert_matrix(got, want_rows):
+    assert got.entries == tuple(tuple(r) for r in want_rows)
+    assert_canonical(got)
+    again = MatrixElement(want_rows)
+    assert got == again and hash(got) == hash(again)
+
+
 class TestFractionMatrixKernel:
     @KERNEL_SETTINGS
     @given(grids())
     def test_integer_product_equals_entry_loop(self, pair):
         x, y = pair
-        want = _generic_matmul(x, y)
-        assert _fraction_matmul(x, y) == want
-        assert (MatrixElement(x) * MatrixElement(y)).entries == \
-            tuple(tuple(r) for r in want)
+        assert_matrix(MatrixElement(x) * MatrixElement(y),
+                      _generic_matmul(x, y))
+
+    @KERNEL_SETTINGS
+    @given(grids())
+    def test_integer_sum_equals_entrywise_sum(self, pair):
+        x, y = pair
+        assert_matrix(MatrixElement(x) + MatrixElement(y),
+                      [[u + v for u, v in zip(r1, r2)]
+                       for r1, r2 in zip(x, y)])
 
     def test_subclass_kept(self):
         a = SplitQuaternionMatrix([[Fraction(1), Fraction(2)],
                                    [Fraction(0), Fraction(1, 3)]])
         assert type(a * a) is SplitQuaternionMatrix
 
-    def test_int_entries_use_entry_loop(self):
+    def test_int_entries_held_as_integers(self):
         a = MatrixElement([[1, 2], [3, 4]])
+        assert (a.nums, a.den) == ((1, 2, 3, 4), 1)
         assert (a * a).entries == ((7, 10), (15, 22))
-        assert type((a * a).entries[0][0]) is int
+        assert type((a * a).entries[0][0]) is Fraction
+        assert (MatrixElement([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+                * 2) == MatrixElement.identity(2, 1, 0)
 
     def test_dimension_mismatch_still_raises(self):
         with pytest.raises(StructuralError):
             MatrixElement([[Fraction(1)]]) * MatrixElement(
                 [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+
+
+def ref_zorn_mul(x, y):
+    """``(a, b)(c, d) = (ac - d* b, da + b c*)`` on split quaternions as
+    ``Fraction`` 4-tuples, row-major, with ``a* = adj(a)``."""
+    def mm(p, q):
+        return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+                p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
+
+    def star(p):
+        return (p[3], -p[1], -p[2], p[0])
+
+    def op(f, p, q):
+        return tuple(f(u, v) for u, v in zip(p, q))
+
+    (a, b), (c, d) = x, y
+    return (op(Fraction.__sub__, mm(a, c), mm(star(d), b)),
+            op(Fraction.__add__, mm(d, a), mm(b, star(c))))
+
+
+def zorn(a, b):
+    def sq(p):
+        return SplitQuaternionMatrix([p[:2], p[2:]])
+    return DoubledElement(sq(a), sq(b))
+
+
+def flat(m):
+    return tuple(v for r in m.entries for v in r)
+
+
+split_quaternions = st.lists(fractions, min_size=4, max_size=4).map(tuple)
+
+
+class TestZornKernel:
+    @KERNEL_SETTINGS
+    @given(split_quaternions, split_quaternions, split_quaternions,
+           split_quaternions)
+    def test_product_and_unitary_defect_equal_fraction_reference(
+            self, a, b, c, d):
+        got = zorn(a, b) * zorn(c, d)
+        want = ref_zorn_mul((a, b), (c, d))
+        assert (flat(got.a), flat(got.b)) == want
+        # a a* + b b* - 1 is the scalar det(a) + det(b) - 1
+        defect = flat(zorn(a, b).unitary_defect())
+        scalar = a[0] * a[3] - a[1] * a[2] + b[0] * b[3] - b[1] * b[2] - 1
+        assert defect == (scalar, 0, 0, scalar)
+        assert_canonical(got.a)
+        assert_canonical(got.b)
+
+
+def test_arithmetic_checks_no_literal(monkeypatch):
+    """Only the public constructors read literals; every result of the
+    arithmetic is built from canonical integers."""
+    h = [CDElement.basis(2, i, Fraction(i + 1, 3)) for i in range(4)]
+    zero = CDElement.zero(2)
+    quaternionic = MatrixElement([[h[1], zero], [h[2], h[3]]])
+    rational = MatrixElement([[Fraction(1, 2), 3], [0, Fraction(-2, 5)]])
+    z = zorn((Fraction(1), Fraction(2), Fraction(0), Fraction(1, 3)),
+             (Fraction(1, 4), Fraction(0), Fraction(5), Fraction(1)))
+    calls = []
+    real = algebras._as_fraction
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(algebras, "_as_fraction", counted)
+    for x in (h[1], quaternionic, rational, z):
+        x * x, x + x, x - x, -x, x.conj(), x * 3, Fraction(1, 2) * x
+    h[3].norm()
+    z.unitary_defect()
+    algebras.one_of(rational)
+    assert calls == []
 
 
 @functools.lru_cache(maxsize=None)
