@@ -1,9 +1,13 @@
 """Exact coefficient algebras with involution.
 
 Rationals (``fractions.Fraction``), the Cayley-Dickson doubling tower over
-the rationals (complexes, quaternions, octonions, sedenions, ...), square
-matrices over any of these, the generic one-step doubling ``A + Aj``, and
-the eight-element hyperbolic-quaternion loop.
+the rationals (complexes, quaternions, octonions, sedenions, ...), and
+square matrices over any of these, with the helpers shared by every
+carrier. The carriers that only the element loops and the witnesses use
+(the one-step doubling ``A + Aj``, split quaternions, the
+hyperbolic-quaternion loop) live in :mod:`loopseries.witnesses`; the
+helpers reach them through their methods (``conj``, ``unit``,
+``is_zero``) and the class attribute ``associative``.
 
 The doubling product is, at every level,
 
@@ -26,7 +30,7 @@ results built inside this module skip that check.
 
 * a Cayley-Dickson product uses the basis rule ``e_i e_j = s(i, j)
   e_{i xor j}`` with a sign table ``s`` derived once per level from the
-  doubling rule; the recursive doubling ``_cd_mul`` stays as the oracle;
+  doubling rule; the tests keep the recursive doubling as its oracle;
 * a product of two rational matrices is one integer matrix product over
   the product of the two denominators; a matrix with any other entry
   type (``M_2(H)``, ``M_2(S)``) holds its entries and multiplies them
@@ -54,14 +58,16 @@ def _as_fraction(v) -> Fraction:
     """An exact rational from a ``Fraction``, an integer or a string.
 
     The one rule for rational literals: floats and booleans are refused,
-    and so are strings with digit-group underscores or an exponent, which
-    ``Fraction`` would read as ``"1_0" == 10`` and ``"2e1" == 20``.
+    and so are strings with digit-group underscores, an exponent or a
+    non-ASCII digit, which ``Fraction`` would read as ``"1_0" == 10``,
+    ``"2e1" == 20`` and a full-width ``1`` as 1.
     """
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str) and "_" not in v and "e" not in v.lower():
+    if isinstance(v, str) and v.isascii() and "_" not in v \
+            and "e" not in v.lower():
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
@@ -226,29 +232,6 @@ def _cd(level: int, nums: tuple[int, ...], den: int) -> CDElement:
     return x
 
 
-def _cd_conj(coords: tuple) -> list:
-    if len(coords) == 1:
-        return [coords[0]]
-    half = len(coords) // 2
-    a = _cd_conj(coords[:half])
-    return a + [-c for c in coords[half:]]
-
-
-def _cd_mul(x: tuple, y: tuple) -> list:
-    """Doubling product ``(a, b)(c, d) = (ac - d*b, da + bc*)``; the oracle
-    for ``_cd_table_mul``."""
-    if len(x) == 1:
-        return [x[0] * y[0]]
-    half = len(x) // 2
-    a, b = x[:half], x[half:]
-    c, d = y[:half], y[half:]
-    d_conj = _cd_conj(d)
-    c_conj = _cd_conj(c)
-    first = [p - q for p, q in zip(_cd_mul(a, c), _cd_mul(d_conj, b))]
-    second = [p + q for p, q in zip(_cd_mul(d, a), _cd_mul(b, c_conj))]
-    return first + second
-
-
 # _CD_SIGNS[k][i][j] = s with e_i e_j = s e_{i xor j} at level k; levels
 # are added on first use by _cd_signs.
 _CD_SIGNS: list[tuple[tuple[int, ...], ...]] = [((1,),)]
@@ -289,7 +272,7 @@ def _cd_signs(level: int) -> tuple[tuple[int, ...], ...]:
 
 def _cd_table_mul(level: int, xs: tuple, ys: tuple) -> list[int]:
     """Cayley-Dickson product of two integer coordinate tuples through the
-    basis sign table; equal to ``_cd_mul``."""
+    basis sign table; equal to the recursive doubling product."""
     ys = [(j, v) for j, v in enumerate(ys) if v]
     acc = [0] * len(xs)
     for i, (u, row) in enumerate(zip(xs, _cd_signs(level))):
@@ -301,18 +284,6 @@ def _cd_table_mul(level: int, xs: tuple, ys: tuple) -> list[int]:
             else:
                 acc[i ^ j] -= u * v
     return acc
-
-
-def cd_mul(x: CDElement, y: CDElement) -> CDElement:
-    return x * y
-
-
-def cd_conj(x: CDElement) -> CDElement:
-    return x.conj()
-
-
-def cd_norm(x: CDElement) -> Fraction:
-    return x.norm()
 
 
 def cd_parse(text: str, level: int) -> CDElement:
@@ -520,93 +491,6 @@ def _int_matmul(n: int, xs: tuple, ys: tuple) -> list[int]:
     return out
 
 
-class SplitQuaternionMatrix(MatrixElement):
-    """2x2 rational matrix carrying the symplectic involution
-    ``a* = tr(a) 1 - a`` (the adjugate), under which ``a a* = det(a) 1``
-    is always scalar: the split quaternion algebra. Its Cayley-Dickson
-    doubling is the split octonion (Zorn) algebra, whose unitary set is
-    the quadric ``det(a) + det(b) = 1``."""
-
-    __slots__ = ()
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        if self.dim != 2:
-            raise StructuralError("the symplectic involution is for 2x2 here")
-        if self.nums is None:
-            raise StructuralError("split quaternions have rational entries")
-
-    def conj(self) -> "SplitQuaternionMatrix":
-        a, b, c, d = self.nums
-        return _rational_matrix(SplitQuaternionMatrix, 2, (d, -b, -c, a),
-                                self.den)
-
-    def det(self) -> Fraction:
-        a, b, c, d = self.nums
-        return Fraction(a * d - b * c, self.den * self.den)
-
-
-class DoubledElement:
-    """One doubling step ``A + Aj`` over an involutive algebra ``A``."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other: "DoubledElement") -> "DoubledElement":
-        return DoubledElement(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "DoubledElement") -> "DoubledElement":
-        return DoubledElement(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "DoubledElement":
-        return DoubledElement(-self.a, -self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return DoubledElement(self.a * other, self.b * other)
-        a, b = self.a, self.b
-        c, d = other.a, other.b
-        return DoubledElement(a * c - conj_of(d) * b,
-                              d * a + b * conj_of(c))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DoubledElement)
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def conj(self) -> "DoubledElement":
-        return DoubledElement(conj_of(self.a), -self.b)
-
-    def is_zero(self) -> bool:
-        return is_zero(self.a) and is_zero(self.b)
-
-    def unitary_defect(self):
-        """``a a* + b b* - 1``; zero exactly on the unitary set."""
-        n = self.a * conj_of(self.a) + self.b * conj_of(self.b)
-        return n - one_of(self.a)
-
-    def __str__(self) -> str:
-        return f"({self.a}) + ({self.b})j"
-
-    def __repr__(self) -> str:
-        return f"DoubledElement({self})"
-
-
-
-def double(a, b) -> DoubledElement:
-    return DoubledElement(a, b)
-
-
 # -- generic helpers over all coefficient algebras ---------------------------
 
 def conj_of(x):
@@ -628,9 +512,10 @@ def one_of(x):
                 [int(i == j) for i in range(n) for j in range(n)]), 1)
         probe = x._cells[0][0]
         return type(x).identity(n, one_of(probe), zero_of(probe))
-    if isinstance(x, DoubledElement):
-        return DoubledElement(one_of(x.a), zero_of(x.b))
-    raise StructuralError(f"no unit for {type(x).__name__}")
+    unit = getattr(x, "unit", None)
+    if unit is None:
+        raise StructuralError(f"no unit for {type(x).__name__}")
+    return unit()
 
 
 def zero_of(x):
@@ -648,12 +533,13 @@ def is_zero(x) -> bool:
 def known_nonassociative(x) -> bool:
     """Whether ``x`` lives in an algebra known to be non-associative:
     Cayley-Dickson level 3 (octonions) and up, matrices over such an
-    algebra, and any one-step doubling ``A + Aj``."""
+    algebra, and any carrier whose class sets ``associative = False``,
+    such as the one-step doubling ``witnesses.DoubledElement``."""
     if isinstance(x, CDElement):
         return x.level >= 3
     if isinstance(x, MatrixElement):
         return x.nums is None and known_nonassociative(x._cells[0][0])
-    return isinstance(x, DoubledElement)
+    return getattr(x, "associative", True) is False
 
 
 def associator(a, b, c):
@@ -698,108 +584,3 @@ def identity_check(name: str, *elements):
         a, b, c = elements
         return _MOUFANG_CHECKS[name](a, b, c)
     raise StructuralError(f"unknown identity {name!r}")
-
-
-# -- hyperbolic quaternions ---------------------------------------------------
-
-class HQUnit:
-    """Element of the eight-element hyperbolic-quaternion loop
-    ``{+-1, +-i, +-j, +-k}`` with ``i^2 = j^2 = k^2 = 1`` and
-    ``ij = k = -ji``, ``jk = i = -kj``, ``ki = j = -ik``."""
-
-    __slots__ = ("sign", "basis")
-    _TABLE = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"),
-        ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (1, "1"),
-        ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"),
-        ("j", "j"): (1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"),
-        ("k", "j"): (-1, "i"), ("k", "k"): (1, "1"),
-    }
-
-    def __init__(self, sign: int, basis: str):
-        if sign not in (1, -1) or basis not in ("1", "i", "j", "k"):
-            raise StructuralError(f"bad hyperbolic-quaternion unit {sign}*{basis}")
-        self.sign = sign
-        self.basis = basis
-
-    def __mul__(self, other: "HQUnit") -> "HQUnit":
-        s, b = self._TABLE[(self.basis, other.basis)]
-        return HQUnit(self.sign * other.sign * s, b)
-
-    def __neg__(self) -> "HQUnit":
-        return HQUnit(-self.sign, self.basis)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HQUnit) and other.sign == self.sign
-                and other.basis == self.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.basis))
-
-    def __str__(self) -> str:
-        return self.basis if self.sign == 1 else f"-{self.basis}"
-
-    __repr__ = __str__
-
-
-def hq_elements() -> list[HQUnit]:
-    return [HQUnit(s, b) for b in ("1", "i", "j", "k") for s in (1, -1)]
-
-
-def hq_mul(x: HQUnit, y: HQUnit) -> HQUnit:
-    return x * y
-
-
-def hq_divide(side: str, x: HQUnit, y: HQUnit) -> HQUnit:
-    """Table-derived division: left gives the unique ``c`` with ``x c = y``,
-    right the unique ``c`` with ``c x = y``."""
-    sols = [c for c in hq_elements()
-            if (x * c if side == "left" else c * x) == y]
-    if len(sols) != 1:
-        raise StructuralError(f"division not unique: {len(sols)} solutions")
-    return sols[0]
-
-
-def hq_loop_axioms() -> dict:
-    """Verify the loop axioms for the hyperbolic-quaternion table.
-
-    Returns a report: Latin-square property, two-sided unit, the four
-    cancellation laws over all pairs, and a witness of non-associativity
-    found by exhaustive search.
-    """
-    elems = hq_elements()
-    n = len(elems)
-    rows_ok = all(len({x * y for y in elems}) == n for x in elems)
-    cols_ok = all(len({x * y for x in elems}) == n for y in elems)
-    unit = HQUnit(1, "1")
-    unit_ok = all(unit * x == x and x * unit == x for x in elems)
-    cancel_ok = True
-    for x in elems:
-        for y in elems:
-            ld = hq_divide("left", x, y)
-            rd = hq_divide("right", x, y)
-            if x * ld != y or not hq_divide("left", x, x * y) == y:
-                cancel_ok = False
-            if rd * x != y or not hq_divide("right", x, y * x) == y:
-                cancel_ok = False
-    witness = None
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if (x * y) * z != x * (y * z):
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return {
-        "latin_square": rows_ok and cols_ok,
-        "two_sided_unit": unit_ok,
-        "cancellation": cancel_ok,
-        "nonassociative_witness": witness,
-        "is_loop": rows_ok and cols_ok and unit_ok and cancel_ok,
-    }

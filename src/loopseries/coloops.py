@@ -386,47 +386,3 @@ def coassociator(flavor: str, n: int) -> NCPolynomial:
 
 def projected_coproduct(flavor: str, n: int) -> TensorPoly:
     return get_coloop(flavor).projected_coproduct(n)
-
-
-def _tensor_coproduct_hom(flavor: str):
-    """``Delta^(x)`` extended multiplicatively to copy-free words."""
-    coloop = get_coloop(flavor)
-
-    def on_word(word: tuple[int, ...]) -> TensorPoly:
-        out = TensorPoly.one(2)
-        for idx in word:
-            out = out * coloop.projected_coproduct(idx)
-        return out
-
-    return on_word
-
-
-def tensor_coassociative(flavor: str, n: int) -> bool:
-    """Degreewise coassociativity of ``Delta^(x)`` on the generator."""
-    hom = _tensor_coproduct_hom(flavor)
-    dx = projected_coproduct(flavor, n).terms.items()
-    left = TensorPoly.sum(
-        (TensorPoly(3, {(u1, u2, w2): c * d
-                        for (u1, u2), d in hom(w1).terms.items()})
-         for (w1, w2), c in dx), 3)
-    right = TensorPoly.sum(
-        (TensorPoly(3, {(w1, u1, u2): c * d
-                        for (u1, u2), d in hom(w2).terms.items()})
-         for (w1, w2), c in dx), 3)
-    return left == right
-
-
-def nc_hopf_coproduct(n: int) -> TensorPoly:
-    """The non-commutative Faa di Bruno comultiplication
-    ``sum_m x_m (x) sum x_{k_0} ... x_{k_m}`` over non-negative tuples
-    ``k_0 + ... + k_m = n - m`` (zero indices read as the unit)."""
-    from .combinatorics import weak_compositions
-    return TensorPoly.sum(
-        (TensorPoly(2, {((m,) if m >= 1 else (),
-                         tuple(k for k in ks if k > 0)): 1})
-         for m in range(n + 1) for ks in weak_compositions(n - m, m + 1)), 2)
-
-
-def compare_nc_hopf(n: int) -> bool:
-    """``Delta^(x)`` of the fdb flavor equals the tuple-sum form."""
-    return projected_coproduct("fdb", n) == nc_hopf_coproduct(n)

@@ -29,8 +29,8 @@ labeled operators: positive degrees, one bit 1 or 2 per degree.
 closed codivisions, the paper's generalized Lagrange inversion, for the
 coloop tables and the closed series divisions alike. The enumeration of
 ``M(l)`` and ``M(l)^e`` is kept as the definition, for the tree
-bijection and the operator identity check ``R1``, and as the oracle the
-tests compare against; the operators' closed forms read ``d^e`` instead.
+bijection, and for the tests as their oracle and in the operator identity
+check ``R1``; the operators' closed forms read ``d^e`` instead.
 
 Everything here is exact integer arithmetic.
 """
@@ -282,59 +282,6 @@ def d_cache_rows() -> list[tuple[str, str]]:
     for key in sorted(_D_CACHE, key=lambda k: (len(k), k)):
         rows.append((",".join(map(str, key)), str(_D_CACHE[key])))
     return rows
-
-
-def catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
-
-
-def d_recurrence_check(variant: str, ns: Sequence[int]) -> bool:
-    """Check one proved recurrence for ``d_l`` against the direct sum.
-
-    ``alt-sign``:
-        ``d_l(ns) = sum_{i=0}^{l-1} (-1)^(l-1-i)
-        binom(n_1+...+n_{i+1}+1, l-i) d_i(n_1..n_i)``
-    ``product``:
-        ``d_l(ns) = sum_j sum_{p in C(l,j)} binom(n_1+1, j)
-        prod_i d_{p_i-1}(block_i)`` where block ``i`` spans the degrees
-        at positions ``P_{i-1}+2 .. P_i``
-    ``shift``:
-        ``d_l(ns) = sum_{i=1}^{l} (-1)^(i-1) binom(n_1+1, i)
-        d_{l-i}(n_1+...+n_{i+1}, n_{i+2}, ..., n_l)``
-    """
-    ns = tuple(ns)
-    ell = len(ns)
-    if ell == 0:
-        return True
-    direct = lagrange_d(ns)
-    if variant == "alt-sign":
-        rhs = sum(
-            (-1) ** (ell - 1 - i)
-            * math.comb(sum(ns[: i + 1]) + 1, ell - i)
-            * lagrange_d(ns[:i])
-            for i in range(ell)
-        )
-    elif variant == "product":
-        rhs = 0
-        for j in range(1, ell + 1):
-            for p in compositions(ell, j):
-                term = math.comb(ns[0] + 1, j)
-                pos = 0
-                for pi in p:
-                    term *= lagrange_d(ns[pos + 1: pos + pi])
-                    pos += pi
-                rhs += term
-    elif variant == "shift":
-        rhs = 0
-        for i in range(1, ell + 1):
-            if i == ell:
-                rhs += (-1) ** (i - 1) * math.comb(ns[0] + 1, i)
-            else:
-                head = (sum(ns[: i + 1]),) + ns[i + 1:]
-                rhs += (-1) ** (i - 1) * math.comb(ns[0] + 1, i) * lagrange_d(head)
-    else:
-        raise StructuralError(f"unknown recurrence variant {variant!r}")
-    return rhs == direct
 
 
 def tree_of_msequence(m: Sequence[int]) -> Tree:

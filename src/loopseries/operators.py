@@ -41,13 +41,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .combinatorics import (
-    _d_fold,
-    bit_sequences,
-    check_lagrange_args,
-    is_m_sequence,
-    lagrange_d_labeled,
-)
+from .combinatorics import _d_fold, check_lagrange_args, is_m_sequence
 from .errors import StructuralError
 from .freealg import COPY_NAMES, NCPolynomial, Sparse, Word, word_degree
 
@@ -331,120 +325,3 @@ def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
         blocks.append(block)
     got = memo[(e, letters)] = GradedTensorPoly.sum(blocks)
     return got
-
-
-# ---------------------------------------------------------------------------
-# Executable identity checks, quantified over formal degree assignments.
-# ---------------------------------------------------------------------------
-
-def _letters(degrees: Sequence[int]) -> list[NCPolynomial]:
-    return [NCPolynomial.generator(1, n) for n in degrees]
-
-
-def _degree_tuples(count: int, bound: int):
-    return itertools.product(range(1, bound + 1), repeat=count)
-
-
-def operator_identity_check(identity: str, ell: int,
-                            degree_bound: int = 2) -> bool:
-    """Verify one proved operator identity symbolically.
-
-    Both sides are expanded over the free algebra for every assignment of
-    generator degrees ``<= degree_bound`` to the letters (and for ``Re1``
-    additionally over every bit sequence); since the expansions are
-    multilinear with integer coefficients that depend only on the degrees,
-    agreement here proves the identity over every positively graded
-    algebra. Identities: ``LR``, ``R2``, ``R3``, ``L3``, ``Re1``, ``R1``.
-    """
-    if ell < 1:
-        raise StructuralError("identity checks need ell >= 1")
-    if identity == "LR":
-        for degs in _degree_tuples(ell + 1, degree_bound):
-            a = _letters(degs)
-            lhs = triangle(element(a[0]), right_op(a[1:]))
-            rhs = triangle(left_op(a[:-1]), element(a[-1]))
-            if lhs != rhs:
-                return False
-        return True
-    if identity == "R2":
-        for degs in _degree_tuples(ell + 1, degree_bound):
-            a = _letters(degs)
-            lhs = triangle(element(a[0]), right_op(a[1:]))
-            rhs = GradedTensorPoly.sum(
-                (-1) ** (ell - 1 - i) * triangle(
-                    triangle(element(a[0]), right_op(a[1: i + 1])),
-                    GradedTensorPoly.from_factors(a[i + 1:]))
-                for i in range(ell))
-            if lhs != rhs:
-                return False
-        return True
-    if identity == "R3":
-        for degs in _degree_tuples(ell + 1, degree_bound):
-            a = _letters(degs)
-            lhs = triangle(element(a[0]), right_op(a[1:]))
-            rhs = GradedTensorPoly.sum(
-                (-1) ** (i - 1) * triangle(
-                    triangle(element(a[0]),
-                             GradedTensorPoly.from_factors(a[1: i + 1])),
-                    right_op(a[i + 1:]))
-                for i in range(1, ell + 1))
-            if lhs != rhs:
-                return False
-        return True
-    if identity == "L3":
-        for degs in _degree_tuples(ell, degree_bound):
-            a = _letters(degs)
-            lhs = left_op(a)
-            parts = [(-1) ** (ell - 1) * GradedTensorPoly.from_factors(a)]
-            for i in range(1, ell):
-                head = triangle(element(a[0]),
-                                GradedTensorPoly.from_factors(a[1: i + 1]))
-                first = head.scalar_length_polynomial()
-                parts.append((-1) ** (i - 1) * left_op([first] + a[i + 1:]))
-            if lhs != GradedTensorPoly.sum(parts):
-                return False
-        return True
-    if identity == "Re1":
-        if ell < 2:
-            return True
-        for degs in _degree_tuples(ell, degree_bound):
-            a = _letters(degs)
-            for e in bit_sequences(ell):
-                lhs = right_op_e(e, a)
-                parts = [triangle(right_op_e(e[:1], a[:1]),
-                                  right_op_e(e[1:], a[1:]))]
-                for i in range(1, ell):
-                    tail = triangle(element(a[i]),
-                                    right_op_e(e[i + 1:], a[i + 1:]))
-                    parts.append(right_op_e(e[:i], a[:i]).tensor(tail))
-                if lhs != GradedTensorPoly.sum(parts):
-                    return False
-        return True
-    if identity == "R1":
-        from .combinatorics import lagrange_d, m_sequences
-        for degs in _degree_tuples(ell + 1, degree_bound):
-            a = _letters(degs)
-            product = NCPolynomial.one()
-            for f in a:
-                product = product * f
-            for m in m_sequences(ell):
-                got = triangle(element(a[0]), right_op_m(m, a[1:]))
-                coeff = math.prod(
-                    math.comb(degs[i] + 1, m[i]) for i in range(ell))
-                if got != GradedTensorPoly.from_factors([product], coeff):
-                    return False
-            full = triangle(element(a[0]), right_op(a[1:]))
-            want = GradedTensorPoly.from_factors(
-                [product], lagrange_d(degs[:ell]))
-            if full != want:
-                return False
-            for e in bit_sequences(ell):
-                got = triangle(element(a[0]), right_op_e(e, a[1:]))
-                de = lagrange_d_labeled(e, degs[:ell])
-                want = (GradedTensorPoly.from_factors([product], de)
-                        if de else GradedTensorPoly.zero())
-                if got != want:
-                    return False
-        return True
-    raise StructuralError(f"unknown identity {identity!r}")
-

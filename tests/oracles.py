@@ -1,0 +1,366 @@
+"""Checks, oracles and samplers that only the tests use.
+
+The library computes each result by one route; the second routes that
+the tests compare it with live here: the recursive Cayley-Dickson
+doubling, the proved Lagrange-coefficient recurrences, the operator
+identities, tensor coassociativity and the tuple-sum form of the
+non-commutative Faa di Bruno coproduct, the hyperbolic-quaternion loop
+axioms, and the seeded samplers of random coefficients.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from random import Random
+from typing import Sequence
+
+from loopseries.algebras import CDElement, MatrixElement
+from loopseries.coloops import get_coloop, projected_coproduct
+from loopseries.combinatorics import (
+    bit_sequences,
+    compositions,
+    lagrange_d,
+    lagrange_d_labeled,
+    m_sequences,
+    weak_compositions,
+)
+from loopseries.errors import StructuralError
+from loopseries.freealg import NCPolynomial, TensorPoly
+from loopseries.operators import (
+    GradedTensorPoly,
+    element,
+    left_op,
+    right_op,
+    right_op_e,
+    right_op_m,
+    triangle,
+)
+from loopseries.witnesses import DoubledElement, HQUnit, hq_divide, hq_elements
+
+
+# -- coefficient algebras -----------------------------------------------------
+
+def doubling_conj(coords: tuple) -> list:
+    if len(coords) == 1:
+        return [coords[0]]
+    half = len(coords) // 2
+    a = doubling_conj(coords[:half])
+    return a + [-c for c in coords[half:]]
+
+
+def doubling_mul(x: tuple, y: tuple) -> list:
+    """Doubling product ``(a, b)(c, d) = (ac - d*b, da + bc*)`` on
+    coordinate tuples; the oracle of the sign-table product."""
+    if len(x) == 1:
+        return [x[0] * y[0]]
+    half = len(x) // 2
+    a, b = x[:half], x[half:]
+    c, d = y[:half], y[half:]
+    d_conj = doubling_conj(d)
+    c_conj = doubling_conj(c)
+    first = [p - q for p, q in zip(doubling_mul(a, c), doubling_mul(d_conj, b))]
+    second = [p + q for p, q in zip(doubling_mul(d, a), doubling_mul(b, c_conj))]
+    return first + second
+
+
+def cd_mul(x: CDElement, y: CDElement) -> CDElement:
+    return x * y
+
+
+def cd_conj(x: CDElement) -> CDElement:
+    return x.conj()
+
+
+def cd_norm(x: CDElement) -> Fraction:
+    return x.norm()
+
+
+def double(a, b) -> DoubledElement:
+    return DoubledElement(a, b)
+
+
+def hq_mul(x: HQUnit, y: HQUnit) -> HQUnit:
+    return x * y
+
+
+def hq_loop_axioms() -> dict:
+    """Verify the loop axioms for the hyperbolic-quaternion table.
+
+    Returns a report: Latin-square property, two-sided unit, the four
+    cancellation laws over all pairs, and a witness of non-associativity
+    found by exhaustive search.
+    """
+    elems = hq_elements()
+    n = len(elems)
+    rows_ok = all(len({x * y for y in elems}) == n for x in elems)
+    cols_ok = all(len({x * y for x in elems}) == n for y in elems)
+    unit = HQUnit(1, "1")
+    unit_ok = all(unit * x == x and x * unit == x for x in elems)
+    cancel_ok = True
+    for x in elems:
+        for y in elems:
+            ld = hq_divide("left", x, y)
+            rd = hq_divide("right", x, y)
+            if x * ld != y or not hq_divide("left", x, x * y) == y:
+                cancel_ok = False
+            if rd * x != y or not hq_divide("right", x, y * x) == y:
+                cancel_ok = False
+    witness = None
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                if (x * y) * z != x * (y * z):
+                    witness = (x, y, z)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    return {
+        "latin_square": rows_ok and cols_ok,
+        "two_sided_unit": unit_ok,
+        "cancellation": cancel_ok,
+        "nonassociative_witness": witness,
+        "is_loop": rows_ok and cols_ok and unit_ok and cancel_ok,
+    }
+
+
+# -- seeded exact samplers ----------------------------------------------------
+
+def random_rational(rng: Random, span: int = 4) -> Fraction:
+    return Fraction(rng.randint(-span, span))
+
+
+def random_matrix(rng: Random, dim: int, span: int = 4) -> MatrixElement:
+    return MatrixElement([[random_rational(rng, span) for _ in range(dim)]
+                          for _ in range(dim)])
+
+
+def random_cd(rng: Random, level: int, span: int = 3) -> CDElement:
+    return CDElement(level, [rng.randint(-span, span)
+                             for _ in range(1 << level)])
+
+
+def random_unit_octonion(rng: Random) -> CDElement:
+    """Exact norm-one octonion via the Cayley transform of a random pure
+    imaginary: ``x = (1 - u)^2 / (1 + n(u))``."""
+    coords = [0] + [rng.randint(-2, 2) for _ in range(7)]
+    u = CDElement(3, coords)
+    one = CDElement.one(3)
+    diff = one - u
+    return (diff * diff) * Fraction(1, 1 + u.norm())
+
+
+# -- Lagrange coefficients ----------------------------------------------------
+
+def catalan(n: int) -> int:
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def d_recurrence_check(variant: str, ns: Sequence[int]) -> bool:
+    """Check one proved recurrence for ``d_l`` against the direct sum.
+
+    ``alt-sign``:
+        ``d_l(ns) = sum_{i=0}^{l-1} (-1)^(l-1-i)
+        binom(n_1+...+n_{i+1}+1, l-i) d_i(n_1..n_i)``
+    ``product``:
+        ``d_l(ns) = sum_j sum_{p in C(l,j)} binom(n_1+1, j)
+        prod_i d_{p_i-1}(block_i)`` where block ``i`` spans the degrees
+        at positions ``P_{i-1}+2 .. P_i``
+    ``shift``:
+        ``d_l(ns) = sum_{i=1}^{l} (-1)^(i-1) binom(n_1+1, i)
+        d_{l-i}(n_1+...+n_{i+1}, n_{i+2}, ..., n_l)``
+    """
+    ns = tuple(ns)
+    ell = len(ns)
+    if ell == 0:
+        return True
+    direct = lagrange_d(ns)
+    if variant == "alt-sign":
+        rhs = sum(
+            (-1) ** (ell - 1 - i)
+            * math.comb(sum(ns[: i + 1]) + 1, ell - i)
+            * lagrange_d(ns[:i])
+            for i in range(ell)
+        )
+    elif variant == "product":
+        rhs = 0
+        for j in range(1, ell + 1):
+            for p in compositions(ell, j):
+                term = math.comb(ns[0] + 1, j)
+                pos = 0
+                for pi in p:
+                    term *= lagrange_d(ns[pos + 1: pos + pi])
+                    pos += pi
+                rhs += term
+    elif variant == "shift":
+        rhs = 0
+        for i in range(1, ell + 1):
+            if i == ell:
+                rhs += (-1) ** (i - 1) * math.comb(ns[0] + 1, i)
+            else:
+                head = (sum(ns[: i + 1]),) + ns[i + 1:]
+                rhs += (-1) ** (i - 1) * math.comb(ns[0] + 1, i) * lagrange_d(head)
+    else:
+        raise StructuralError(f"unknown recurrence variant {variant!r}")
+    return rhs == direct
+
+
+# -- operator identities, quantified over formal degree assignments -----------
+
+def _letters(degrees: Sequence[int]) -> list[NCPolynomial]:
+    return [NCPolynomial.generator(1, n) for n in degrees]
+
+
+def _degree_tuples(count: int, bound: int):
+    return itertools.product(range(1, bound + 1), repeat=count)
+
+
+def operator_identity_check(identity: str, ell: int,
+                            degree_bound: int = 2) -> bool:
+    """Verify one proved operator identity symbolically.
+
+    Both sides are expanded over the free algebra for every assignment of
+    generator degrees ``<= degree_bound`` to the letters (and for ``Re1``
+    additionally over every bit sequence); since the expansions are
+    multilinear with integer coefficients that depend only on the degrees,
+    agreement here proves the identity over every positively graded
+    algebra. Identities: ``LR``, ``R2``, ``R3``, ``L3``, ``Re1``, ``R1``.
+    """
+    if ell < 1:
+        raise StructuralError("identity checks need ell >= 1")
+    if identity == "LR":
+        for degs in _degree_tuples(ell + 1, degree_bound):
+            a = _letters(degs)
+            lhs = triangle(element(a[0]), right_op(a[1:]))
+            rhs = triangle(left_op(a[:-1]), element(a[-1]))
+            if lhs != rhs:
+                return False
+        return True
+    if identity == "R2":
+        for degs in _degree_tuples(ell + 1, degree_bound):
+            a = _letters(degs)
+            lhs = triangle(element(a[0]), right_op(a[1:]))
+            rhs = GradedTensorPoly.sum(
+                (-1) ** (ell - 1 - i) * triangle(
+                    triangle(element(a[0]), right_op(a[1: i + 1])),
+                    GradedTensorPoly.from_factors(a[i + 1:]))
+                for i in range(ell))
+            if lhs != rhs:
+                return False
+        return True
+    if identity == "R3":
+        for degs in _degree_tuples(ell + 1, degree_bound):
+            a = _letters(degs)
+            lhs = triangle(element(a[0]), right_op(a[1:]))
+            rhs = GradedTensorPoly.sum(
+                (-1) ** (i - 1) * triangle(
+                    triangle(element(a[0]),
+                             GradedTensorPoly.from_factors(a[1: i + 1])),
+                    right_op(a[i + 1:]))
+                for i in range(1, ell + 1))
+            if lhs != rhs:
+                return False
+        return True
+    if identity == "L3":
+        for degs in _degree_tuples(ell, degree_bound):
+            a = _letters(degs)
+            lhs = left_op(a)
+            parts = [(-1) ** (ell - 1) * GradedTensorPoly.from_factors(a)]
+            for i in range(1, ell):
+                head = triangle(element(a[0]),
+                                GradedTensorPoly.from_factors(a[1: i + 1]))
+                first = head.scalar_length_polynomial()
+                parts.append((-1) ** (i - 1) * left_op([first] + a[i + 1:]))
+            if lhs != GradedTensorPoly.sum(parts):
+                return False
+        return True
+    if identity == "Re1":
+        if ell < 2:
+            return True
+        for degs in _degree_tuples(ell, degree_bound):
+            a = _letters(degs)
+            for e in bit_sequences(ell):
+                lhs = right_op_e(e, a)
+                parts = [triangle(right_op_e(e[:1], a[:1]),
+                                  right_op_e(e[1:], a[1:]))]
+                for i in range(1, ell):
+                    tail = triangle(element(a[i]),
+                                    right_op_e(e[i + 1:], a[i + 1:]))
+                    parts.append(right_op_e(e[:i], a[:i]).tensor(tail))
+                if lhs != GradedTensorPoly.sum(parts):
+                    return False
+        return True
+    if identity == "R1":
+        for degs in _degree_tuples(ell + 1, degree_bound):
+            a = _letters(degs)
+            product = NCPolynomial.one()
+            for f in a:
+                product = product * f
+            for m in m_sequences(ell):
+                got = triangle(element(a[0]), right_op_m(m, a[1:]))
+                coeff = math.prod(
+                    math.comb(degs[i] + 1, m[i]) for i in range(ell))
+                if got != GradedTensorPoly.from_factors([product], coeff):
+                    return False
+            full = triangle(element(a[0]), right_op(a[1:]))
+            want = GradedTensorPoly.from_factors(
+                [product], lagrange_d(degs[:ell]))
+            if full != want:
+                return False
+            for e in bit_sequences(ell):
+                got = triangle(element(a[0]), right_op_e(e, a[1:]))
+                de = lagrange_d_labeled(e, degs[:ell])
+                want = (GradedTensorPoly.from_factors([product], de)
+                        if de else GradedTensorPoly.zero())
+                if got != want:
+                    return False
+        return True
+    raise StructuralError(f"unknown identity {identity!r}")
+
+
+# -- the tensor Hopf algebra ---------------------------------------------------
+
+def _tensor_coproduct_hom(flavor: str):
+    """``Delta^(x)`` extended multiplicatively to copy-free words."""
+    coloop = get_coloop(flavor)
+
+    def on_word(word: tuple[int, ...]) -> TensorPoly:
+        out = TensorPoly.one(2)
+        for idx in word:
+            out = out * coloop.projected_coproduct(idx)
+        return out
+
+    return on_word
+
+
+def tensor_coassociative(flavor: str, n: int) -> bool:
+    """Degreewise coassociativity of ``Delta^(x)`` on the generator."""
+    hom = _tensor_coproduct_hom(flavor)
+    dx = projected_coproduct(flavor, n).terms.items()
+    left = TensorPoly.sum(
+        (TensorPoly(3, {(u1, u2, w2): c * d
+                        for (u1, u2), d in hom(w1).terms.items()})
+         for (w1, w2), c in dx), 3)
+    right = TensorPoly.sum(
+        (TensorPoly(3, {(w1, u1, u2): c * d
+                        for (u1, u2), d in hom(w2).terms.items()})
+         for (w1, w2), c in dx), 3)
+    return left == right
+
+
+def nc_hopf_coproduct(n: int) -> TensorPoly:
+    """The non-commutative Faa di Bruno comultiplication
+    ``sum_m x_m (x) sum x_{k_0} ... x_{k_m}`` over non-negative tuples
+    ``k_0 + ... + k_m = n - m`` (zero indices read as the unit)."""
+    return TensorPoly.sum(
+        (TensorPoly(2, {((m,) if m >= 1 else (),
+                         tuple(k for k in ks if k > 0)): 1})
+         for m in range(n + 1) for ks in weak_compositions(n - m, m + 1)), 2)
+
+
+def compare_nc_hopf(n: int) -> bool:
+    """``Delta^(x)`` of the fdb flavor equals the tuple-sum form."""
+    return projected_coproduct("fdb", n) == nc_hopf_coproduct(n)

@@ -8,35 +8,38 @@ from fractions import Fraction
 from random import Random
 
 from loopseries import coloops
-from loopseries.algebras import (
-    CDElement,
-    MatrixElement,
-    hq_loop_axioms,
-    identity_check,
-)
+from loopseries.algebras import CDElement, MatrixElement, identity_check
 from loopseries.combinatorics import (
     all_compositions,
-    catalan,
-    d_recurrence_check,
     lagrange_d,
     m_sequences,
     tree_leaves,
     tree_of_msequence,
 )
 from loopseries.freealg import NCPolynomial, include_iota, project_pi
-from loopseries.operators import left_op, operator_identity_check, right_op
+from loopseries.operators import left_op, right_op
 from loopseries.seriesloops import (
     TruncatedSeries,
     convolution_eval,
     diff_compose,
     divide,
-    element_loop_div,
-    random_matrix,
-    random_unit_octonion,
-    sample_zorn_unitaries,
     series_inverse,
     unit_series,
+)
+from loopseries.witnesses import (
+    element_loop_div,
+    sample_zorn_unitaries,
     witness,
+)
+from oracles import (
+    catalan,
+    compare_nc_hopf,
+    d_recurrence_check,
+    hq_loop_axioms,
+    operator_identity_check,
+    random_matrix,
+    random_unit_octonion,
+    tensor_coassociative,
 )
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
@@ -310,8 +313,8 @@ def test_criterion_09_projection():
         t = TensorPoly(2, {key: rng.randint(1, 4)})
         assert project_pi(include_iota(t), 2) == t
     for n in range(1, 7):
-        assert coloops.tensor_coassociative("fdb", n), n
-        assert coloops.compare_nc_hopf(n), n
+        assert tensor_coassociative("fdb", n), n
+        assert compare_nc_hopf(n), n
 
 
 @criterion(10, "concrete element loops and their failures", 10.0)

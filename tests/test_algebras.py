@@ -7,27 +7,32 @@ import pytest
 
 from loopseries.algebras import (
     CDElement,
-    DoubledElement,
-    HQUnit,
     MatrixElement,
-    SplitQuaternionMatrix,
     _as_fraction,
     associator,
-    cd_conj,
-    cd_mul,
-    cd_norm,
     cd_parse,
     conj_of,
-    double,
-    hq_divide,
-    hq_elements,
-    hq_loop_axioms,
-    hq_mul,
     identity_check,
     one_of,
     zero_of,
 )
 from loopseries.errors import StructuralError
+from loopseries.witnesses import (
+    DoubledElement,
+    HQUnit,
+    SplitQuaternionMatrix,
+    hq_divide,
+    hq_elements,
+)
+from oracles import (
+    cd_conj,
+    cd_mul,
+    cd_norm,
+    double,
+    hq_loop_axioms,
+    hq_mul,
+    random_cd,
+)
 
 q = Fraction
 
@@ -38,11 +43,6 @@ def e(level, i):
 
 def sedenion_witness_pair():
     return e(4, 1) + e(4, 10), e(4, 5) + e(4, 14)
-
-
-def random_cd(rng, level, span=3):
-    return CDElement(level, [rng.randint(-span, span)
-                             for _ in range(1 << level)])
 
 
 class TestCayleyDickson:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -12,10 +13,18 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from loopseries import __version__, cli, coloops, operators, seriesloops
+from loopseries import (
+    DEFAULT_SEED,
+    __version__,
+    cli,
+    coloops,
+    operators,
+    seriesloops,
+    witnesses,
+)
 from loopseries.cli import main, series_from_json, series_to_json
 from loopseries.errors import StructuralError
-from loopseries.seriesloops import DEFAULT_SEED, TruncatedSeries
+from loopseries.seriesloops import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -239,26 +248,25 @@ def test_diff_inverse_builds_no_table(capsys, monkeypatch):
         assert seriesloops.diff_compose(inv, lib_a).is_unit()
 
 
-# layers no command may load beyond what its handler runs
+# the loopseries modules each command loads besides the package, ``cli``
+# and ``errors``: exactly the layers its handler runs
 IMPORT_GRAPH = [
-    (["trees", "--length", "2"],
-     {"coloops", "operators", "freealg", "algebras", "seriesloops"}),
-    (["coeffs", "--kind", "de", "--n", "3"],
-     {"coloops", "operators", "freealg", "algebras", "seriesloops"}),
+    (["trees", "--length", "2"], {"commands", "combinatorics"}),
+    (["coeffs", "--kind", "de", "--n", "3"], {"commands", "combinatorics"}),
     (["operators", "--op", "R", "--degrees", "1,2"],
-     {"seriesloops", "algebras"}),
+     {"commands", "combinatorics", "freealg", "operators"}),
     (["coop", "--flavor", "fdb", "--kind", "s_l", "--n", "3"],
-     {"seriesloops", "algebras", "operators"}),
+     {"commands", "combinatorics", "freealg", "coloops"}),
     (["verify", "--flavor", "both", "--max-degree", "2"],
-     {"seriesloops", "algebras", "operators"}),
+     {"commands", "combinatorics", "freealg", "coloops"}),
     (["divide", "--flavor", "diff", "--side", "left", "--order", "3",
       "--algebra", "q", "--a", '["1"]', "--b", '["2"]'],
-     {"coloops", "operators", "freealg", "combinatorics"}),
+     {"algebras", "seriesloops"}),
     (["invert", "--flavor", "diff", "--order", "3", "--algebra", "m2q",
       "--a", '[["1", "1", "0", "1"]]'],
-     {"coloops", "operators", "freealg", "combinatorics"}),
+     {"algebras", "seriesloops"}),
     (["witness", "ucd-not-loop"],
-     {"coloops", "operators", "freealg", "combinatorics"}),
+     {"commands", "algebras", "seriesloops", "witnesses"}),
 ]
 
 LOADED_MODULES = """
@@ -270,9 +278,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize("argv, unloaded", IMPORT_GRAPH,
+@pytest.mark.parametrize("argv, layers", IMPORT_GRAPH,
                          ids=[argv[0] for argv, _ in IMPORT_GRAPH])
-def test_command_loads_only_its_layers(argv, unloaded):
+def test_command_loads_only_its_layers(argv, layers):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
@@ -280,16 +288,51 @@ def test_command_loads_only_its_layers(argv, unloaded):
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
     assert code == 0
-    assert "loopseries.cli" in modules
-    loaded = {name for name in unloaded if f"loopseries.{name}" in modules}
-    assert loaded == set()
+    loaded = {name for name in modules if name.startswith("loopseries")}
+    assert loaded == {"loopseries", "loopseries.cli", "loopseries.errors"} \
+        | {f"loopseries.{name}" for name in layers}
+
+
+# Runs the series commands in one interpreter, then lists every name
+# defined by a loaded loopseries module that belongs to another command.
+SERIES_PATH_NAMES = """
+import contextlib, io, json, sys
+from loopseries.cli import main
+divide = ["divide", "--flavor", "diff", "--side", "left", "--order", "3",
+          "--algebra", "m2q", "--a", '[["1", "1", "0", "1"]]',
+          "--b", '[["0", "1", "1", "0"]]']
+invert = ["invert", "--flavor", "inv", "--side", "right", "--order", "3",
+          "--algebra", "sed", "--a", '["e1 + e10"]']
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(divide), main(invert)]
+foreign = {"witness", "element_loop_div", "HQUnit"} | {
+    prefix + command for prefix in ("cmd_", "_cmd_")
+    for command in ("coeffs", "coop", "operators", "verify", "witness",
+                    "trees")}
+found = sorted(f"{name}.{attr}" for name, mod in list(sys.modules.items())
+               if name.startswith("loopseries") for attr in vars(mod)
+               if attr in foreign)
+print(json.dumps([codes, found]))
+"""
+
+
+def test_series_commands_load_no_other_commands_code():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", SERIES_PATH_NAMES],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, found = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert found == []
 
 
 def test_parser_constants_match_the_library():
     cli._register_algebras()
     assert cli.ALGEBRA_NAMES == tuple(sorted(cli._ALGEBRAS))
-    assert cli.WITNESS_NAMES == seriesloops.WITNESS_NAMES
-    assert cli.DEFAULT_SEED == seriesloops.DEFAULT_SEED
+    assert cli.WITNESS_NAMES == witnesses.WITNESS_NAMES
+    seed = inspect.signature(witnesses.witness).parameters["seed"]
+    assert cli.DEFAULT_SEED == seed.default == DEFAULT_SEED
 
 
 class TestWitnessCommand:
@@ -404,6 +447,24 @@ BAD_INPUTS = [
     ["verify", "--max-degree", "0"],
     ["verify", "--max-degree", "-3"],
     ["trees", "--length", "0"],
+    # more coefficients than the order, in either series option
+    ["divide", "--flavor", "inv", "--order", "1", "--side", "right",
+     "--algebra", "q", "--a", '["1", "2"]', "--b", '["1"]'],
+    ["divide", "--flavor", "inv", "--order", "1", "--side", "right",
+     "--algebra", "q", "--a", '["1"]', "--b", '["1", "2"]'],
+    # Fraction alone reads any Unicode decimal digit
+    ["divide", "--flavor", "inv", "--order", "2", "--side", "left",
+     "--algebra", "q", "--a", '["\uff11", "2"]', "--b", '["0", "1"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["\uff11*e1"]'],
+    ["invert", "--flavor", "diff", "--order", "1", "--algebra", "m2q",
+     "--a", '[["1/\uff12", "0", "0", "1"]]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "q", "--a", '["\u0663"]'],
+    # an operator needs at least one letter
+    ["operators", "--op", "R", "--degrees", ""],
+    ["operators", "--op", "L", "--degrees", ""],
+    ["operators", "--op", "Re", "--degrees", "", "--bits", ""],
 ]
 
 
@@ -436,6 +497,17 @@ def test_decoder_error_names_option_and_degree(capsys, option, algebra,
                          "--a", series["--a"], "--b", series["--b"])
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == f"error: {option}: coefficient 2: {message}"
+
+
+@pytest.mark.parametrize("option", ["--a", "--b"])
+def test_count_error_names_the_option(capsys, option):
+    series = {"--a": '["1"]', "--b": '["1"]', option: '["1", "2"]'}
+    code, out, err = run(capsys, "divide", "--flavor", "inv", "--order", "1",
+                         "--side", "right", "--algebra", "q",
+                         "--a", series["--a"], "--b", series["--b"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == \
+        f"error: {option}: 2 coefficients exceed order 1"
 
 
 # Reads sys.modules without importing json itself.

@@ -17,13 +17,10 @@ from loopseries.coloops import (
     axiom_check,
     coassociator,
     codivision,
-    compare_nc_hopf,
     coproduct,
     get_coloop,
-    nc_hopf_coproduct,
     operator_expansions,
     projected_coproduct,
-    tensor_coassociative,
 )
 from loopseries import coloops
 from loopseries.errors import StructuralError
@@ -35,6 +32,7 @@ from loopseries.freealg import (
     include_iota,
     project_pi,
 )
+from oracles import compare_nc_hopf, nc_hopf_coproduct, tensor_coassociative
 from test_freealg import apply_by_sums
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731

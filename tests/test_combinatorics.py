@@ -10,12 +10,10 @@ from loopseries.combinatorics import (
     all_compositions,
     bit_sequences,
     bit_sign,
-    catalan,
     check_lagrange_args,
     codivision_terms,
     compositions,
     d_cache_rows,
-    d_recurrence_check,
     is_m_sequence,
     lagrange_d,
     lagrange_d_labeled,
@@ -29,6 +27,7 @@ from loopseries.combinatorics import (
     weak_compositions,
 )
 from loopseries.errors import StructuralError
+from oracles import catalan, d_recurrence_check
 
 
 def brute_m_sequences(length):

@@ -2,7 +2,7 @@
 
 * ``CDElement`` arithmetic on integer numerators over one denominator
   against ``Fraction`` coordinate tuples: the table-driven product
-  against the recursive doubling ``_cd_mul``, sums, differences, scaling
+  against the recursive doubling ``doubling_mul``, sums, differences, scaling
   and the conjugate against their coordinatewise definitions;
 * the integer rational-matrix product and sum against the generic entry
   loop on ``Fraction`` grids, and the Zorn doubling over split
@@ -25,15 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopseries import algebras
-from loopseries.algebras import (
-    CDElement,
-    DoubledElement,
-    MatrixElement,
-    SplitQuaternionMatrix,
-    _cd_conj,
-    _cd_mul,
-    _generic_matmul,
-)
+from loopseries.algebras import CDElement, MatrixElement, _generic_matmul
 from loopseries.combinatorics import (
     all_compositions,
     bit_sequences,
@@ -43,6 +35,8 @@ from loopseries.combinatorics import (
     m_sequences_labeled,
 )
 from loopseries.errors import StructuralError
+from loopseries.witnesses import DoubledElement, SplitQuaternionMatrix
+from oracles import doubling_conj, doubling_mul
 from test_combinatorics import brute_d, brute_m_sequences
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None, database=None,
@@ -87,7 +81,7 @@ class TestCayleyDicksonKernel:
     def test_table_product_equals_recursive_doubling(self, pair):
         level, x, y = pair
         got = CDElement(level, x) * CDElement(level, y)
-        assert got.coords == tuple(_cd_mul(x, y))
+        assert got.coords == tuple(doubling_mul(x, y))
         assert all(type(c) is Fraction for c in got.coords)
         assert_canonical(got)
 
@@ -102,7 +96,7 @@ class TestCayleyDicksonKernel:
             (-a, [-u for u in x]),
             (a * r, [u * r for u in x]),
             (k * a, [k * u for u in x]),
-            (a.conj(), _cd_conj(x)),
+            (a.conj(), doubling_conj(x)),
         ]
         for got, want in cases:
             assert got.coords == tuple(want)
@@ -118,7 +112,7 @@ class TestCayleyDicksonKernel:
             for j in range(n):
                 ei = CDElement.basis(level, i)
                 ej = CDElement.basis(level, j)
-                want = _cd_mul(ei.coords, ej.coords)
+                want = doubling_mul(ei.coords, ej.coords)
                 assert (ei * ej).coords == tuple(want)
                 assert [k for k, c in enumerate(want) if c] == [i ^ j]
 

@@ -16,12 +16,12 @@ from loopseries.operators import (
     GradedTensorPoly,
     element,
     left_op,
-    operator_identity_check,
     right_op,
     right_op_e,
     right_op_m,
     triangle,
 )
+from oracles import operator_identity_check
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
 

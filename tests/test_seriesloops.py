@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from loopseries.algebras import (
     CDElement,
-    DoubledElement,
     MatrixElement,
     identity_check,
     is_zero,
@@ -17,23 +16,25 @@ from loopseries import coloops
 from loopseries.combinatorics import weak_compositions
 from loopseries.errors import DomainError, StructuralError
 from loopseries.freealg import NCPolynomial, evaluate
+from loopseries import DEFAULT_SEED
 from loopseries.seriesloops import (
-    DEFAULT_SEED,
     TruncatedSeries,
     convolution_eval,
     diff_compose,
     divide,
-    element_loop_div,
     inv_mul,
     mul,
-    random_matrix,
-    random_unit_octonion,
-    sample_ucd_unitaries,
-    sample_zorn_unitaries,
     series_inverse,
     unit_series,
+)
+from loopseries.witnesses import (
+    DoubledElement,
+    element_loop_div,
+    sample_ucd_unitaries,
+    sample_zorn_unitaries,
     witness,
 )
+from oracles import random_matrix, random_unit_octonion
 
 q = Fraction
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
