@@ -16,4 +16,18 @@ DEFAULT_SEED = 0x123456789ABCDEF0
 
 from .errors import DomainError, StructuralError
 
+
+def _emit_json(command: str, data, seed=None, passed=None) -> str:
+    """The JSON envelope of every command's output, keys sorted."""
+    import json
+    envelope = {
+        "version": __version__,
+        "command": command,
+        "seed": seed,
+        "pass": passed,
+        "data": data,
+    }
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
 __all__ = ["DEFAULT_SEED", "DomainError", "StructuralError", "__version__"]

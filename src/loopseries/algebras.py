@@ -567,13 +567,9 @@ def identity_check(name: str, *elements):
 
     Two-element identities: ``left-alternative``, ``right-alternative``,
     ``flexible``, ``power-assoc-3`` (with one element). Three-element:
-    ``moufang-1`` .. ``moufang-4``. ``associator`` returns ``(ab)c - a(bc)``
-    instead of a boolean.
+    ``moufang-1`` .. ``moufang-4``. The defect ``(ab)c - a(bc)`` itself is
+    :func:`associator`.
     """
-    if name == "associator":
-        if len(elements) != 3:
-            raise StructuralError("associator takes three elements")
-        return associator(*elements)
     if name == "power-assoc-3":
         (a,) = elements
         return (a * a) * a == a * (a * a)

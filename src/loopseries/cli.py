@@ -19,16 +19,19 @@ Output is byte-deterministic for fixed arguments and seed. The library
 version (and the seed, for randomized runs) is reported on stderr so that
 stdout carries only the text/json/csv payload. Exit status: 0 on success
 or fully expected verification results, 1 on any unexpected failure,
-2 on usage errors and malformed input.
+2 on usage errors, malformed input and input too large to compute (a
+``RecursionError`` or ``MemoryError``), each reported as one ``error:``
+line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_SEED, __version__
+from . import DEFAULT_SEED, __version__, _emit_json
 from .errors import DomainError, StructuralError
 
 if TYPE_CHECKING:
@@ -161,20 +164,6 @@ def _decode_coeffs(data, flavor: str, order: int, algebra: str
     return decoded, one
 
 
-# -- output helpers -------------------------------------------------------------
-
-def _emit_json(command: str, data, seed=None, passed=None) -> str:
-    import json
-    envelope = {
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "pass": passed,
-        "data": data,
-    }
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-
-
 # -- the series commands -------------------------------------------------------
 
 def _series_arg(text: str, option: str, args) -> TruncatedSeries:
@@ -229,41 +218,41 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # abbreviations off: each option has one spelling
     parser = argparse.ArgumentParser(
-        prog="loopseries",
+        prog="loopseries", allow_abbrev=False,
         description="Exact loops of formal series and their coloop bialgebras")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="64-bit seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("coeffs", help="Lagrange coefficient tables")
+    p = command("coeffs", help="Lagrange coefficient tables")
     p.add_argument("--kind", choices=("d", "de"), default="d")
     p.add_argument("--n", type=_positive_int, required=True)
 
-    p = sub.add_parser("coop", help="co-operation table entries")
+    p = command("coop", help="co-operation table entries")
     p.add_argument("--flavor", choices=("inv", "fdb"), required=True)
     p.add_argument("--kind", choices=COOP_KINDS, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
 
-    p = sub.add_parser("operators", help="recursive operator expansions")
+    p = command("operators", help="recursive operator expansions")
     p.add_argument("--op", choices=("L", "R", "Re", "Rm"), required=True)
     p.add_argument("--degrees", required=True,
                    help="comma-separated letter degrees, e.g. 1,2,1")
     p.add_argument("--bits", help="bit sequence for Re, e.g. 1,2,1")
     p.add_argument("--m", help="M-sequence for Rm, e.g. 2,0,1")
     p.add_argument("--mode", choices=("recursive", "closed"),
-                   default="recursive")
+                   help="for L, R and Re; recursive when not given")
 
-    p = sub.add_parser("verify", help="run the symbolic axiom battery")
+    p = command("verify", help="run the symbolic axiom battery")
     p.add_argument("--flavor", choices=("inv", "fdb", "both"), default="both")
     p.add_argument("--max-degree", type=_positive_int, default=5)
-    p.add_argument("--report", choices=("text", "json", "csv"), default=None,
-                   help="alias for the global --format")
 
     for name in ("divide", "invert"):
-        p = sub.add_parser(name, help=f"{name} truncated series")
+        p = command(name, help=f"{name} truncated series")
         p.add_argument("--flavor", choices=("inv", "diff"), required=True)
         p.add_argument("--order", type=_positive_int, required=True)
         p.add_argument("--algebra", choices=ALGEBRA_NAMES, required=True)
@@ -277,12 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--side", choices=("left", "right", "both"),
                            default="both")
 
-    p = sub.add_parser("witness", help="reproduce a named counterexample")
+    p = command("witness", help="reproduce a named counterexample")
     p.add_argument("name", choices=WITNESS_NAMES)
 
-    p = sub.add_parser("trees", help="M-sequences and their planar binary trees")
-    p.add_argument("--length", "--l", dest="length", type=_positive_int,
-                   required=True)
+    p = command("trees", help="M-sequences and their planar binary trees")
+    p.add_argument("--length", type=_positive_int, required=True)
 
     return parser
 
@@ -301,8 +289,6 @@ def _handler(command: str):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "report", None):
-        args.format = args.report
     print(f"loopseries {__version__}", file=sys.stderr)
     if args.command == "witness" and args.name == "ucd-not-loop":
         print(f"seed {args.seed}", file=sys.stderr)
@@ -312,6 +298,10 @@ def main(argv=None) -> int:
         output, code = _handler(args.command)(args)
     except (StructuralError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: {args.command}: input too large "
+              f"({type(exc).__name__})", file=sys.stderr)
         return 2
     sys.stdout.write(output)
     return code

@@ -189,7 +189,7 @@ class Coloop:
     def _hom(self, *names: str) -> MultiMorphism:
         """The algebra map sending the letters of copy ``i`` through the
         image named ``names[i - 1]``. One map per name tuple and coloop,
-        so its ``images`` memo serves every degree and every axiom."""
+        so its ``image_terms`` memo serves every degree and every axiom."""
         got = self._homs.get(names)
         if got is None:
             fns = [self._IMAGES[name] for name in names]
@@ -362,27 +362,3 @@ def get_coloop(flavor: str) -> Coloop:
         got = Coloop(flavor)
         _COLOOPS[flavor] = got
     return got
-
-
-def coproduct(flavor: str, n: int) -> NCPolynomial:
-    return get_coloop(flavor).coproduct(n)
-
-
-def codivision(flavor: str, side: str, n: int) -> NCPolynomial:
-    return get_coloop(flavor).codivision(side, n)
-
-
-def antipode(flavor: str, side: str, n: int) -> NCPolynomial:
-    return get_coloop(flavor).antipode(side, n)
-
-
-def axiom_check(flavor: str, axiom: str, n: int):
-    return get_coloop(flavor).axiom_check(axiom, n)
-
-
-def coassociator(flavor: str, n: int) -> NCPolynomial:
-    return get_coloop(flavor).coassociator(n)
-
-
-def projected_coproduct(flavor: str, n: int) -> TensorPoly:
-    return get_coloop(flavor).projected_coproduct(n)

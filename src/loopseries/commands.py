@@ -9,7 +9,7 @@ output text with the exit status.
 
 from __future__ import annotations
 
-from .cli import _emit_json
+from . import _emit_json
 from .errors import StructuralError
 
 
@@ -119,12 +119,15 @@ def cmd_operators(args) -> tuple[str, int]:
         raise StructuralError(f"--bits applies to --op Re, not {args.op}")
     if args.m is not None and args.op != "Rm":
         raise StructuralError(f"--m applies to --op Rm, not {args.op}")
+    if args.mode is not None and args.op == "Rm":
+        raise StructuralError("--mode applies to --op L, R and Re, not Rm")
+    mode = args.mode or "recursive"
     degrees = _parse_int_tuple(args.degrees, "--degrees")
     factors = [NCPolynomial.generator(1, d) for d in degrees]
     if args.op == "L":
-        result = left_op(factors, args.mode)
+        result = left_op(factors, mode)
     elif args.op == "R":
-        result = right_op(factors, args.mode)
+        result = right_op(factors, mode)
     elif args.op == "Rm":
         if args.m is None:
             raise StructuralError("Rm needs --m")
@@ -133,7 +136,7 @@ def cmd_operators(args) -> tuple[str, int]:
         if args.bits is None:
             raise StructuralError("Re needs --bits")
         result = right_op_e(_parse_int_tuple(args.bits, "--bits"), factors,
-                            args.mode)
+                            mode)
     if args.format == "json":
         terms = [{"coeff": str(c),
                   "factors": [[[cp, i] for cp, i in w] for w in key]}
@@ -147,11 +150,12 @@ def cmd_operators(args) -> tuple[str, int]:
 def _verify_records(flavor: str, max_degree: int) -> list[dict]:
     from . import coloops
 
+    table = coloops.get_coloop(flavor)
     records = []
     for axiom in coloops.AXIOMS:
         first_expected = coloops.EXPECTED_FAILURES.get((flavor, axiom))
         for n in range(1, max_degree + 1):
-            ok, disc = coloops.axiom_check(flavor, axiom, n)
+            ok, disc = table.axiom_check(axiom, n)
             expected = first_expected is not None and n >= first_expected
             records.append({
                 "flavor": flavor,

@@ -241,33 +241,21 @@ class NCPolynomial(Sparse):
 
 class MultiMorphism:
     """Algebra homomorphism out of a labeled free algebra, given by its
-    images on generators: a map ``(copy, index) -> NCPolynomial``.
+    images on generators: ``image_fn(copy, index) -> NCPolynomial``.
 
-    Images are given up front in ``images`` or supplied lazily through
-    ``image_fn``, so that co-operation tables extend on demand. The one
-    memo is ``image_terms``: the term list of each image, fetched on the
-    first application that meets its letter and read by every later one.
+    Images are fetched lazily, so that co-operation tables extend on
+    demand. The one memo is ``image_terms``: the term list of each image,
+    fetched on the first application that meets its letter and read by
+    every later one.
 
     Applying it costs time linear in the output terms: each word is
     expanded once, over the Cartesian product of its letters' term lists,
     into one output dict, and a single ``NCPolynomial`` is built at the end.
     """
 
-    def __init__(self,
-                 images: Mapping[Letter, NCPolynomial] | None = None,
-                 image_fn: Callable[[int, int], NCPolynomial] | None = None):
-        self.images: dict[Letter, NCPolynomial] = dict(images or {})
+    def __init__(self, image_fn: Callable[[int, int], NCPolynomial]):
         self.image_fn = image_fn
         self.image_terms: dict[Letter, tuple[tuple[Word, int], ...]] = {}
-
-    def image(self, copy: int, index: int) -> NCPolynomial:
-        key = (copy, index)
-        got = self.images.get(key)
-        if got is not None:
-            return got
-        if self.image_fn is None:
-            raise StructuralError(f"no image for generator {key}")
-        return self.image_fn(copy, index)
 
     def __call__(self, p: NCPolynomial) -> NCPolynomial:
         out: dict[Word, int] = {}
@@ -277,7 +265,8 @@ class MultiMorphism:
             for a in w:
                 terms = image_terms.get(a)
                 if terms is None:
-                    terms = image_terms[a] = tuple(self.image(*a).terms.items())
+                    terms = image_terms[a] = tuple(
+                        self.image_fn(*a).terms.items())
                 # the free algebra has no zero divisors, so the image of a
                 # word vanishes exactly when a letter's image does
                 if not terms:
@@ -393,27 +382,18 @@ def include_iota(t: TensorPoly) -> NCPolynomial:
     return NCPolynomial(out)
 
 
-def evaluate(p: NCPolynomial, assignment, one):
+def evaluate(p: NCPolynomial, assignment: Callable[[int, int], object], one):
     """Evaluate under an algebra map sending each generator to an element
     of an associative algebra.
 
-    ``assignment`` maps ``(copy, index)`` to algebra elements (a mapping or
-    a callable); words go to ordered products, the empty word to ``one``.
+    ``assignment(copy, index)`` gives the image of a generator; words go
+    to ordered products, the empty word to ``one``.
     """
-    get = assignment if callable(assignment) else None
     total = None
     for w, c in p.sorted_terms():
         value = one
         for cp, idx in w:
-            if get is not None:
-                elem = get(cp, idx)
-            else:
-                try:
-                    elem = assignment[(cp, idx)]
-                except KeyError:
-                    raise StructuralError(
-                        f"assignment missing generator {(cp, idx)}")
-            value = value * elem
+            value = value * assignment(cp, idx)
         value = value * c
         total = value if total is None else total + value
     if total is None:
@@ -448,14 +428,3 @@ def _parse_monomial(signed: str, text: str) -> NCPolynomial:
         else:
             raise StructuralError(f"bad factor {factor!r} in {text!r}")
     return NCPolynomial({tuple(w): coeff})
-
-
-def generator_assignment(*coefficient_lists) -> dict[Letter, object]:
-    """Assignment mapping copy ``k`` generators to the ``k``-th coefficient
-    list: ``x_n -> lists[0][n-1]``, ``y_n -> lists[1][n-1]``, ...
-    """
-    out = {}
-    for cp, coeffs in enumerate(coefficient_lists, start=1):
-        for i, a in enumerate(coeffs, start=1):
-            out[(cp, i)] = a
-    return out

@@ -272,23 +272,15 @@ def sample_zorn_unitaries(rng: Random, count: int) -> list[DoubledElement]:
     return out
 
 
-def sample_ucd_unitaries(rng: Random, entry: str, count: int,
-                         row_shapes: bool = False) -> list[DoubledElement]:
-    """Seeded unitary elements ``(a, b)`` with ``a a* + b b* = 1``.
-
-    ``entry='q'`` gives the Zorn algebra (split-quaternion entries, see
-    :func:`sample_zorn_unitaries`). ``entry='h'`` doubles ``M_2`` over the
-    quaternions with the transpose-plus-conjugation involution; that
-    carrier is not a composition algebra, which is what the failing
-    witness exploits. The default quaternionic shapes keep ``b`` normal
-    (so the doubled conjugate is a genuine two-sided inverse);
-    ``row_shapes`` adds elements with ``b`` supported on a single row,
-    which are unitary in the defining sense yet have ``x x* != 1``.
+def sample_ucd_unitaries(rng: Random, count: int) -> list[DoubledElement]:
+    """Seeded unitary elements ``(a, b)`` with ``a a* + b b* = 1`` of
+    ``M_2`` over the quaternions doubled with the transpose-plus-conjugation
+    involution; that carrier is not a composition algebra, which is what
+    the failing witness exploits. Two shapes keep ``b`` normal (so the
+    doubled conjugate is a genuine two-sided inverse); the third has ``b``
+    supported on a single row, unitary in the defining sense yet with
+    ``x x* != 1``.
     """
-    if entry == "q":
-        return sample_zorn_unitaries(rng, count)
-    if entry != "h":
-        raise StructuralError("entry must be 'q' or 'h'")
     units = _quaternion_units()
     zero = CDElement.zero(2)
     # exact Pythagorean weights c^2 + s^2 = 1
@@ -304,10 +296,9 @@ def sample_ucd_unitaries(rng: Random, entry: str, count: int,
 
     out = []
     zero_m = MatrixElement([[zero, zero], [zero, zero]])
-    shapes = 3 if row_shapes else 2
     while len(out) < count:
         c, s = rng.choice(weights)
-        shape = rng.randrange(shapes)
+        shape = rng.randrange(3)
         if shape == 0:
             x = DoubledElement(unitary_entry_matrix(), zero_m)
         elif shape == 1:
@@ -476,14 +467,14 @@ def _witness_inv_power_assoc() -> dict:
 
 def _witness_ucd_not_loop(seed: int = DEFAULT_SEED) -> dict:
     rng = Random(seed)
-    rational = sample_ucd_unitaries(rng, "q", 24)
+    rational = sample_zorn_unitaries(rng, 24)
     ok_zorn = True
     for x in rational[:12]:
         for y in rational[12:]:
             left = element_loop_div("UCD", "left", x, y)
             if not is_zero(left.unitary_defect()) or x * left != y:
                 ok_zorn = False
-    quaternionic = sample_ucd_unitaries(rng, "h", 40, row_shapes=True)
+    quaternionic = sample_ucd_unitaries(rng, 40)
     found = None
     for x in quaternionic:
         for y in quaternionic:

@@ -17,7 +17,7 @@ from random import Random
 from typing import Sequence
 
 from loopseries.algebras import CDElement, MatrixElement
-from loopseries.coloops import get_coloop, projected_coproduct
+from loopseries.coloops import get_coloop
 from loopseries.combinatorics import (
     bit_sequences,
     compositions,
@@ -339,7 +339,7 @@ def _tensor_coproduct_hom(flavor: str):
 def tensor_coassociative(flavor: str, n: int) -> bool:
     """Degreewise coassociativity of ``Delta^(x)`` on the generator."""
     hom = _tensor_coproduct_hom(flavor)
-    dx = projected_coproduct(flavor, n).terms.items()
+    dx = get_coloop(flavor).projected_coproduct(n).terms.items()
     left = TensorPoly.sum(
         (TensorPoly(3, {(u1, u2, w2): c * d
                         for (u1, u2), d in hom(w1).terms.items()})
@@ -363,4 +363,4 @@ def nc_hopf_coproduct(n: int) -> TensorPoly:
 
 def compare_nc_hopf(n: int) -> bool:
     """``Delta^(x)`` of the fdb flavor equals the tuple-sum form."""
-    return projected_coproduct("fdb", n) == nc_hopf_coproduct(n)
+    return get_coloop("fdb").projected_coproduct(n) == nc_hopf_coproduct(n)

@@ -159,12 +159,11 @@ def golden_left_codivisions():
 
 @criterion(1, "expansion goldens for n <= 5", 1.0)
 def test_criterion_01_goldens():
+    fdb = coloops.get_coloop("fdb")
     tables = [
-        (golden_coproducts(), lambda n: coloops.coproduct("fdb", n)),
-        (golden_right_codivisions(),
-         lambda n: coloops.codivision("fdb", "right", n)),
-        (golden_left_codivisions(),
-         lambda n: coloops.codivision("fdb", "left", n)),
+        (golden_coproducts(), fdb.coproduct),
+        (golden_right_codivisions(), lambda n: fdb.codivision("right", n)),
+        (golden_left_codivisions(), lambda n: fdb.codivision("left", n)),
     ]
     for goldens, table in tables:
         for n, golden in goldens.items():
@@ -185,25 +184,25 @@ def test_criterion_02_axiom_sweep():
     for flavor in ("inv", "fdb"):
         for axiom in CRITERION2_AXIOMS:
             for n in range(1, 8):
-                ok, disc = coloops.axiom_check(flavor, axiom, n)
+                ok, disc = coloops.get_coloop(flavor).axiom_check(axiom, n)
                 assert ok, (flavor, axiom, n, str(disc))
 
 
 @criterion(3, "two-sided antipode, coinverse split, series inverse", 30.0)
 def test_criterion_03_antipode():
+    fdb = coloops.get_coloop("fdb")
     for n in range(1, 8):
-        assert coloops.antipode("fdb", "right", n) == \
-            coloops.antipode("fdb", "left", n)
-        ok, _ = coloops.axiom_check("fdb", "coinverse-right", n)
+        assert fdb.antipode("right", n) == fdb.antipode("left", n)
+        ok, _ = fdb.axiom_check("coinverse-right", n)
         assert ok, n
     for n in (1, 2):
-        ok, _ = coloops.axiom_check("fdb", "coinverse-left", n)
+        ok, _ = fdb.axiom_check("coinverse-left", n)
         assert ok
-    ok, disc = coloops.axiom_check("fdb", "coinverse-left", 3)
+    ok, disc = fdb.axiom_check("coinverse-left", 3)
     assert not ok
     assert disc == x(1) * v(1) * y(1) - x(1) * y(1) * v(1)
     for n in range(4, 8):
-        ok, _ = coloops.axiom_check("fdb", "coinverse-left", n)
+        ok, _ = fdb.axiom_check("coinverse-left", n)
         assert not ok
     rng = Random(301)
     a = TruncatedSeries("diff", 8, [random_matrix(rng, 2) for _ in range(8)])

@@ -250,7 +250,7 @@ class TestIdentityChecks:
         for _ in range(20):
             mats = [MatrixElement([[q(rng.randint(-4, 4)) for _ in range(3)]
                                    for _ in range(3)]) for _ in range(3)]
-            assert identity_check("associator", *mats).is_zero()
+            assert associator(*mats).is_zero()
 
     def test_flexible_and_power_assoc(self):
         rng = Random(36)
@@ -263,6 +263,12 @@ class TestIdentityChecks:
     def test_unknown_identity(self):
         with pytest.raises(StructuralError):
             identity_check("bogus", e(2, 1), e(2, 2))
+
+    def test_associator_is_not_an_identity_check(self):
+        # identity_check returns verdicts; the defect (ab)c - a(bc) is
+        # associator()
+        with pytest.raises(StructuralError, match="unknown identity"):
+            identity_check("associator", e(3, 1), e(3, 2), e(3, 4))
 
 
 class TestHyperbolicQuaternions:

@@ -74,7 +74,8 @@ class TestCoop:
         code, out, _ = run(capsys, "coop", "--flavor", "fdb",
                            "--kind", "delta_l", "--n", "4")
         assert code == 0
-        assert out.strip() == str(coloops.codivision("fdb", "left", 4))
+        table = coloops.get_coloop("fdb")
+        assert out.strip() == str(table.codivision("left", 4))
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "coop",
@@ -83,7 +84,7 @@ class TestCoop:
         data = validate_envelope(out)
         from loopseries.freealg import NCPolynomial
         poly = NCPolynomial.from_json(data["data"]["polynomial"])
-        assert poly == coloops.codivision("inv", "right", 3)
+        assert poly == coloops.get_coloop("inv").codivision("right", 3)
 
 
 class TestOperators:
@@ -202,10 +203,11 @@ def test_divide_computes_one_route_only(capsys, monkeypatch):
     for name in ("triangle", "right_op", "left_op", "right_op_e"):
         monkeypatch.setattr(operators, name, forbidden)
     monkeypatch.setattr(coloops, "_COLOOPS", {})
+    table = coloops.get_coloop("fdb")
     for n in range(1, 6):
-        coloops.coproduct("fdb", n)
-        coloops.codivision("fdb", "right", n)
-        coloops.codivision("fdb", "left", n)
+        table.coproduct(n)
+        table.codivision("right", n)
+        table.codivision("left", n)
     a = json.dumps({"coeffs": [["1", "1", "0", "1"], ["1", "0", "1", "0"]]})
     b = json.dumps({"coeffs": [["0", "1", "1", "0"]]})
     outputs = {}
@@ -465,6 +467,18 @@ BAD_INPUTS = [
     ["operators", "--op", "R", "--degrees", ""],
     ["operators", "--op", "L", "--degrees", ""],
     ["operators", "--op", "Re", "--degrees", "", "--bits", ""],
+    # --mode chooses between the two forms of L, R and Re; Rm has one
+    ["operators", "--op", "Rm", "--degrees", "1,1", "--m", "2,0",
+     "--mode", "closed"],
+    # one spelling per option: no aliases, no abbreviations
+    ["verify", "--report", "json"],
+    ["trees", "--l", "2"],
+    ["--form", "json", "trees", "--length", "1"],
+    ["verify", "--max", "2"],
+    # past the recursion limit: one error line naming the command
+    ["trees", "--length", "3000"],
+    ["operators", "--op", "R", "--degrees", ",".join(["1"] * 1500),
+     "--mode", "closed"],
 ]
 
 
@@ -541,6 +555,35 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert len([line for line in proc.stderr.splitlines()
                 if "error:" in line]) == 1
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    from loopseries import commands
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(commands, "cmd_trees", exhausted)
+    code, out, err = run(capsys, "trees", "--length", "2")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == \
+        "error: trees: input too large (MemoryError)"
+
+
+def test_module_run_compiles_cli_once():
+    # under ``python -m loopseries.cli`` the module runs as __main__; no
+    # other module may import it a second time as loopseries.cli
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "loopseries.cli", "trees", "--length", "1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "loopseries.commands" in imported
+    assert "loopseries.cli" not in imported
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

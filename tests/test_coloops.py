@@ -13,14 +13,8 @@ from loopseries.coloops import (
     AXIOMS,
     EXPECTED_FAILURES,
     Coloop,
-    antipode,
-    axiom_check,
-    coassociator,
-    codivision,
-    coproduct,
     get_coloop,
     operator_expansions,
-    projected_coproduct,
 )
 from loopseries import coloops
 from loopseries.errors import StructuralError
@@ -94,44 +88,48 @@ def product_chain_table(flavor, kind, n):
 
 class TestTables:
     def test_fdb_coproduct_displays(self):
-        assert coproduct("fdb", 1) == x(1) + y(1)
-        assert coproduct("fdb", 2) == x(2) + y(2) + 2 * (x(1) * y(1))
-        assert coproduct("fdb", 3) == \
+        fdb = get_coloop("fdb")
+        assert fdb.coproduct(1) == x(1) + y(1)
+        assert fdb.coproduct(2) == x(2) + y(2) + 2 * (x(1) * y(1))
+        assert fdb.coproduct(3) == \
             x(3) + y(3) + 2 * (x(1) * y(2)) + 3 * (x(2) * y(1)) \
             + x(1) * y(1) * y(1)
 
     def test_fdb_coproduct_x5_coefficients(self):
-        d5 = coproduct("fdb", 5)
+        d5 = get_coloop("fdb").coproduct(5)
         assert d5.coefficient(((1, 2), (2, 1), (2, 1), (2, 1))) == 1
         assert d5.coefficient(((1, 1), (2, 1), (2, 1), (2, 1), (2, 1))) == 0
         assert d5.coefficient(((1, 3), (2, 1), (2, 1))) == 6
 
     def test_inv_coproduct(self):
-        assert coproduct("inv", 2) == x(2) + x(1) * y(1) + y(2)
+        assert get_coloop("inv").coproduct(2) == x(2) + x(1) * y(1) + y(2)
 
     def test_fdb_right_codivision_displays(self):
-        assert codivision("fdb", "right", 1) == u(1)
-        assert codivision("fdb", "right", 2) == u(2) - 2 * (u(1) * y(1))
-        assert codivision("fdb", "right", 3) == \
+        fdb = get_coloop("fdb")
+        assert fdb.codivision("right", 1) == u(1)
+        assert fdb.codivision("right", 2) == u(2) - 2 * (u(1) * y(1))
+        assert fdb.codivision("right", 3) == \
             u(3) - (2 * (u(1) * y(2)) + 3 * (u(2) * y(1))) \
             + 5 * (u(1) * y(1) * y(1))
-        assert codivision("fdb", "right", 4) == \
+        assert fdb.codivision("right", 4) == \
             u(4) - (2 * (u(1) * y(3)) + 3 * (u(2) * y(2)) + 4 * (u(3) * y(1))) \
             + (5 * (u(1) * y(1) * y(2)) + 7 * (u(1) * y(2) * y(1))
                + 9 * (u(2) * y(1) * y(1))) \
             - 14 * (u(1) * y(1) * y(1) * y(1))
 
     def test_fdb_left_codivision_displays(self):
-        assert codivision("fdb", "left", 1) == v(1)
-        assert codivision("fdb", "left", 2) == v(2) - 2 * (x(1) * v(1))
-        assert codivision("fdb", "left", 3) == \
+        fdb = get_coloop("fdb")
+        assert fdb.codivision("left", 1) == v(1)
+        assert fdb.codivision("left", 2) == v(2) - 2 * (x(1) * v(1))
+        assert fdb.codivision("left", 3) == \
             v(3) - (2 * (x(1) * v(2)) + 3 * (x(2) * v(1))) \
             + 5 * (x(1) * x(1) * v(1)) - x(1) * y(1) * v(1)
 
     def test_inv_codivisions(self):
-        assert codivision("inv", "right", 2) == \
+        inv = get_coloop("inv")
+        assert inv.codivision("right", 2) == \
             x(2) - y(2) - x(1) * y(1) + y(1) * y(1)
-        assert codivision("inv", "left", 2) == \
+        assert inv.codivision("left", 2) == \
             y(2) - x(1) * y(1) - x(2) + x(1) * x(1)
 
     def test_homogeneity(self):
@@ -147,7 +145,7 @@ class TestTables:
 
     def test_coefficients_reproduce_lagrange_d(self):
         for n in range(1, MAX_DEGREE + 1):
-            dr = codivision("fdb", "right", n)
+            dr = get_coloop("fdb").codivision("right", n)
             for ell in range(n):
                 for comp in compositions(n, ell + 1):
                     word = ((1, comp[0]),) + tuple((2, k) for k in comp[1:])
@@ -157,7 +155,7 @@ class TestTables:
     def test_coefficients_reproduce_labeled_d(self):
         # words ending in a copy-2 letter isolate one (composition, e) pair
         for n in range(1, MAX_DEGREE + 1):
-            dl = codivision("fdb", "left", n)
+            dl = get_coloop("fdb").codivision("left", n)
             for ell in range(n):
                 for comp in compositions(n, ell + 1):
                     for e in bit_sequences(ell):
@@ -195,9 +193,9 @@ class TestTables:
 
     def test_bad_arguments(self):
         with pytest.raises(StructuralError):
-            coproduct("fdb", 0)
+            get_coloop("fdb").coproduct(0)
         with pytest.raises(StructuralError):
-            codivision("fdb", "up", 2)
+            get_coloop("fdb").codivision("up", 2)
         with pytest.raises(StructuralError):
             Coloop("nope")
 
@@ -206,10 +204,11 @@ class TestOperatorExpansions:
     # the tables use the direct formula only; the operator forms are the
     # paper's second route to the same entries
     @pytest.mark.parametrize("kind, forms, entry", [
-        ("delta", {"triangle"}, lambda n: coproduct("fdb", n)),
+        ("delta", {"triangle"}, lambda n: get_coloop("fdb").coproduct(n)),
         ("delta_r", {"right_op", "left_op"},
-         lambda n: codivision("fdb", "right", n)),
-        ("delta_l", {"right_op_e"}, lambda n: codivision("fdb", "left", n)),
+         lambda n: get_coloop("fdb").codivision("right", n)),
+        ("delta_l", {"right_op_e"},
+         lambda n: get_coloop("fdb").codivision("left", n)),
     ], ids=["delta", "delta_r", "delta_l"])
     def test_equal_fdb_tables(self, kind, forms, entry):
         for n in range(1, MAX_DEGREE + 1):
@@ -227,15 +226,17 @@ class TestOperatorExpansions:
 
 class TestAntipodes:
     def test_fdb_values(self):
-        assert antipode("fdb", "right", 1) == -1 * x(1)
-        assert antipode("fdb", "right", 2) == -1 * x(2) + 2 * (x(1) * x(1))
-        assert antipode("fdb", "right", 3) == \
+        fdb = get_coloop("fdb")
+        assert fdb.antipode("right", 1) == -1 * x(1)
+        assert fdb.antipode("right", 2) == -1 * x(2) + 2 * (x(1) * x(1))
+        assert fdb.antipode("right", 3) == \
             -1 * x(3) + 2 * (x(1) * x(2)) + 3 * (x(2) * x(1)) \
             - 5 * (x(1) * x(1) * x(1))
 
     def test_fdb_antipode_two_sided(self):
+        fdb = get_coloop("fdb")
         for n in range(1, MAX_DEGREE + 1):
-            assert antipode("fdb", "right", n) == antipode("fdb", "left", n)
+            assert fdb.antipode("right", n) == fdb.antipode("left", n)
 
     def test_fdb_antipode_matches_compositional_inverse(self):
         # independent oracle: solve a o s = e degree by degree for the
@@ -252,18 +253,20 @@ class TestAntipodes:
                             term = term * s[k]
                     acc = acc + term
             s[n] = -1 * acc
-            assert s[n] == antipode("fdb", "right", n), n
+            assert s[n] == get_coloop("fdb").antipode("right", n), n
 
     def test_inv_antipodes_collapse_in_associative_ring(self):
         # over associative coefficients Inv is a group; the symbolic
         # antipodes coincide and the genuine left/right split is exercised
         # by the sedenion series witnesses instead
+        inv = get_coloop("inv")
         for n in range(1, MAX_DEGREE + 1):
-            assert antipode("inv", "right", n) == antipode("inv", "left", n)
+            assert inv.antipode("right", n) == inv.antipode("left", n)
 
     def test_inv_antipode_value(self):
-        assert antipode("inv", "right", 2) == -1 * x(2) + x(1) * x(1)
-        assert antipode("inv", "right", 3) == \
+        inv = get_coloop("inv")
+        assert inv.antipode("right", 2) == -1 * x(2) + x(1) * x(1)
+        assert inv.antipode("right", 3) == \
             -1 * x(3) + x(1) * x(2) + x(2) * x(1) - x(1) * x(1) * x(1)
 
 
@@ -273,7 +276,7 @@ class TestAxiomBattery:
     def test_axiom(self, flavor, axiom):
         first_expected = EXPECTED_FAILURES.get((flavor, axiom))
         for n in range(1, MAX_DEGREE + 1):
-            ok, disc = axiom_check(flavor, axiom, n)
+            ok, disc = get_coloop(flavor).axiom_check(axiom, n)
             if first_expected is not None and n >= first_expected:
                 assert not ok, (flavor, axiom, n)
                 assert disc is not None and not disc.is_zero()
@@ -282,7 +285,7 @@ class TestAxiomBattery:
                 assert disc is None
 
     def test_coinverse_left_discrepancy(self):
-        ok, disc = axiom_check("fdb", "coinverse-left", 3)
+        ok, disc = get_coloop("fdb").axiom_check("coinverse-left", 3)
         assert not ok
         assert disc == x(1) * v(1) * y(1) - x(1) * y(1) * v(1)
 
@@ -301,7 +304,7 @@ class TestAxiomBattery:
 
     def test_unknown_axiom(self):
         with pytest.raises(StructuralError):
-            axiom_check("fdb", "nope", 2)
+            get_coloop("fdb").axiom_check("nope", 2)
 
     @pytest.mark.parametrize("flavor", ["inv", "fdb"])
     def test_sides_equal_fold_composed_oracle(self, flavor):
@@ -386,7 +389,7 @@ def fold_composed_sides(table, axiom, n):
 class TestCoassociator:
     def test_inv_is_coassociative_symbolically(self):
         for n in range(1, 6):
-            assert coassociator("inv", n).is_zero()
+            assert get_coloop("inv").coassociator(n).is_zero()
 
     def test_fdb_fold1(self):
         table = get_coloop("fdb")
@@ -403,7 +406,7 @@ class TestCoassociator:
         assert got == want
 
     def test_fdb_k5_sample_terms(self):
-        k5 = coassociator("fdb", 5)
+        k5 = get_coloop("fdb").coassociator(5)
         # K(x5) = 6 x3 (y1 z1 - z1 y1) + ...
         assert k5.coefficient(((1, 3), (2, 1), (3, 1))) == 6
         assert k5.coefficient(((1, 3), (3, 1), (2, 1))) == -6
@@ -411,14 +414,14 @@ class TestCoassociator:
 
 class TestProjection:
     def test_fdb_projected_x2(self):
-        got = projected_coproduct("fdb", 2)
+        got = get_coloop("fdb").projected_coproduct(2)
         want = TensorPoly(2, {((2,), ()): 1, ((), (2,)): 1, ((1,), (1,)): 2})
         assert got == want
 
     def test_pi_iota_on_tables(self):
         for flavor in ("inv", "fdb"):
             for n in range(1, 6):
-                t = projected_coproduct(flavor, n)
+                t = get_coloop(flavor).projected_coproduct(n)
                 assert project_pi(include_iota(t), 2) == t
 
     def test_tensor_coassociativity(self):
@@ -442,11 +445,11 @@ def test_inv_codivisions_are_mirror_images():
     # word reversed (the copy swap alone lands in the opposite algebra)
     from loopseries.freealg import fold
     for n in range(1, 7):
-        swapped = fold({1: 2, 2: 1}, codivision("inv", "right", n))
+        swapped = fold({1: 2, 2: 1}, get_coloop("inv").codivision("right", n))
         mirrored = NCPolynomial(
             {tuple(reversed(w)): c for w, c in swapped.terms.items()})
-        assert mirrored == codivision("inv", "left", n)
-        assert swapped != codivision("inv", "left", n) or n == 1
+        assert mirrored == get_coloop("inv").codivision("left", n)
+        assert swapped != get_coloop("inv").codivision("left", n) or n == 1
 
 
 def test_delta_counit_convolution_is_identity():

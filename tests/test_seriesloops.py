@@ -56,7 +56,7 @@ def antipode_inverse(a):
     """The diff inverse by the representability route: the right antipode
     of the fdb tables evaluated on the coefficients of ``a``."""
     return TruncatedSeries("diff", a.order, [
-        evaluate(coloops.antipode("fdb", "right", n),
+        evaluate(coloops.get_coloop("fdb").antipode("right", n),
                  lambda cp, idx: a.coeff(idx), a.one)
         for n in range(1, a.order + 1)], a.one)
 
@@ -602,5 +602,5 @@ class TestWitnesses:
 
 def test_quaternionic_samples_exist():
     rng = Random(67)
-    xs = sample_ucd_unitaries(rng, "h", 6, row_shapes=True)
+    xs = sample_ucd_unitaries(rng, 6)
     assert all(is_zero(s.unitary_defect()) for s in xs)
