@@ -2,12 +2,11 @@
 
 Rationals (``fractions.Fraction``), the Cayley-Dickson doubling tower over
 the rationals (complexes, quaternions, octonions, sedenions, ...), and
-square matrices over any of these, with the helpers shared by every
-carrier. The carriers that only the element loops and the witnesses use
-(the one-step doubling ``A + Aj``, split quaternions, the
-hyperbolic-quaternion loop) live in :mod:`loopseries.witnesses`; the
-helpers reach them through their methods (``conj``, ``unit``,
-``is_zero``) and the class attribute ``associative``.
+square matrices over the rationals or over one level of that tower, with
+the helpers shared by every carrier. The carriers that only the element
+loops and the witnesses use (the one-step doubling ``A + Aj``, split
+quaternions, the hyperbolic-quaternion loop) live in
+:mod:`loopseries.witnesses`.
 
 The doubling product is, at every level,
 
@@ -17,25 +16,31 @@ with involution ``(a + bj)* = a* - bj`` and basis convention
 ``e_{2^k + i} = e_i j``; this convention is pinned by the sedenion
 zero-divisor identity ``(e1 + e10)(e5 + e14) = 0``.
 
-Storage: a ``CDElement``, and a ``MatrixElement`` whose entries are all
-rational, hold their value as integer numerators ``nums`` over one
-denominator ``den``, in canonical form: ``den > 0``, ``gcd(den, *nums) =
-1``, and zero has ``den = 1``. Sums, differences, negation, conjugation,
-scaling by ``int``/``Fraction`` and products run on plain integers, and
-each result is reduced once, by one ``math.gcd``; equality and hashing
-compare the canonical integers. ``coords`` and ``entries`` are read-only
-``Fraction`` views for the codecs and the text form. The public
-constructors read their literals once, through ``_as_fraction``;
-results built inside this module skip that check.
+Storage: a ``CDElement`` and a ``MatrixElement`` hold their value in one
+form, integer numerators ``nums`` over one denominator ``den``, in
+canonical form: ``den > 0``, ``gcd(den, *nums) = 1``, and zero has ``den =
+1``. A matrix holds the coordinates of its entries row-major, each entry's
+``2^level`` coordinates together; its ``level`` is ``None`` for rational
+entries. Sums, differences, negation, conjugation, scaling by
+``int``/``Fraction`` and products run on plain integers, and each result
+is reduced once, by one ``math.gcd``; equality and hashing compare the
+canonical integers. ``coords`` and ``entries`` are read-only views for the
+codecs and the text form. The public constructors read their literals
+once, through ``_as_fraction``; results built inside this module skip
+that check.
 
 * a Cayley-Dickson product uses the basis rule ``e_i e_j = s(i, j)
   e_{i xor j}`` with a sign table ``s`` derived once per level from the
   doubling rule; the tests keep the recursive doubling as its oracle;
-* a product of two rational matrices is one integer matrix product over
-  the product of the two denominators; a matrix with any other entry
-  type (``M_2(H)``, ``M_2(S)``) holds its entries and multiplies them
-  with the generic entry loop ``_generic_matmul``, also the oracle of the
-  integer product.
+* a matrix product is one integer matrix product over the product of the
+  two denominators, with each pair of Cayley-Dickson entries multiplied
+  by the sign table; the tests keep the entry loop as its oracle.
+
+The helpers (``conj_of``, ``one_of``, ``zero_of``, ``is_zero``,
+``known_nonassociative``) read the carrier protocol: every carrier other
+than the rationals has the methods ``conj``, ``unit`` and ``is_zero`` and
+the attribute ``associative``, ``False`` on an algebra known to be
+non-associative.
 
 All arithmetic is exact; nothing here ever touches floating point.
 """
@@ -102,18 +107,69 @@ def _combine(op, xs, dx: int, ys, dy: int) -> tuple[tuple[int, ...], int]:
     return _reduce([op(a * sx, b * sy) for a, b in zip(xs, ys)], dx * sx)
 
 
-def _scale(xs, dx: int, k) -> tuple[tuple[int, ...], int]:
-    """``xs/dx`` times the rational ``k`` (an ``int`` or a ``Fraction``)."""
-    p, q = k.as_integer_ratio()
-    return _reduce([a * p for a in xs], dx * q)
+class _IntegerForm:
+    """The linear structure of a carrier held in integer form: ``nums``
+    over ``den``, with the Cayley-Dickson ``level`` of the coordinates.
+
+    Each subclass has its own ``_check`` (same shape, or a
+    ``StructuralError``), ``_like`` (a value of the same shape from
+    canonical integers, unchecked), ``_conj_nums`` and ``__mul__``, and a
+    ``_carrier`` name, which keeps a Cayley-Dickson element apart from a
+    1x1 matrix over its algebra."""
+
+    __slots__ = ("level", "nums", "den")
+
+    @property
+    def associative(self) -> bool:
+        # Cayley-Dickson level 3 (octonions) and up is not associative
+        return self.level is None or self.level < 3
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(*_combine(add, self.nums, self.den,
+                                    other.nums, other.den))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._like(*_combine(sub, self.nums, self.den,
+                                    other.nums, other.den))
+
+    def __neg__(self):
+        return self._like(tuple([-a for a in self.nums]), self.den)
+
+    def _scaled(self, k):
+        """``self`` times the rational ``k`` (an ``int`` or a ``Fraction``)."""
+        p, q = k.as_integer_ratio()
+        return self._like(*_reduce([a * p for a in self.nums], self.den * q))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _IntegerForm)
+                and other._carrier == self._carrier
+                and other.level == self.level and other.den == self.den
+                and other.nums == self.nums)
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.nums, self.den))
+
+    def conj(self):
+        return self._like(self._conj_nums(), self.den)
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
 
 
-class CDElement:
+class CDElement(_IntegerForm):
     """Element of the level-``k`` Cayley-Dickson algebra over the rationals
     (dimension ``2^k``), held as integer numerators ``nums`` over the one
     denominator ``den``."""
 
-    __slots__ = ("level", "nums", "den")
+    __slots__ = ()
+    _carrier = "cd"
 
     def __init__(self, level: int, coords: Sequence):
         if level < 0:
@@ -151,50 +207,30 @@ class CDElement:
         nums[i] = c.numerator
         return _cd(level, tuple(nums), c.denominator)
 
+    def unit(self) -> "CDElement":
+        return _cd(self.level, (1,) + (0,) * (len(self.nums) - 1), 1)
+
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "CDElement") -> None:
         if not isinstance(other, CDElement) or other.level != self.level:
             raise StructuralError("Cayley-Dickson level mismatch")
 
-    def __add__(self, other: "CDElement") -> "CDElement":
-        self._check(other)
-        return _cd(self.level,
-                   *_combine(add, self.nums, self.den, other.nums, other.den))
-
-    def __sub__(self, other: "CDElement") -> "CDElement":
-        self._check(other)
-        return _cd(self.level,
-                   *_combine(sub, self.nums, self.den, other.nums, other.den))
-
-    def __neg__(self) -> "CDElement":
-        return _cd(self.level, tuple([-a for a in self.nums]), self.den)
+    def _like(self, nums: tuple[int, ...], den: int) -> "CDElement":
+        return _cd(self.level, nums, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _cd(self.level, *_scale(self.nums, self.den, other))
+            return self._scaled(other)
         self._check(other)
         return _cd(self.level, *_reduce(
             _cd_table_mul(self.level, self.nums, other.nums),
             self.den * other.den))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CDElement) and other.level == self.level
-                and other.den == self.den and other.nums == self.nums)
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.nums, self.den))
-
-    def conj(self) -> "CDElement":
+    def _conj_nums(self) -> tuple[int, ...]:
         # the doubling involution fixes e_0 and negates every other e_i
         nums = self.nums
-        return _cd(self.level, (nums[0],) + tuple([-a for a in nums[1:]]),
-                   self.den)
+        return (nums[0],) + tuple([-a for a in nums[1:]])
 
     def norm(self) -> Fraction:
         """Scalar part of ``q q*``; for any level this is the coordinate
@@ -202,9 +238,6 @@ class CDElement:
         breaks at level 4)."""
         n = self * self.conj()
         return Fraction(n.nums[0], n.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def __str__(self) -> str:
         chunks = []
@@ -270,11 +303,13 @@ def _cd_signs(level: int) -> tuple[tuple[int, ...], ...]:
     return _CD_SIGNS[level]
 
 
-def _cd_table_mul(level: int, xs: tuple, ys: tuple) -> list[int]:
+def _cd_table_mul(level: int, xs: tuple, ys: tuple, acc=None) -> list[int]:
     """Cayley-Dickson product of two integer coordinate tuples through the
-    basis sign table; equal to the recursive doubling product."""
+    basis sign table, added into ``acc`` when given; equal to the
+    recursive doubling product."""
     ys = [(j, v) for j, v in enumerate(ys) if v]
-    acc = [0] * len(xs)
+    if acc is None:
+        acc = [0] * len(xs)
     for i, (u, row) in enumerate(zip(xs, _cd_signs(level))):
         if not u:
             continue
@@ -325,116 +360,102 @@ def cd_parse(text: str, level: int) -> CDElement:
     return CDElement(level, coords)
 
 
-class MatrixElement:
-    """Square matrix over an arbitrary (possibly non-associative) exact
-    algebra; involution is transpose composed with the entrywise one.
+class MatrixElement(_IntegerForm):
+    """Square matrix over the rationals or over one level of the
+    Cayley-Dickson tower; involution is transpose composed with the
+    entrywise one.
 
-    A matrix whose entries are all rational holds their integer
-    numerators ``nums``, row-major, over the one denominator ``den``. Any
-    other matrix holds its entries as given, and ``nums`` and ``den`` are
-    ``None``."""
+    It holds the integer numerators of its entries' coordinates,
+    row-major, each entry's ``2^level`` coordinates together, over the one
+    denominator ``den``; ``level`` is ``None`` for rational entries, one
+    numerator each."""
 
-    __slots__ = ("dim", "nums", "den", "_cells")
+    __slots__ = ("dim",)
+    _carrier = "matrix"
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = [tuple(r) for r in entries]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise StructuralError("matrix entries must form a square grid")
-        self.dim = n
         flat = [a for r in rows for a in r]
+        self.dim = n
         if all(isinstance(a, (int, Fraction)) for a in flat):
+            self.level = None
             self.nums, self.den = _integer_form([_as_fraction(a) for a in flat])
-            self._cells = None
+        elif all(isinstance(a, CDElement) and a.level == flat[0].level
+                 for a in flat):
+            # canonical entries: the least common denominator is canonical
+            self.level = flat[0].level
+            self.den = den = math.lcm(*[a.den for a in flat])
+            self.nums = tuple([v * (den // a.den) for a in flat for v in a.nums])
         else:
-            self.nums = self.den = None
-            self._cells = tuple(rows)
+            raise StructuralError("matrix entries must be all rational or all "
+                                  "Cayley-Dickson elements of one level")
 
     @property
     def entries(self) -> tuple[tuple, ...]:
-        """The entries, row by row; a read-only ``Fraction`` view for a
-        rational matrix."""
-        if self.nums is None:
-            return self._cells
-        n, den, nums = self.dim, self.den, self.nums
-        return tuple([tuple([Fraction(v, den) for v in nums[i:i + n]])
-                      for i in range(0, n * n, n)])
+        """The entries, row by row, as ``Fraction`` or ``CDElement``; a
+        read-only view."""
+        n, den, nums, level = self.dim, self.den, self.nums, self.level
+        if level is None:
+            cells = [Fraction(v, den) for v in nums]
+        else:
+            w = 1 << level
+            cells = [_cd(level, *_reduce(nums[i:i + w], den))
+                     for i in range(0, len(nums), w)]
+        return tuple([tuple(cells[i:i + n]) for i in range(0, n * n, n)])
 
     @classmethod
     def identity(cls, dim: int, one, zero) -> "MatrixElement":
         return cls([[one if i == j else zero for j in range(dim)]
                     for i in range(dim)])
 
+    def unit(self) -> "MatrixElement":
+        n, size = self.dim, len(self.nums)
+        w = size // (n * n)
+        nums = [0] * size
+        # the first coordinate of each diagonal entry
+        for i in range(0, size, (n + 1) * w):
+            nums[i] = 1
+        return self._like(tuple(nums), 1)
+
     def _check(self, other: "MatrixElement") -> None:
         if not isinstance(other, MatrixElement) or other.dim != self.dim:
             raise StructuralError("matrix dimension mismatch")
+        if other.level != self.level:
+            raise StructuralError("matrix entry algebra mismatch")
 
-    def _entrywise(self, op, other: "MatrixElement") -> "MatrixElement":
-        self._check(other)
-        if self.nums is not None and other.nums is not None:
-            return _rational_matrix(type(self), self.dim, *_combine(
-                op, self.nums, self.den, other.nums, other.den))
-        return _entry_matrix(type(self), [
-            list(map(op, r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)])
-
-    def __add__(self, other: "MatrixElement") -> "MatrixElement":
-        return self._entrywise(add, other)
-
-    def __sub__(self, other: "MatrixElement") -> "MatrixElement":
-        return self._entrywise(sub, other)
-
-    def __neg__(self) -> "MatrixElement":
-        if self.nums is not None:
-            return _rational_matrix(type(self), self.dim,
-                                    tuple([-a for a in self.nums]), self.den)
-        return _entry_matrix(type(self), [[-a for a in r] for r in self._cells])
+    def _like(self, nums: tuple[int, ...], den: int) -> "MatrixElement":
+        m = _new(type(self))
+        m.dim = self.dim
+        m.level = self.level
+        m.nums = nums
+        m.den = den
+        return m
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if self.nums is not None:
-                return _rational_matrix(type(self), self.dim,
-                                        *_scale(self.nums, self.den, other))
-            return _entry_matrix(type(self),
-                                 [[a * other for a in r] for r in self._cells])
+            return self._scaled(other)
         self._check(other)
-        if self.nums is not None and other.nums is not None:
-            return _rational_matrix(type(self), self.dim, *_reduce(
-                _int_matmul(self.dim, self.nums, other.nums),
-                self.den * other.den))
-        return _entry_matrix(type(self),
-                             _generic_matmul(self.entries, other.entries))
+        if self.level is None:
+            nums = _int_matmul(self.dim, self.nums, other.nums)
+        else:
+            nums = _cd_matmul(self.dim, self.level, self.nums, other.nums)
+        return self._like(*_reduce(nums, self.den * other.den))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        # a rational matrix never equals one holding algebra entries
-        return (isinstance(other, MatrixElement) and other.dim == self.dim
-                and other.den == self.den and other.nums == self.nums
-                and other._cells == self._cells)
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den, self._cells))
-
-    def conj(self) -> "MatrixElement":
-        n = self.dim
-        if self.nums is not None:
-            nums = self.nums
-            return _rational_matrix(type(self), n, tuple(
-                [nums[j * n + i] for i in range(n) for j in range(n)]),
-                self.den)
-        cells = self._cells
-        return _entry_matrix(type(self), [[conj_of(cells[j][i])
-                                           for j in range(n)]
-                                          for i in range(n)])
-
-    def is_zero(self) -> bool:
-        if self.nums is not None:
-            return not any(self.nums)
-        return all(is_zero(a) for r in self._cells for a in r)
+    def _conj_nums(self) -> tuple[int, ...]:
+        # transpose, and conjugate each entry: keep its first coordinate
+        # and negate the others (none for a rational entry)
+        n, nums = self.dim, self.nums
+        w = len(nums) // (n * n)
+        out = []
+        for i in range(n):
+            for j in range(n):
+                s = (j * n + i) * w
+                out.append(nums[s])
+                out += [-a for a in nums[s + 1:s + w]]
+        return tuple(out)
 
     def __str__(self) -> str:
         rows = ["[" + ", ".join(str(a) for a in r) + "]" for r in self.entries]
@@ -442,41 +463,6 @@ class MatrixElement:
 
     def __repr__(self) -> str:
         return f"MatrixElement({self})"
-
-
-def _rational_matrix(cls, dim: int, nums: tuple[int, ...], den: int):
-    """A rational ``cls`` matrix from canonical integers, unchecked."""
-    m = _new(cls)
-    m.dim = dim
-    m.nums = nums
-    m.den = den
-    m._cells = None
-    return m
-
-
-def _entry_matrix(cls, rows: list[list]):
-    """A ``cls`` matrix holding the square grid ``rows``, unchecked."""
-    m = _new(cls)
-    m.dim = len(rows)
-    m.nums = m.den = None
-    m._cells = tuple([tuple(r) for r in rows])
-    return m
-
-
-def _generic_matmul(x, y) -> list[list]:
-    """Row-by-column product using only the entries' ``*`` and ``+``."""
-    n = len(x)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = x[i][k] * y[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _int_matmul(n: int, xs: tuple, ys: tuple) -> list[int]:
@@ -491,6 +477,26 @@ def _int_matmul(n: int, xs: tuple, ys: tuple) -> list[int]:
     return out
 
 
+def _cd_matmul(n: int, level: int, xs: tuple, ys: tuple) -> list[int]:
+    """Product of two row-major ``n x n`` grids of level-``level``
+    Cayley-Dickson entries, each entry's integer coordinates together:
+    the entry loop, with each entry product taken by ``_cd_table_mul``
+    and summed into the result entry. The product is bilinear, so this
+    equals the entry loop over the ``CDElement`` entries at every level,
+    the non-associative ones included."""
+    w = 1 << level
+    xb = [xs[i:i + w] for i in range(0, len(xs), w)]
+    yb = [ys[i:i + w] for i in range(0, len(ys), w)]
+    out = []
+    for i in range(0, n * n, n):
+        for j in range(n):
+            acc = [0] * w
+            for k in range(n):
+                _cd_table_mul(level, xb[i + k], yb[k * n + j], acc)
+            out += acc
+    return out
+
+
 # -- generic helpers over all coefficient algebras ---------------------------
 
 def conj_of(x):
@@ -501,17 +507,10 @@ def conj_of(x):
 
 
 def one_of(x):
+    """The unit of ``x``'s algebra: ``x.unit()`` for every carrier but the
+    rationals."""
     if isinstance(x, (int, Fraction)):
         return Fraction(1)
-    if isinstance(x, CDElement):
-        return CDElement.one(x.level)
-    if isinstance(x, MatrixElement):
-        n = x.dim
-        if x.nums is not None:
-            return _rational_matrix(type(x), n, tuple(
-                [int(i == j) for i in range(n) for j in range(n)]), 1)
-        probe = x._cells[0][0]
-        return type(x).identity(n, one_of(probe), zero_of(probe))
     unit = getattr(x, "unit", None)
     if unit is None:
         raise StructuralError(f"no unit for {type(x).__name__}")
@@ -531,14 +530,10 @@ def is_zero(x) -> bool:
 
 
 def known_nonassociative(x) -> bool:
-    """Whether ``x`` lives in an algebra known to be non-associative:
-    Cayley-Dickson level 3 (octonions) and up, matrices over such an
-    algebra, and any carrier whose class sets ``associative = False``,
-    such as the one-step doubling ``witnesses.DoubledElement``."""
-    if isinstance(x, CDElement):
-        return x.level >= 3
-    if isinstance(x, MatrixElement):
-        return x.nums is None and known_nonassociative(x._cells[0][0])
+    """Whether ``x`` lives in an algebra known to be non-associative: its
+    ``associative`` attribute is ``False``, as on Cayley-Dickson level 3
+    (octonions) and up, matrices over such an algebra, and the one-step
+    doubling ``witnesses.DoubledElement``."""
     return getattr(x, "associative", True) is False
 
 

@@ -125,17 +125,10 @@ def series_from_json(data, flavor: str, order: int, algebra: str
     """Decode a series given as a coefficient list or as the object that
     ``series_to_json`` writes. The arguments fix flavor, order and algebra;
     a ``flavor``, ``order`` or ``algebra`` key in the object may repeat
-    them but not contradict them."""
+    them but not contradict them. A bad coefficient's error names its
+    degree."""
     from .seriesloops import TruncatedSeries
 
-    return TruncatedSeries(flavor, order,
-                           *_decode_coeffs(data, flavor, order, algebra))
-
-
-def _decode_coeffs(data, flavor: str, order: int, algebra: str
-                   ) -> tuple[list, object]:
-    """The decoded coefficients of series JSON ``data``, and the unit of
-    ``algebra``; a bad coefficient's error names its degree."""
     if isinstance(data, str):
         import json
         data = json.loads(data)
@@ -161,26 +154,22 @@ def _decode_coeffs(data, flavor: str, order: int, algebra: str
             decoded.append(dec(c))
         except StructuralError as exc:
             raise StructuralError(f"coefficient {n}: {exc}") from None
-    return decoded, one
+    return TruncatedSeries(flavor, order, decoded, one)
 
 
 # -- the series commands -------------------------------------------------------
 
 def _series_arg(text: str, option: str, args) -> TruncatedSeries:
-    """Decode a series option; malformed JSON or coefficients are
+    """Decode a series option; malformed JSON, coefficients or series are
     structural errors, named by the option."""
-    from .seriesloops import TruncatedSeries
-
     try:
-        coeffs, one = _decode_coeffs(text, args.flavor, args.order,
-                                     args.algebra)
+        return series_from_json(text, args.flavor, args.order, args.algebra)
     except StructuralError as exc:
         raise StructuralError(f"{option}: {exc}") from None
     except (ValueError, TypeError, KeyError, AttributeError,
             ZeroDivisionError) as exc:
         raise StructuralError(f"{option}: cannot decode series: {exc}") \
             from None
-    return TruncatedSeries(args.flavor, args.order, coeffs, one)
 
 
 def _cmd_divide(args) -> tuple[str, int]:
@@ -287,6 +276,10 @@ def _handler(command: str):
 
 
 def main(argv=None) -> int:
+    # exact results print every digit, whatever PYTHONINTMAXSTRDIGITS says
+    # (Python 3.10 before 3.10.7 has no limit and no setter)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     print(f"loopseries {__version__}", file=sys.stderr)

@@ -24,7 +24,6 @@ from . import DEFAULT_SEED
 from .algebras import (
     CDElement,
     MatrixElement,
-    _rational_matrix,
     conj_of,
     is_zero,
     one_of,
@@ -117,13 +116,12 @@ class SplitQuaternionMatrix(MatrixElement):
         super().__init__(entries)
         if self.dim != 2:
             raise StructuralError("the symplectic involution is for 2x2 here")
-        if self.nums is None:
+        if self.level is not None:
             raise StructuralError("split quaternions have rational entries")
 
-    def conj(self) -> "SplitQuaternionMatrix":
+    def _conj_nums(self) -> tuple[int, ...]:
         a, b, c, d = self.nums
-        return _rational_matrix(SplitQuaternionMatrix, 2, (d, -b, -c, a),
-                                self.den)
+        return (d, -b, -c, a)
 
     def det(self) -> Fraction:
         a, b, c, d = self.nums

@@ -2,7 +2,7 @@
 
 The library computes each result by one route; the second routes that
 the tests compare it with live here: the recursive Cayley-Dickson
-doubling, the proved Lagrange-coefficient recurrences, the operator
+doubling, the matrix entry loop, the proved Lagrange-coefficient recurrences, the operator
 identities, tensor coassociativity and the tuple-sum form of the
 non-commutative Faa di Bruno coproduct, the hyperbolic-quaternion loop
 axioms, and the seeded samplers of random coefficients.
@@ -63,6 +63,23 @@ def doubling_mul(x: tuple, y: tuple) -> list:
     first = [p - q for p, q in zip(doubling_mul(a, c), doubling_mul(d_conj, b))]
     second = [p + q for p, q in zip(doubling_mul(d, a), doubling_mul(b, c_conj))]
     return first + second
+
+
+def _generic_matmul(x, y) -> list[list]:
+    """Row-by-column product of two square grids using only the entries'
+    ``*`` and ``+``; the oracle of both integer matrix products."""
+    n = len(x)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                term = x[i][k] * y[k][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def cd_mul(x: CDElement, y: CDElement) -> CDElement:

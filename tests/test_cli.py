@@ -175,7 +175,7 @@ class TestSeriesCommands:
         assert code == 2
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
-        assert errors == ["error: diff series need an associative "
+        assert errors == ["error: --a: diff series need an associative "
                           "coefficient algebra"]
 
     def test_diff_accepts_quaternions(self, capsys):
@@ -555,6 +555,27 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert len([line for line in proc.stderr.splitlines()
                 if "error:" in line]) == 1
+
+
+def test_output_ignores_the_int_string_limit():
+    # x_2 = N^2 has 800 digits, more than a limit of 640 allows to print
+    big = 10 ** 400 - 1
+    argv = ["divide", "--flavor", "inv", "--order", "2", "--algebra", "q",
+            "--side", "left", "--a", json.dumps([str(big), "1"]),
+            "--b", '["0", "1"]']
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = []
+    for limit in (None, "640"):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run([sys.executable, "-m", "loopseries.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == f"1 + (-{big})*t + ({big * big})*t^2 + O(t^3)\n"
 
 
 def test_memory_error_is_one_error_line(capsys, monkeypatch):

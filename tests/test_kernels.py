@@ -4,9 +4,12 @@
   against ``Fraction`` coordinate tuples: the table-driven product
   against the recursive doubling ``doubling_mul``, sums, differences, scaling
   and the conjugate against their coordinatewise definitions;
-* the integer rational-matrix product and sum against the generic entry
-  loop on ``Fraction`` grids, and the Zorn doubling over split
-  quaternions against a ``Fraction``-entry reference;
+* the integer matrix product and sum against the generic entry loop on
+  ``Fraction`` grids and on grids of ``CDElement`` entries at levels 0-4,
+  the matrix conjugate against transpose and entrywise conjugate, and the
+  Zorn doubling over split quaternions against a ``Fraction``-entry
+  reference;
+* ``one_of`` and ``known_nonassociative`` over every carrier;
 * the canonical form of every result, and no literal check inside the
   arithmetic;
 * the prefix-sum DP for ``d_l`` and ``d_l^e`` against brute enumeration of
@@ -25,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopseries import algebras
-from loopseries.algebras import CDElement, MatrixElement, _generic_matmul
+from loopseries.algebras import CDElement, MatrixElement
 from loopseries.combinatorics import (
     all_compositions,
     bit_sequences,
@@ -35,8 +38,8 @@ from loopseries.combinatorics import (
     m_sequences_labeled,
 )
 from loopseries.errors import StructuralError
-from loopseries.witnesses import DoubledElement, SplitQuaternionMatrix
-from oracles import doubling_conj, doubling_mul
+from loopseries.witnesses import DoubledElement, HQUnit, SplitQuaternionMatrix
+from oracles import _generic_matmul, doubling_conj, doubling_mul
 from test_combinatorics import brute_d, brute_m_sequences
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None, database=None,
@@ -65,6 +68,18 @@ def grids():
         grid = st.lists(row, min_size=n, max_size=n).map(tuple)
         return st.tuples(grid, grid)
     return st.sampled_from([2, 3]).flatmap(of_dim)
+
+
+def cd_grids():
+    """Pairs of square grids of level-``k`` ``CDElement`` entries, ``k``
+    from 0 to 4 (non-associative from 3)."""
+    def of_shape(level, n):
+        entry = coords(level).map(lambda c: CDElement(level, c))
+        row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+        grid = st.lists(row, min_size=n, max_size=n).map(tuple)
+        return st.tuples(grid, grid)
+    return st.tuples(st.integers(0, 4), st.sampled_from([1, 2, 3])).flatmap(
+        lambda shape: of_shape(*shape))
 
 
 def assert_canonical(x):
@@ -180,10 +195,37 @@ class TestFractionMatrixKernel:
         assert (MatrixElement([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
                 * 2) == MatrixElement.identity(2, 1, 0)
 
+    @KERNEL_SETTINGS
+    @given(cd_grids())
+    def test_cayley_dickson_entries_equal_entry_loop(self, pair):
+        x, y = pair
+        a, b = MatrixElement(x), MatrixElement(y)
+        assert_canonical(a)
+        assert_matrix(a * b, _generic_matmul(x, y))
+        assert_matrix(a + b, [[u + v for u, v in zip(r1, r2)]
+                              for r1, r2 in zip(x, y)])
+        n = len(x)
+        assert_matrix(a.conj(), [[x[j][i].conj() for j in range(n)]
+                                 for i in range(n)])
+
+    @pytest.mark.parametrize("entries", [
+        [[Fraction(1), CDElement.one(2)], [Fraction(0), Fraction(1)]],
+        [[CDElement.one(2), CDElement.zero(3)],
+         [CDElement.zero(2), CDElement.one(2)]],
+        [[CDElement.one(1), "0"], [CDElement.zero(1), CDElement.one(1)]],
+        [[DoubledElement(Fraction(1), Fraction(0))]],
+    ])
+    def test_mixed_entries_refused(self, entries):
+        with pytest.raises(StructuralError):
+            MatrixElement(entries)
+
     def test_dimension_mismatch_still_raises(self):
         with pytest.raises(StructuralError):
             MatrixElement([[Fraction(1)]]) * MatrixElement(
                 [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+        # same dimension, other entry algebra
+        with pytest.raises(StructuralError):
+            MatrixElement([[Fraction(1)]]) * MatrixElement([[CDElement.one(0)]])
 
 
 def ref_zorn_mul(x, y):
@@ -232,6 +274,42 @@ class TestZornKernel:
         assert defect == (scalar, 0, 0, scalar)
         assert_canonical(got.a)
         assert_canonical(got.b)
+
+
+def carriers():
+    """``(value, its unit, known non-associative)`` for every carrier."""
+    q = Fraction
+    out = [(q(3, 2), q(1), False), (5, q(1), False)]
+    for level in range(5):
+        x = CDElement.basis(level, (1 << level) - 1, q(2, 3))
+        one, zero = CDElement.one(level), CDElement.zero(level)
+        out.append((x, one, level >= 3))
+        m = MatrixElement([[x, zero], [one, x]])
+        out.append((m, MatrixElement.identity(2, one, zero), level >= 3))
+    out.append((MatrixElement([[q(1, 2), 3], [0, 1]]),
+                MatrixElement.identity(2, 1, 0), False))
+    out.append((MatrixElement([[1, 2, 3]] * 3),
+                MatrixElement.identity(3, 1, 0), False))
+    sq = SplitQuaternionMatrix([[q(1), q(2)], [q(0), q(1, 3)]])
+    out.append((sq, SplitQuaternionMatrix([[1, 0], [0, 1]]), False))
+    out.append((DoubledElement(q(2), q(1)),
+                DoubledElement(q(1), q(0)), True))
+    out.append((zorn((q(1), q(2), q(0), q(1, 3)), (q(1, 4), 0, 5, 1)),
+                zorn((1, 0, 0, 1), (0, 0, 0, 0)), True))
+    return out
+
+
+@pytest.mark.parametrize("x, unit, nonassociative", carriers())
+def test_carrier_protocol(x, unit, nonassociative):
+    got = algebras.one_of(x)
+    assert got == unit and type(got) is type(unit)
+    assert x * got == x and got * x == x
+    assert algebras.known_nonassociative(x) is nonassociative
+
+
+def test_no_unit_refused():
+    with pytest.raises(StructuralError):
+        algebras.one_of(HQUnit(1, "i"))
 
 
 def test_arithmetic_checks_no_literal(monkeypatch):
