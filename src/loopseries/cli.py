@@ -195,15 +195,22 @@ def _cmd_invert(args) -> tuple[str, int]:
 
 # -- parser ----------------------------------------------------------------------
 
+# Integer options are plain ASCII digit strings; ``int`` alone would also
+# read signs, spaces, digit-group underscores (``1_0`` as 10) and the digits
+# of other scripts.
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
-    return value
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) < 1 << 64):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, 2^64), got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact loops of formal series and their coloop bialgebras")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="64-bit seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
     command = functools.partial(sub.add_parser, allow_abbrev=False)

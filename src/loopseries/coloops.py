@@ -20,14 +20,19 @@ same entries from the recursive operators of :mod:`loopseries.operators`,
 which it imports on first use; the tests check that every expansion
 equals its table.
 
-Axiom checks are assembled exclusively from generator-table morphisms,
-so one composition engine exercises the counitary property, the four
-cocancellations, partial counitality, the 5-terms identities, ``mu .
-codivision = unit . counit``, the coinverse properties, the two-sided
-antipode, the coassociator and the projection onto the tensor Hopf
-algebra. A copy relabeling (``fold``) after a morphism is composed into
-the morphism's images instead, so every composite side is one morphism
-application; only ``mu . codivision`` folds a table entry.
+Every map has one name in one vocabulary, the image of a letter ``x_n``
+under it (``Coloop.image``): ``delta``, ``counit``, ``delta_r``,
+``delta_l``, ``s_r``, ``s_l``, the letters ``x``, ``y``, ``z`` and the
+relabeled images ``delta@23``, ``s_r@2``, ``delta_r@1``, ``delta_l@1``.
+``coop`` prints an image, and ``AXIOMS`` writes each axiom's pairs of
+sides in the same names, so a new axiom is one row of that table. The
+battery covers the counitary property, the four cocancellations, partial
+counitality, the 5-terms identities, ``mu . codivision = unit . counit``,
+the coinverse properties and the two-sided antipode; the coassociator and
+the projection onto the tensor Hopf algebra use the same engine. A copy
+relabeling (``fold``) after a morphism is composed into the morphism's
+images instead, so every composite side is one morphism application;
+only ``mu . codivision`` folds a table entry.
 """
 
 from __future__ import annotations
@@ -98,13 +103,9 @@ class Coloop:
             raise StructuralError(f"side must be left or right, got {side!r}")
         return self._entry("delta_r" if side == "right" else "delta_l", n)
 
-    def counit(self, n: int) -> NCPolynomial:
-        if n < 1:
-            raise StructuralError("tables are indexed by n >= 1")
-        return NCPolynomial.zero()
-
     def antipode(self, side: str, n: int) -> NCPolynomial:
-        """``S_r = (eps u id) delta_r`` resp. ``S_l = (id u eps) delta_l``,
+        """``S_r = (counit u id) delta_r`` resp.
+        ``S_l = (id u counit) delta_l``,
         written in one copy."""
         if side not in ("right", "left"):
             raise StructuralError(f"side must be left or right, got {side!r}")
@@ -163,28 +164,42 @@ class Coloop:
             yield head + ((1, comp[-1]),), -c
 
     def _build_s_r(self, n: int) -> NCPolynomial:
-        return self._hom("eps", "x")(self.codivision("right", n))
+        return self._hom("counit", "x")(self.codivision("right", n))
 
     def _build_s_l(self, n: int) -> NCPolynomial:
-        return self._hom("x", "eps")(self.codivision("left", n))
+        return self._hom("x", "counit")(self.codivision("left", n))
 
     # -- composition engine ---------------------------------------------------
 
     # Images of the letters ``x_k`` of one copy, by name. ``@2`` moves the
-    # image's copy 1 to copy 2, ``@23`` moves copies 1, 2 to 2, 3.
+    # image's copy 1 to copy 2, ``@23`` moves copies 1, 2 to 2, 3, and
+    # ``@1`` folds copies 1, 2 into copy 1 (``mu``).
     _IMAGES: dict[str, Callable[["Coloop", int], NCPolynomial]] = {
         "x": lambda self, k: _X(k),
         "y": lambda self, k: _Y(k),
         "z": lambda self, k: _Z(k),
-        "eps": lambda self, k: NCPolynomial.zero(),
+        "counit": lambda self, k: NCPolynomial.zero(),
         "delta": lambda self, k: self.coproduct(k),
         "delta@23": lambda self, k: fold({1: 2, 2: 3}, self.coproduct(k)),
         "delta_r": lambda self, k: self.codivision("right", k),
+        "delta_r@1": lambda self, k: fold({1: 1, 2: 1},
+                                          self.codivision("right", k)),
         "delta_l": lambda self, k: self.codivision("left", k),
+        "delta_l@1": lambda self, k: fold({1: 1, 2: 1},
+                                          self.codivision("left", k)),
         "s_r": lambda self, k: self.antipode("right", k),
         "s_r@2": lambda self, k: fold({1: 2}, self.antipode("right", k)),
         "s_l": lambda self, k: self.antipode("left", k),
     }
+
+    def image(self, name: str, n: int) -> NCPolynomial:
+        """The image of ``x_n`` under the map called ``name``."""
+        fn = self._IMAGES.get(name)
+        if fn is None:
+            raise StructuralError(f"unknown image {name!r}")
+        if n < 1:
+            raise StructuralError("tables are indexed by n >= 1")
+        return fn(self, n)
 
     def _hom(self, *names: str) -> MultiMorphism:
         """The algebra map sending the letters of copy ``i`` through the
@@ -192,8 +207,8 @@ class Coloop:
         so its ``image_terms`` memo serves every degree and every axiom."""
         got = self._homs.get(names)
         if got is None:
-            fns = [self._IMAGES[name] for name in names]
-            got = MultiMorphism(image_fn=lambda cp, k: fns[cp - 1](self, k))
+            got = MultiMorphism(
+                image_fn=lambda cp, k: self.image(names[cp - 1], k))
             self._homs[names] = got
         return got
 
@@ -232,69 +247,41 @@ class Coloop:
         return True, None
 
     def _axiom_sides(self, axiom: str, n: int):
-        """The pairs of sides of ``axiom`` on ``x_n``. A fold after a
-        morphism is the morphism whose images are already folded, so each
-        composite below is one homomorphism: ``(id u mu)(Delta_r u id)``
-        is ``hom("delta_r", "y")``, ``mu(S_r u id)`` is ``hom("s_r",
-        "x")``, and so on."""
-        delta = self.coproduct
-        delta_r = lambda k: self.codivision("right", k)  # noqa: E731
-        delta_l = lambda k: self.codivision("left", k)  # noqa: E731
-        hom = self._hom
+        """The pairs of sides of ``axiom`` on ``x_n``, read from
+        ``AXIOMS``."""
+        rows = AXIOMS.get(axiom)
+        if rows is None:
+            raise StructuralError(f"unknown axiom {axiom!r}")
+        return [(self._side(lhs, n), self._side(rhs, n)) for lhs, rhs in rows]
 
-        if axiom == "counit":
-            return [
-                (hom("eps", "y")(delta(n)), _Y(n)),
-                (hom("x", "eps")(delta(n)), _X(n)),
-            ]
-        if axiom == "right-cocancel-1":
-            return [(hom("delta_r", "y")(delta(n)), _X(n))]
-        if axiom == "right-cocancel-2":
-            return [(hom("delta", "y")(delta_r(n)), _X(n))]
-        if axiom == "left-cocancel-1":
-            return [(hom("x", "delta_l")(delta(n)), _Y(n))]
-        if axiom == "left-cocancel-2":
-            return [(hom("x", "delta")(delta_l(n)), _Y(n))]
-        if axiom == "partial-counit":
-            return [
-                (hom("x", "eps")(delta_r(n)), _X(n)),
-                (hom("eps", "y")(delta_l(n)), _Y(n)),
-            ]
-        if axiom == "five-terms-left":
-            return [(hom("s_r", "x")(delta(n)), NCPolynomial.zero())]
-        if axiom == "five-terms-right":
-            return [(hom("x", "s_l")(delta(n)), NCPolynomial.zero())]
-        if axiom == "mu-delta":
-            mu = {1: 1, 2: 1}
-            return [
-                (fold(mu, delta_r(n)), NCPolynomial.zero()),
-                (fold(mu, delta_l(n)), NCPolynomial.zero()),
-            ]
-        if axiom == "coinverse-right":
-            composite = hom("x", "s_r@2")(delta(n))
-            return [(delta_r(n), composite)]
-        if axiom == "coinverse-left":
-            composite = hom("s_l", "y")(delta(n))
-            return [(delta_l(n), composite)]
-        if axiom == "antipode-two-sided":
-            return [(self.antipode("right", n), self.antipode("left", n))]
-        raise StructuralError(f"unknown axiom {axiom!r}")
+    def _side(self, side, n: int) -> NCPolynomial:
+        if isinstance(side, str):
+            return self.image(side, n)
+        name, *images = side
+        return self._hom(*images)(self.image(name, n))
 
 
-AXIOMS = (
-    "counit",
-    "right-cocancel-1",
-    "right-cocancel-2",
-    "left-cocancel-1",
-    "left-cocancel-2",
-    "partial-counit",
-    "five-terms-left",
-    "five-terms-right",
-    "mu-delta",
-    "coinverse-right",
-    "coinverse-left",
-    "antipode-two-sided",
-)
+# Each axiom's pairs of sides on x_n. A side is an image name, evaluated
+# at n, or ``(name, *images)``: that entry under ``hom(*images)``. A fold
+# after a morphism is the morphism whose images are already folded, so
+# ``(id u mu)(Delta_r u id) Delta`` is ``("delta", "delta_r", "y")`` and
+# ``mu (S_r u id) Delta`` is ``("delta", "s_r", "x")``.
+AXIOMS: dict[str, tuple] = {
+    "counit": ((("delta", "counit", "y"), "y"),
+               (("delta", "x", "counit"), "x")),
+    "right-cocancel-1": ((("delta", "delta_r", "y"), "x"),),
+    "right-cocancel-2": ((("delta_r", "delta", "y"), "x"),),
+    "left-cocancel-1": ((("delta", "x", "delta_l"), "y"),),
+    "left-cocancel-2": ((("delta_l", "x", "delta"), "y"),),
+    "partial-counit": ((("delta_r", "x", "counit"), "x"),
+                       (("delta_l", "counit", "y"), "y")),
+    "five-terms-left": ((("delta", "s_r", "x"), "counit"),),
+    "five-terms-right": ((("delta", "x", "s_l"), "counit"),),
+    "mu-delta": (("delta_r@1", "counit"), ("delta_l@1", "counit")),
+    "coinverse-right": (("delta_r", ("delta", "x", "s_r@2")),),
+    "coinverse-left": (("delta_l", ("delta", "s_l", "y")),),
+    "antipode-two-sided": (("s_r", "s_l"),),
+}
 
 # Known negative results: axioms that are REQUIRED to fail,
 # keyed by (flavor, axiom) with the degree of first failure. In the
@@ -304,6 +291,7 @@ AXIOMS = (
 EXPECTED_FAILURES: dict[tuple[str, str], int] = {
     ("fdb", "coinverse-left"): 3,
 }
+
 
 def operator_expansions(kind: str, n: int) -> dict[str, NCPolynomial]:
     """The fdb table entry ``kind`` at degree ``n`` rebuilt from the

@@ -78,17 +78,7 @@ def cmd_coeffs(args) -> tuple[str, int]:
 def cmd_coop(args) -> tuple[str, int]:
     from . import coloops
 
-    table = coloops.get_coloop(args.flavor)
-    if args.kind == "delta":
-        poly = table.coproduct(args.n)
-    elif args.kind == "counit":
-        poly = table.counit(args.n)
-    elif args.kind in ("delta_r", "delta_l"):
-        poly = table.codivision("right" if args.kind == "delta_r" else "left",
-                                args.n)
-    else:
-        poly = table.antipode("right" if args.kind == "s_r" else "left",
-                              args.n)
+    poly = coloops.get_coloop(args.flavor).image(args.kind, args.n)
     if args.format == "json":
         return _emit_json("coop", {"flavor": args.flavor, "kind": args.kind,
                                    "n": args.n, "polynomial": poly.to_json()}), 0

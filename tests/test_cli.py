@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -24,6 +25,7 @@ from loopseries import (
 )
 from loopseries.cli import main, series_from_json, series_to_json
 from loopseries.errors import StructuralError
+from loopseries.freealg import NCPolynomial
 from loopseries.seriesloops import TruncatedSeries
 
 
@@ -70,19 +72,25 @@ class TestCoeffs:
 
 
 class TestCoop:
-    def test_text_matches_library(self, capsys):
+    @pytest.mark.parametrize("kind, entry", [
+        ("delta", lambda table: table.coproduct(4)),
+        ("counit", lambda table: NCPolynomial.zero()),
+        ("delta_r", lambda table: table.codivision("right", 4)),
+        ("delta_l", lambda table: table.codivision("left", 4)),
+        ("s_r", lambda table: table.antipode("right", 4)),
+        ("s_l", lambda table: table.antipode("left", 4)),
+    ])
+    def test_text_matches_library(self, capsys, kind, entry):
         code, out, _ = run(capsys, "coop", "--flavor", "fdb",
-                           "--kind", "delta_l", "--n", "4")
+                           "--kind", kind, "--n", "4")
         assert code == 0
-        table = coloops.get_coloop("fdb")
-        assert out.strip() == str(table.codivision("left", 4))
+        assert out.strip() == str(entry(coloops.get_coloop("fdb")))
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "coop",
                            "--flavor", "inv", "--kind", "delta_r", "--n", "3")
         assert code == 0
         data = validate_envelope(out)
-        from loopseries.freealg import NCPolynomial
         poly = NCPolynomial.from_json(data["data"]["polynomial"])
         assert poly == coloops.get_coloop("inv").codivision("right", 3)
 
@@ -132,6 +140,23 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == \
             "flavor,axiom,n,pass,expected_failure,discrepancy"
+
+    # stdout of ``verify --flavor both --max-degree 9``; the benchmark
+    # goldens stop at degree 7, so these pin the fdb coinverse-left
+    # discrepancies at n = 8 and 9
+    DEGREE_9_SHA256 = {
+        "text": "89e056b28c357496fa1bed12bf4af550d2ea9da208a94c9cf1c1982f42c03ebe",
+        "json": "48e0c033b8875c52009b3eff94edc41a3ae089e00f86bedf7c98b961baa1fd5d",
+        "csv": "eff43a6ee46aa270724bcc131194d1646e501b81f3873fa6ed52a713f3e338af",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_degree_9_output_is_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "--format", fmt, "verify",
+                           "--flavor", "both", "--max-degree", "9")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.DEGREE_9_SHA256[fmt]
 
 
 class TestSeriesCommands:
@@ -335,6 +360,14 @@ def test_parser_constants_match_the_library():
     assert cli.WITNESS_NAMES == witnesses.WITNESS_NAMES
     seed = inspect.signature(witnesses.witness).parameters["seed"]
     assert cli.DEFAULT_SEED == seed.default == DEFAULT_SEED
+    assert 0 <= DEFAULT_SEED < 2 ** 64
+    # coop prints images, and the axiom table names its sides by image
+    images = set(coloops.Coloop._IMAGES)
+    assert set(cli.COOP_KINDS) <= images
+    for axiom, rows in coloops.AXIOMS.items():
+        for side in (side for row in rows for side in row):
+            names = {side} if isinstance(side, str) else set(side)
+            assert names <= images, (axiom, side)
 
 
 class TestWitnessCommand:
@@ -449,6 +482,18 @@ BAD_INPUTS = [
     ["verify", "--max-degree", "0"],
     ["verify", "--max-degree", "-3"],
     ["trees", "--length", "0"],
+    # integer options are ASCII digits: int alone reads digit-group
+    # underscores, other scripts' digits, signs and spaces
+    ["trees", "--length", "1_0"],
+    ["trees", "--length", "\u0663"],
+    ["trees", "--length", "+3"],
+    ["trees", "--length", " 3"],
+    ["coeffs", "--n", "\uff13"],
+    ["verify", "--max-degree", "0_3"],
+    # seeds are 64-bit, and Random would read -5 as 5
+    ["--seed", "-5", "witness", "ucd-not-loop"],
+    ["--seed", "18446744073709551616", "witness", "ucd-not-loop"],
+    ["--seed", "1_0", "witness", "ucd-not-loop"],
     # more coefficients than the order, in either series option
     ["divide", "--flavor", "inv", "--order", "1", "--side", "right",
      "--algebra", "q", "--a", '["1", "2"]', "--b", '["1"]'],

@@ -197,6 +197,11 @@ class TestTables:
         with pytest.raises(StructuralError):
             get_coloop("fdb").codivision("up", 2)
         with pytest.raises(StructuralError):
+            get_coloop("fdb").image("eps", 2)
+        for name in ("counit", "x", "delta_r@1"):
+            with pytest.raises(StructuralError):
+                get_coloop("fdb").image(name, 0)
+        with pytest.raises(StructuralError):
             Coloop("nope")
 
 
