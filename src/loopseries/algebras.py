@@ -4,9 +4,8 @@ Rationals (``fractions.Fraction``), the Cayley-Dickson doubling tower over
 the rationals (complexes, quaternions, octonions, sedenions, ...), and
 square matrices over the rationals or over one level of that tower, with
 the helpers shared by every carrier. The carriers that only the element
-loops and the witnesses use (the one-step doubling ``A + Aj``, split
-quaternions, the hyperbolic-quaternion loop) live in
-:mod:`loopseries.witnesses`.
+loops and the witnesses use (the one-step doubling ``A + Aj`` and split
+quaternions) live in :mod:`loopseries.witnesses`.
 
 The doubling product is, at every level,
 
@@ -324,8 +323,9 @@ def _cd_table_mul(level: int, xs: tuple, ys: tuple, acc=None) -> list[int]:
 def cd_parse(text: str, level: int) -> CDElement:
     """Parse the text form: signed rational coefficients on ``e<i>``,
     e.g. ``e1 + e10`` or ``1/2 - 3*e7``; a bare number is the scalar. A
-    term is a product of rationals, read by ``_as_fraction``, and at most
-    one basis letter, whose index is plain digits."""
+    term is at most one sign, then a product of rationals, read by
+    ``_as_fraction``, and at most one basis letter, whose index is plain
+    digits."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise StructuralError("empty Cayley-Dickson literal")
@@ -333,7 +333,9 @@ def cd_parse(text: str, level: int) -> CDElement:
     # a sign opens a term unless it follows a sign, ``*`` or ``/``
     for signed in re.split(r"(?<=[^-+*/])(?=[-+])", stripped):
         chunk = signed.lstrip("+-")
-        coeff = Fraction((-1) ** signed[:len(signed) - len(chunk)].count("-"))
+        if len(signed) - len(chunk) > 1:
+            raise StructuralError(f"more than one sign in term {signed!r}")
+        coeff = Fraction(-1 if signed[0] == "-" else 1)
         index = None
         for factor in chunk.split("*"):
             if not factor:

@@ -125,8 +125,9 @@ def series_from_json(data, flavor: str, order: int, algebra: str
     """Decode a series given as a coefficient list or as the object that
     ``series_to_json`` writes. The arguments fix flavor, order and algebra;
     a ``flavor``, ``order`` or ``algebra`` key in the object may repeat
-    them but not contradict them. A bad coefficient's error names its
-    degree."""
+    them, with the same JSON type, but not contradict them, and no other
+    key than these and ``coeffs`` is allowed. A bad coefficient's error
+    names its degree."""
     from .seriesloops import TruncatedSeries
 
     if isinstance(data, str):
@@ -134,8 +135,13 @@ def series_from_json(data, flavor: str, order: int, algebra: str
         data = json.loads(data)
     if isinstance(data, dict):
         expected = {"flavor": flavor, "order": order, "algebra": algebra}
+        for key in data:
+            if key not in expected and key != "coeffs":
+                raise StructuralError(f"series JSON has unknown key {key!r}")
         for key, value in expected.items():
-            if key in data and data[key] != value:
+            # of the same type too: true and 1.0 compare equal to 1
+            if key in data and (type(data[key]) is not type(value)
+                                or data[key] != value):
                 raise StructuralError(
                     f"series JSON has {key} {data[key]!r}, but {value!r} "
                     f"was requested")

@@ -74,6 +74,12 @@ def _labeled(bit: int, n: int) -> NCPolynomial:
     return _X(n) if bit == 1 else _Y(n)
 
 
+def _letters(n: int) -> tuple:
+    """``letters[copy][k]``: one ``(copy, k)`` object per letter of copies
+    1 and 2 up to ``k = n``, shared by every word of a table build."""
+    return (None, *([(cp, k) for k in range(n + 1)] for cp in (1, 2)))
+
+
 def _signed_sum(words) -> NCPolynomial:
     """The polynomial of ``(word, coefficient)`` pairs, added into one
     term dict; a word may repeat and coefficients may cancel."""
@@ -129,15 +135,16 @@ class Coloop:
     def _delta_words(self, n: int):
         """``x_n + y_n`` and ``c x_{k0} y_{k1} ... y_{kl}`` with ``c = 1``
         for inv (``l = 1``) and ``c = binom(k_0 + 1, l)`` for fdb."""
-        yield ((1, n),), 1
-        yield ((2, n),), 1
+        _, x, y = _letters(n)
+        yield (x[n],), 1
+        yield (y[n],), 1
         if self.flavor == "inv":
             for m in range(1, n):
-                yield ((1, m), (2, n - m)), 1
+                yield (x[m], y[n - m]), 1
             return
         for ell in range(1, n):
             for comp in compositions(n, ell + 1):
-                yield (((1, comp[0]),) + tuple((2, k) for k in comp[1:]),
+                yield ((x[comp[0]],) + tuple([y[k] for k in comp[1:]]),
                        math.comb(comp[0] + 1, ell))
 
     def _build_delta_r(self, n: int) -> NCPolynomial:
@@ -146,10 +153,11 @@ class Coloop:
     def _delta_r_words(self, n: int):
         """``c u_{k0} y_{k1} ... y_{kl}`` for each term of
         ``codivision_terms``; ``u = x - y`` gives two words."""
+        _, x, y = _letters(n)
         for c, _, comp in codivision_terms("right", self.flavor == "fdb", n):
-            tail = tuple((2, k) for k in comp[1:])
-            yield ((1, comp[0]),) + tail, c
-            yield ((2, comp[0]),) + tail, -c
+            tail = tuple([y[k] for k in comp[1:]])
+            yield (x[comp[0]],) + tail, c
+            yield (y[comp[0]],) + tail, -c
 
     def _build_delta_l(self, n: int) -> NCPolynomial:
         return _signed_sum(self._delta_l_words(n))
@@ -158,10 +166,12 @@ class Coloop:
         """``c w v_{kl}`` for each term of ``codivision_terms``, where ``w``
         has the letter of copy ``e_i`` at place ``i`` (bit 1 labels ``x``,
         bit 2 labels ``y``); ``v = y - x`` gives two words."""
+        letters = _letters(n)
+        _, x, y = letters
         for c, e, comp in codivision_terms("left", self.flavor == "fdb", n):
-            head = tuple(zip(e, comp))
-            yield head + ((2, comp[-1]),), c
-            yield head + ((1, comp[-1]),), -c
+            head = tuple([letters[bit][k] for bit, k in zip(e, comp)])
+            yield head + (y[comp[-1]],), c
+            yield head + (x[comp[-1]],), -c
 
     def _build_s_r(self, n: int) -> NCPolynomial:
         return self._hom("counit", "x")(self.codivision("right", n))

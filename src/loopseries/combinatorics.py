@@ -71,18 +71,6 @@ def all_compositions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def weak_compositions(total: int, parts: int):
-    """Tuples of ``parts`` non-negative integers summing to ``total``,
-    first coordinate descending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def m_sequences(length: int) -> list[tuple[int, ...]]:
     """The set ``M(length)``, in descending lexicographic order.
 
@@ -348,12 +336,6 @@ def _graft_rightmost(t: Tree, s: Tree) -> Tree:
     if t == LEAF:
         return s
     return (t[0], _graft_rightmost(t[1], s))
-
-
-def tree_leaves(t: Tree) -> int:
-    if t == LEAF:
-        return 1
-    return tree_leaves(t[0]) + tree_leaves(t[1])
 
 
 def tree_to_parens(t: Tree) -> str:

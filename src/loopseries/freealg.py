@@ -24,7 +24,6 @@ the text of one monomial and its product.
 
 from __future__ import annotations
 
-import re
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
@@ -34,7 +33,6 @@ Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 
 COPY_NAMES = {1: "x", 2: "y", 3: "z"}
-COPY_OF_NAME = {v: k for k, v in COPY_NAMES.items()}
 
 
 def letter(copy: int, index: int) -> Letter:
@@ -212,7 +210,7 @@ class NCPolynomial(Sparse):
     def coefficient(self, w: Word) -> int:
         return self.terms.get(tuple(w), 0)
 
-    # -- text / JSON -------------------------------------------------------
+    # -- text and JSON output ----------------------------------------------
 
     _sort_key = staticmethod(_term_key)
 
@@ -226,17 +224,6 @@ class NCPolynomial(Sparse):
                 for w, c in self.sorted_terms()
             ]
         }
-
-    @classmethod
-    def from_json(cls, data: dict | str) -> "NCPolynomial":
-        if isinstance(data, str):
-            import json
-            data = json.loads(data)
-        terms: dict[Word, int] = {}
-        for t in data["terms"]:
-            w = tuple(letter(cp, idx) for cp, idx in t["word"])
-            terms[w] = terms.get(w, 0) + int(t["coeff"])
-        return cls(terms)
 
 
 class MultiMorphism:
@@ -399,32 +386,3 @@ def evaluate(p: NCPolynomial, assignment: Callable[[int, int], object], one):
     if total is None:
         return one * 0
     return total
-
-
-def parse_polynomial(text: str) -> NCPolynomial:
-    """Parse the text form, e.g. ``x2 - y2 - 2*x1*y1 + 2*y1*y1``."""
-    stripped = text.replace(" ", "")
-    if not stripped or stripped == "0":
-        return NCPolynomial.zero()
-    # a sign opens a term unless it follows a sign
-    return NCPolynomial.sum(_parse_monomial(signed, text) for signed
-                            in re.split(r"(?<=[^-+])(?=[-+])", stripped))
-
-
-def _parse_monomial(signed: str, text: str) -> NCPolynomial:
-    """One signed term; its integer factors and letter indices are plain
-    ASCII digits, as ``int`` alone would also read ``1_0`` as 10."""
-    chunk = signed.lstrip("+-")
-    coeff = (-1) ** signed[:len(signed) - len(chunk)].count("-")
-    w: list[Letter] = []
-    for factor in chunk.split("*"):
-        if not factor:
-            raise StructuralError(f"empty factor in {text!r}")
-        name, idx = factor[0], factor[1:]
-        if factor.isascii() and factor.isdigit():
-            coeff *= int(factor)
-        elif name in COPY_OF_NAME and idx.isascii() and idx.isdigit():
-            w.append(letter(COPY_OF_NAME[name], int(idx)))
-        else:
-            raise StructuralError(f"bad factor {factor!r} in {text!r}")
-    return NCPolynomial({tuple(w): coeff})

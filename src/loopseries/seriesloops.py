@@ -112,13 +112,6 @@ class TruncatedSeries:
     def is_unit(self) -> bool:
         return all(is_zero(c) for c in self.coeffs)
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Pointwise product of invertible series (flavor ``inv``)."""
-        self._check(other)
-        if self.flavor != "inv":
-            raise StructuralError("use compose() for diff series")
-        return inv_mul(self, other)
-
     def __str__(self) -> str:
         shift = 1 if self.flavor == "diff" else 0
         head = "t" if self.flavor == "diff" else "1"
@@ -351,16 +344,10 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
     a._check(b)
     if not 1 <= n <= a.order:
         raise StructuralError(f"degree {n} outside order {a.order}")
-    flavor = "inv" if a.flavor == "inv" else "fdb"
-    table = coloops.get_coloop(flavor)
-    if kind == "delta":
-        poly = table.coproduct(n)
-    elif kind == "delta_r":
-        poly = table.codivision("right", n)
-    elif kind == "delta_l":
-        poly = table.codivision("left", n)
-    else:
+    if kind not in ("delta", "delta_r", "delta_l"):
         raise StructuralError(f"unknown co-operation {kind!r}")
+    flavor = "inv" if a.flavor == "inv" else "fdb"
+    poly = coloops.get_coloop(flavor).image(kind, n)
 
     def assign(cp: int, idx: int):
         return a.coeff(idx) if cp == 1 else b.coeff(idx)

@@ -3,12 +3,11 @@ counterexample witnesses.
 
 The element loops are the invertible elements, the unitary elements and
 the unitary elements of a Cayley-Dickson doubling, each divided through
-its conjugate (``element_loop_div``). Three carriers serve only them and
-the witnesses: the one-step doubling ``DoubledElement`` (``A + Aj``),
+its conjugate (``element_loop_div``). Two carriers serve only them and
+the witnesses: the one-step doubling ``DoubledElement`` (``A + Aj``) and
 ``SplitQuaternionMatrix``, whose doubling is the split octonion (Zorn)
-algebra, and the eight-element hyperbolic-quaternion loop ``HQUnit`` with
-its table-derived division. ``witness`` recomputes one of the named
-counterexamples from scratch and checks every known value.
+algebra. ``witness`` recomputes one of the named counterexamples from
+scratch and checks every known value.
 
 Of the commands only ``witness`` imports this module, so ``divide`` and
 ``invert`` never compile it.
@@ -126,63 +125,6 @@ class SplitQuaternionMatrix(MatrixElement):
     def det(self) -> Fraction:
         a, b, c, d = self.nums
         return Fraction(a * d - b * c, self.den * self.den)
-
-
-class HQUnit:
-    """Element of the eight-element hyperbolic-quaternion loop
-    ``{+-1, +-i, +-j, +-k}`` with ``i^2 = j^2 = k^2 = 1`` and
-    ``ij = k = -ji``, ``jk = i = -kj``, ``ki = j = -ik``."""
-
-    __slots__ = ("sign", "basis")
-    _TABLE = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"),
-        ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (1, "1"),
-        ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"),
-        ("j", "j"): (1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"),
-        ("k", "j"): (-1, "i"), ("k", "k"): (1, "1"),
-    }
-
-    def __init__(self, sign: int, basis: str):
-        if sign not in (1, -1) or basis not in ("1", "i", "j", "k"):
-            raise StructuralError(f"bad hyperbolic-quaternion unit {sign}*{basis}")
-        self.sign = sign
-        self.basis = basis
-
-    def __mul__(self, other: "HQUnit") -> "HQUnit":
-        s, b = self._TABLE[(self.basis, other.basis)]
-        return HQUnit(self.sign * other.sign * s, b)
-
-    def __neg__(self) -> "HQUnit":
-        return HQUnit(-self.sign, self.basis)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HQUnit) and other.sign == self.sign
-                and other.basis == self.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.basis))
-
-    def __str__(self) -> str:
-        return self.basis if self.sign == 1 else f"-{self.basis}"
-
-    __repr__ = __str__
-
-
-def hq_elements() -> list[HQUnit]:
-    return [HQUnit(s, b) for b in ("1", "i", "j", "k") for s in (1, -1)]
-
-
-def hq_divide(side: str, x: HQUnit, y: HQUnit) -> HQUnit:
-    """Table-derived division: left gives the unique ``c`` with ``x c = y``,
-    right the unique ``c`` with ``c x = y``."""
-    sols = [c for c in hq_elements()
-            if (x * c if side == "left" else c * x) == y]
-    if len(sols) != 1:
-        raise StructuralError(f"division not unique: {len(sols)} solutions")
-    return sols[0]
 
 
 # -- element loops ------------------------------------------------------------

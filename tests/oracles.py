@@ -2,16 +2,20 @@
 
 The library computes each result by one route; the second routes that
 the tests compare it with live here: the recursive Cayley-Dickson
-doubling, the matrix entry loop, the proved Lagrange-coefficient recurrences, the operator
-identities, tensor coassociativity and the tuple-sum form of the
-non-commutative Faa di Bruno coproduct, the hyperbolic-quaternion loop
-axioms, and the seeded samplers of random coefficients.
+doubling, the matrix entry loop, the proved Lagrange-coefficient
+recurrences, the operator identities, tensor coassociativity and the
+tuple-sum form of the non-commutative Faa di Bruno coproduct over weak
+compositions, and the seeded samplers of random coefficients. So do the
+test-only structures: the eight-element hyperbolic-quaternion loop with
+its table-derived division and loop axioms, the text parser of the free
+algebra (the inverse of its text form) and the leaf count of a tree.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -19,15 +23,15 @@ from typing import Sequence
 from loopseries.algebras import CDElement, MatrixElement
 from loopseries.coloops import get_coloop
 from loopseries.combinatorics import (
+    LEAF,
     bit_sequences,
     compositions,
     lagrange_d,
     lagrange_d_labeled,
     m_sequences,
-    weak_compositions,
 )
 from loopseries.errors import StructuralError
-from loopseries.freealg import NCPolynomial, TensorPoly
+from loopseries.freealg import COPY_NAMES, NCPolynomial, TensorPoly, letter
 from loopseries.operators import (
     GradedTensorPoly,
     element,
@@ -37,7 +41,7 @@ from loopseries.operators import (
     right_op_m,
     triangle,
 )
-from loopseries.witnesses import DoubledElement, HQUnit, hq_divide, hq_elements
+from loopseries.witnesses import DoubledElement
 
 
 # -- coefficient algebras -----------------------------------------------------
@@ -96,6 +100,63 @@ def cd_norm(x: CDElement) -> Fraction:
 
 def double(a, b) -> DoubledElement:
     return DoubledElement(a, b)
+
+
+class HQUnit:
+    """Element of the eight-element hyperbolic-quaternion loop
+    ``{+-1, +-i, +-j, +-k}`` with ``i^2 = j^2 = k^2 = 1`` and
+    ``ij = k = -ji``, ``jk = i = -kj``, ``ki = j = -ik``."""
+
+    __slots__ = ("sign", "basis")
+    _TABLE = {
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"),
+        ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+        ("i", "1"): (1, "i"), ("i", "i"): (1, "1"),
+        ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"),
+        ("j", "j"): (1, "1"), ("j", "k"): (1, "i"),
+        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"),
+        ("k", "j"): (-1, "i"), ("k", "k"): (1, "1"),
+    }
+
+    def __init__(self, sign: int, basis: str):
+        if sign not in (1, -1) or basis not in ("1", "i", "j", "k"):
+            raise StructuralError(f"bad hyperbolic-quaternion unit {sign}*{basis}")
+        self.sign = sign
+        self.basis = basis
+
+    def __mul__(self, other: "HQUnit") -> "HQUnit":
+        s, b = self._TABLE[(self.basis, other.basis)]
+        return HQUnit(self.sign * other.sign * s, b)
+
+    def __neg__(self) -> "HQUnit":
+        return HQUnit(-self.sign, self.basis)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, HQUnit) and other.sign == self.sign
+                and other.basis == self.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.basis))
+
+    def __str__(self) -> str:
+        return self.basis if self.sign == 1 else f"-{self.basis}"
+
+    __repr__ = __str__
+
+
+def hq_elements() -> list[HQUnit]:
+    return [HQUnit(s, b) for b in ("1", "i", "j", "k") for s in (1, -1)]
+
+
+def hq_divide(side: str, x: HQUnit, y: HQUnit) -> HQUnit:
+    """Table-derived division: left gives the unique ``c`` with ``x c = y``,
+    right the unique ``c`` with ``c x = y``."""
+    sols = [c for c in hq_elements()
+            if (x * c if side == "left" else c * x) == y]
+    if len(sols) != 1:
+        raise StructuralError(f"division not unique: {len(sols)} solutions")
+    return sols[0]
 
 
 def hq_mul(x: HQUnit, y: HQUnit) -> HQUnit:
@@ -170,10 +231,29 @@ def random_unit_octonion(rng: Random) -> CDElement:
     return (diff * diff) * Fraction(1, 1 + u.norm())
 
 
-# -- Lagrange coefficients ----------------------------------------------------
+# -- Lagrange coefficients and trees ------------------------------------------
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
+
+
+def weak_compositions(total: int, parts: int):
+    """Tuples of ``parts`` non-negative integers summing to ``total``,
+    first coordinate descending."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def tree_leaves(t: tuple) -> int:
+    """The leaves of a planar binary tree of ``tree_of_msequence``."""
+    if t == LEAF:
+        return 1
+    return tree_leaves(t[0]) + tree_leaves(t[1])
 
 
 def d_recurrence_check(variant: str, ns: Sequence[int]) -> bool:
@@ -336,6 +416,41 @@ def operator_identity_check(identity: str, ell: int,
                     return False
         return True
     raise StructuralError(f"unknown identity {identity!r}")
+
+
+# -- the free algebra's text form ----------------------------------------------
+
+COPY_OF_NAME = {v: k for k, v in COPY_NAMES.items()}
+
+
+def parse_polynomial(text: str) -> NCPolynomial:
+    """Parse the text form, e.g. ``x2 - y2 - 2*x1*y1 + 2*y1*y1``; the
+    inverse of ``str`` on ``NCPolynomial``."""
+    stripped = text.replace(" ", "")
+    if not stripped or stripped == "0":
+        return NCPolynomial.zero()
+    # a sign opens a term unless it follows a sign
+    return NCPolynomial.sum(_parse_monomial(signed, text) for signed
+                            in re.split(r"(?<=[^-+])(?=[-+])", stripped))
+
+
+def _parse_monomial(signed: str, text: str) -> NCPolynomial:
+    """One signed term; its integer factors and letter indices are plain
+    ASCII digits, as ``int`` alone would also read ``1_0`` as 10."""
+    chunk = signed.lstrip("+-")
+    coeff = (-1) ** signed[:len(signed) - len(chunk)].count("-")
+    w = []
+    for factor in chunk.split("*"):
+        if not factor:
+            raise StructuralError(f"empty factor in {text!r}")
+        name, idx = factor[0], factor[1:]
+        if factor.isascii() and factor.isdigit():
+            coeff *= int(factor)
+        elif name in COPY_OF_NAME and idx.isascii() and idx.isdigit():
+            w.append(letter(COPY_OF_NAME[name], int(idx)))
+        else:
+            raise StructuralError(f"bad factor {factor!r} in {text!r}")
+    return NCPolynomial({tuple(w): coeff})
 
 
 # -- the tensor Hopf algebra ---------------------------------------------------

@@ -13,7 +13,6 @@ from loopseries.combinatorics import (
     all_compositions,
     lagrange_d,
     m_sequences,
-    tree_leaves,
     tree_of_msequence,
 )
 from loopseries.freealg import NCPolynomial, include_iota, project_pi
@@ -40,6 +39,7 @@ from oracles import (
     random_matrix,
     random_unit_octonion,
     tensor_coassociative,
+    tree_leaves,
 )
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731

@@ -17,18 +17,15 @@ from loopseries.algebras import (
     zero_of,
 )
 from loopseries.errors import StructuralError
-from loopseries.witnesses import (
-    DoubledElement,
-    HQUnit,
-    SplitQuaternionMatrix,
-    hq_divide,
-    hq_elements,
-)
+from loopseries.witnesses import DoubledElement, SplitQuaternionMatrix
 from oracles import (
+    HQUnit,
     cd_conj,
     cd_mul,
     cd_norm,
     double,
+    hq_divide,
+    hq_elements,
     hq_loop_axioms,
     hq_mul,
     random_cd,
@@ -166,6 +163,11 @@ class TestCayleyDickson:
         ("e+1", 2, "bad basis letter 'e' in term 'e'"),
         ("e\u00b2", 2, "bad basis letter 'e\u00b2'"),
         ("x*e1", 2, "bad factor 'x' in term 'x*e1'"),
+        # one sign per term, as a rational literal has
+        ("--1", 2, "more than one sign in term '--1'"),
+        ("+-1", 2, "more than one sign in term '+-1'"),
+        ("e1 - -e2", 2, "more than one sign in term '--e2'"),
+        ("-+e3", 2, "more than one sign in term '-+e3'"),
     ])
     def test_parse_errors(self, text, level, message):
         with pytest.raises(StructuralError, match=re.escape(message)):

@@ -186,6 +186,14 @@ class TestTables:
                 for kind in ("delta", "delta_r", "delta_l", "s_r", "s_l"):
                     table._entry(kind, n)
 
+    @pytest.mark.parametrize("flavor", ["inv", "fdb"])
+    @pytest.mark.parametrize("kind", ["delta", "delta_r", "delta_l"])
+    def test_words_share_one_object_per_letter(self, flavor, kind):
+        # at most one (copy, index) object per letter of copies 1 and 2
+        poly = Coloop(flavor)._entry(kind, 7)
+        letters = {id(a) for w in poly.terms for a in w}
+        assert len(letters) <= 2 * 7
+
     def test_caching_is_idempotent(self):
         table = Coloop("fdb")
         assert table.coproduct(4) == table.coproduct(4)
@@ -246,7 +254,7 @@ class TestAntipodes:
     def test_fdb_antipode_matches_compositional_inverse(self):
         # independent oracle: solve a o s = e degree by degree for the
         # generic series a_k = x_k over the free algebra itself
-        from loopseries.combinatorics import weak_compositions
+        from oracles import weak_compositions
         s: dict[int, NCPolynomial] = {}
         for n in range(1, 6):
             acc = NCPolynomial.zero()

@@ -21,13 +21,11 @@ from loopseries.combinatorics import (
     m_sequences,
     m_sequences_labeled,
     msequence_trees,
-    tree_leaves,
     tree_of_msequence,
     tree_to_parens,
-    weak_compositions,
 )
 from loopseries.errors import StructuralError
-from oracles import catalan, d_recurrence_check
+from oracles import catalan, d_recurrence_check, tree_leaves, weak_compositions
 
 
 def brute_m_sequences(length):

@@ -38,8 +38,8 @@ from loopseries.combinatorics import (
     m_sequences_labeled,
 )
 from loopseries.errors import StructuralError
-from loopseries.witnesses import DoubledElement, HQUnit, SplitQuaternionMatrix
-from oracles import _generic_matmul, doubling_conj, doubling_mul
+from loopseries.witnesses import DoubledElement, SplitQuaternionMatrix
+from oracles import HQUnit, _generic_matmul, doubling_conj, doubling_mul
 from test_combinatorics import brute_d, brute_m_sequences
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None, database=None,

@@ -1,0 +1,265 @@
+"""Checks on the library source itself: every public name is run by a
+command or kept for a stated reason, the names the benchmark reads exist,
+and no module imports a name it never uses."""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import importlib
+import inspect
+import io
+import os
+import sys
+
+import pytest
+
+from loopseries.cli import main
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "loopseries")
+MODULES = sorted(name[:-3] for name in os.listdir(SRC)
+                 if name.endswith(".py") and name != "__init__.py")
+
+ALGEBRA_SERIES = {
+    "q": ('["1", "1/2"]', '["2", "-1"]'),
+    "c": ('["e1", "1"]', '["1 - e1", "2"]'),
+    "h": ('["e1 + e2", "1"]', '["e3", "-1/2"]'),
+    "o": ('["e1 + e4", "e7"]', '["e2", "1"]'),
+    "sed": ('["e1 + e10", "e5"]', '["e5 + e14", "1"]'),
+    "m2q": ('[["1", "1", "0", "1"], ["0", "1", "1", "0"]]',
+            '[["0", "1", "1", "0"], ["1", "0", "0", "2"]]'),
+    "m3q": ('[["1", "0", "0", "0", "1", "0", "0", "0", "1"]]',
+            '[["0", "1", "0", "0", "0", "1", "1", "0", "0"]]'),
+    "m2sed": ('[["e1", "0", "0", "1"], ["e5", "1", "0", "0"]]',
+              '[["1", "e2", "0", "1"], ["0", "0", "e14", "1"]]'),
+}
+
+
+def _commands() -> list[list[str]]:
+    """Every command, in every format it has, over every flavor, kind,
+    operator, mode, side, algebra and witness, at small sizes."""
+    out = []
+    for fmt in ("text", "json", "csv"):
+        g = ["--format", fmt]
+        out += [g + ["coeffs", "--kind", kind, "--n", "4"]
+                for kind in ("d", "de")]
+        out += [g + ["coop", "--flavor", flavor, "--kind", kind, "--n", "3"]
+                for flavor in ("inv", "fdb")
+                for kind in ("delta", "counit", "delta_r", "delta_l",
+                             "s_r", "s_l")]
+        out.append(g + ["verify", "--flavor", "both", "--max-degree", "3"])
+        out.append(g + ["trees", "--length", "3"])
+    for fmt in ("text", "json"):
+        g = ["--format", fmt]
+        for op, extra in (("L", []), ("R", []), ("Re", ["--bits", "1,2,1"])):
+            out += [g + ["operators", "--op", op, "--degrees", "1,2,1",
+                         "--mode", mode, *extra]
+                    for mode in ("recursive", "closed")]
+        out.append(g + ["operators", "--op", "Rm", "--degrees", "1,2,1",
+                        "--m", "2,0,1"])
+        out += [g + ["witness", name]
+                for name in ("diff-power-assoc", "diff-right-alt",
+                             "inv-left-right-inverse", "inv-power-assoc",
+                             "inv-right-alt", "ucd-not-loop")]
+    for algebra, (a, b) in ALGEBRA_SERIES.items():
+        flavors = ("inv", "diff") if algebra in ("q", "c", "h", "m2q",
+                                                 "m3q") else ("inv",)
+        for flavor in flavors:
+            series = ["--flavor", flavor, "--order", "3",
+                      "--algebra", algebra, "--a", a]
+            out += [["divide", *series, "--b", b, "--side", side,
+                     "--mode", mode]
+                    for side in ("left", "right")
+                    for mode in ("recursive", "closed")]
+            sides = ("left", "right") if flavor == "inv" \
+                else ("left", "right", "both")
+            out += [["invert", *series, "--side", side] for side in sides]
+        # the json form of each algebra's coefficients
+        out.append(["--format", "json", "divide", *series, "--b", b,
+                    "--side", "right"])
+        out.append(["--format", "json", "invert", *series, "--side", "right"])
+    out.append(["--seed", "7", "witness", "ucd-not-loop"])
+    return out
+
+
+# Public names that no command enters, each with the reason it stays.
+UNREACHED = {
+    "algebras.associator":
+        "paper: the defect (ab)c - a(bc) behind every witness",
+    "algebras.identity_check":
+        "paper: the loop identities, checked on Cayley-Dickson elements",
+    "coloops.operator_expansions":
+        "paper: the tables rebuilt from the recursive operators",
+    "combinatorics.m_sequences_labeled":
+        "paper: the index set M(l)^e, oracle of the d^e DP",
+    "combinatorics.lagrange_d_labeled":
+        "paper: one d^e coefficient, oracle of the d^e row; the bench "
+        "counts its calls",
+    "combinatorics.tree_of_msequence":
+        "paper: the bijection M(l) -> planar binary trees",
+    "combinatorics.tree_to_parens":
+        "paper: the text form of a tree, oracle of msequence_trees",
+    "freealg.project_pi":
+        "paper: the projection onto the tensor Hopf algebra",
+    "freealg.include_iota":
+        "paper: the linear section of project_pi",
+    "freealg.TensorPoly":
+        "paper: the tensor product project_pi lands in",
+    "freealg.evaluate":
+        "paper: a table under a coefficient assignment, for "
+        "convolution_eval",
+    "seriesloops.convolution_eval":
+        "paper: the tables evaluated on series, the representability "
+        "statement",
+    "operators.element":
+        "paper: one letter as a tensor, for operator_expansions",
+    "seriesloops.mul":
+        "bench: bench/run.py multiplies each series result back with it",
+    "combinatorics.d_cache_rows":
+        "bench: bench/tracer.py counts the new lagrange_d memo rows",
+}
+
+
+def _entered_code() -> set:
+    """The code objects entered while ``main`` runs every command."""
+    for name in MODULES:
+        importlib.import_module(f"loopseries.{name}")
+    # cold memos, as in the fresh interpreter of each command
+    sys.modules["loopseries.coloops"]._COLOOPS.clear()
+    sys.modules["loopseries.combinatorics"]._D_CACHE.clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sink = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            codes = [main(argv) for argv in _commands()]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(codes)
+    return entered
+
+
+def _functions(cls) -> list:
+    out = []
+    for raw in vars(cls).values():
+        if isinstance(raw, (classmethod, staticmethod)):
+            raw = raw.__func__
+        elif isinstance(raw, property):
+            raw = raw.fget
+        if inspect.isfunction(raw):
+            out.append(raw)
+    return out
+
+
+def _public_names() -> dict[str, list]:
+    """Each public module-level function and class of the library, by
+    ``module.name``, with the functions whose entry reaches it: itself, or
+    the methods its class body defines. Exception types are raised, not
+    entered, so they are left out."""
+    names = {}
+    for name in MODULES:
+        mod = sys.modules[f"loopseries.{name}"]
+        for attr, value in vars(mod).items():
+            if attr.startswith("_") or getattr(value, "__module__", None) \
+                    != mod.__name__:
+                continue
+            if inspect.isfunction(value):
+                names[f"{name}.{attr}"] = [value]
+            elif inspect.isclass(value) and \
+                    not issubclass(value, BaseException):
+                names[f"{name}.{attr}"] = _functions(value)
+    return names
+
+
+@pytest.fixture(scope="module")
+def reached() -> dict[str, bool]:
+    entered = _entered_code()
+    return {name: any(fn.__code__ in entered for fn in fns)
+            for name, fns in _public_names().items()}
+
+
+def test_every_public_name_runs_or_has_a_reason(reached):
+    unreached = sorted(name for name, hit in reached.items() if not hit)
+    assert [name for name in unreached if name not in UNREACHED] == []
+
+
+def test_allowlist_names_exist_and_stay_unreached(reached):
+    assert [name for name in UNREACHED if name not in reached] == []
+    assert [name for name in UNREACHED if reached[name]] == []
+
+
+# What bench/run.py imports and what bench/tracer.py reads or counts by
+# name; a rename here zeroes a trace counter without an error.
+BENCH_NAMES = [
+    "cli.main", "cli.series_from_json", "seriesloops.mul",
+    "combinatorics.d_cache_rows", "combinatorics.lagrange_d",
+    "combinatorics.lagrange_d_labeled", "combinatorics.m_sequences",
+    "combinatorics.compositions",
+    "coloops.Coloop.coproduct", "coloops.Coloop.codivision",
+    "coloops.Coloop.antipode", "coloops.Coloop.axiom_check",
+    "freealg.MultiMorphism.__call__", "freealg.fold", "freealg.evaluate",
+    "seriesloops.divide", "seriesloops.diff_compose", "seriesloops.inv_mul",
+    "seriesloops.series_inverse",
+    "operators.triangle", "operators.right_op", "operators.right_op_e",
+    "operators.left_op",
+]
+# The tracer counts a product under "<Class>.product" only when the class
+# itself defines __mul__.
+BENCH_PRODUCTS = [("freealg", "NCPolynomial"), ("algebras", "CDElement"),
+                  ("algebras", "MatrixElement")]
+# The table builds the tracer times as "coloops.build", one per image
+# the tables cache.
+BENCH_BUILDS = ["delta", "delta_r", "delta_l", "s_r", "s_l"]
+
+
+@pytest.mark.parametrize("dotted", BENCH_NAMES)
+def test_bench_reads_existing_names(dotted):
+    module, *path = dotted.split(".")
+    value = importlib.import_module(f"loopseries.{module}")
+    for attr in path:
+        value = getattr(value, attr)
+    assert callable(value)
+    # the tracer wraps public functions and methods only
+    assert not path[-1].startswith("_") or path[-1] == "__call__"
+
+
+def test_bench_counts_products_and_builds():
+    for module, cls in BENCH_PRODUCTS:
+        klass = getattr(importlib.import_module(f"loopseries.{module}"), cls)
+        assert "__mul__" in vars(klass), cls
+    from loopseries.coloops import Coloop
+    for kind in BENCH_BUILDS:
+        assert callable(vars(Coloop).get(f"_build_{kind}")), kind
+
+
+def _unused_imports(path: str) -> list[str]:
+    """Names a module imports and never reads, ``from __future__`` aside;
+    a module's ``__all__`` counts as a read."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(name for name in imported if name not in used)
+
+
+@pytest.mark.parametrize("module", ["__init__"] + MODULES)
+def test_no_unused_imports(module):
+    assert _unused_imports(os.path.join(SRC, f"{module}.py")) == []
