@@ -231,13 +231,6 @@ class CDElement(_IntegerForm):
         nums = self.nums
         return (nums[0],) + tuple([-a for a in nums[1:]])
 
-    def norm(self) -> Fraction:
-        """Scalar part of ``q q*``; for any level this is the coordinate
-        sum of squares (norm multiplicativity, not scalarity, is what
-        breaks at level 4)."""
-        n = self * self.conj()
-        return Fraction(n.nums[0], n.den)
-
     def __str__(self) -> str:
         chunks = []
         for i, c in enumerate(self.coords):
@@ -323,9 +316,9 @@ def _cd_table_mul(level: int, xs: tuple, ys: tuple, acc=None) -> list[int]:
 def cd_parse(text: str, level: int) -> CDElement:
     """Parse the text form: signed rational coefficients on ``e<i>``,
     e.g. ``e1 + e10`` or ``1/2 - 3*e7``; a bare number is the scalar. A
-    term is at most one sign, then a product of rationals, read by
-    ``_as_fraction``, and at most one basis letter, whose index is plain
-    digits."""
+    term is at most one sign, then a product of unsigned rationals, read
+    by ``_as_fraction``, and at most one basis letter, whose index is
+    plain digits."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise StructuralError("empty Cayley-Dickson literal")
@@ -351,6 +344,9 @@ def cd_parse(text: str, level: int) -> CDElement:
                 index = int(digits)
             else:
                 try:
+                    # the term's one sign comes first: no factor has one
+                    if factor[0] in "+-":
+                        raise StructuralError
                     coeff *= _as_fraction(factor)
                 except StructuralError:
                     raise StructuralError(

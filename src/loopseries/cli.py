@@ -40,7 +40,14 @@ if TYPE_CHECKING:
 # The parser is built from these constants, so a command imports only the
 # layers its handler runs; the tests check them against the library.
 COOP_KINDS = ("delta", "counit", "delta_r", "delta_l", "s_r", "s_l")
-ALGEBRA_NAMES = ("c", "h", "m2q", "m2sed", "m3q", "o", "q", "sed")
+# The series algebras, each as (matrix dimension, Cayley-Dickson level of
+# the entries): a dimension of None is no matrix, a level of None the
+# rationals.
+ALGEBRAS = {
+    "q": (None, None), "c": (None, 1), "h": (None, 2), "o": (None, 3),
+    "sed": (None, 4), "m2q": (2, None), "m3q": (3, None), "m2sed": (2, 4),
+}
+ALGEBRA_NAMES = tuple(sorted(ALGEBRAS))
 WITNESS_NAMES = ("diff-power-assoc", "diff-right-alt",
                  "inv-left-right-inverse", "inv-power-assoc",
                  "inv-right-alt", "ucd-not-loop")
@@ -50,73 +57,59 @@ NO_CSV = ("operators", "divide", "invert", "witness")
 
 # -- coefficient algebra codecs for series JSON --------------------------------
 
-def _matrix_codec(dim: int, enc_entry, dec_entry):
+def _decode_entry(value, level: int | None):
+    """A rational (``level`` None) or a Cayley-Dickson literal."""
+    from .algebras import _as_fraction, cd_parse
+
+    if level is None:
+        return _as_fraction(value)
+    if not isinstance(value, str):
+        raise StructuralError(f"a Cayley-Dickson coefficient must be "
+                              f"a JSON string, got {value!r}")
+    return cd_parse(value, level)
+
+
+def _decode(value, algebra: str):
+    """One coefficient of ``algebra``; a matrix is a flat row-major list."""
     from .algebras import MatrixElement
 
-    def enc(m):
-        return [enc_entry(e) for row in m.entries for e in row]
-
-    def dec(flat):
-        if not isinstance(flat, list):
-            raise StructuralError(
-                f"a matrix coefficient must be a JSON array, got {flat!r}")
-        if len(flat) != dim * dim:
-            raise StructuralError(f"expected {dim * dim} entries, got {len(flat)}")
-        rows = [[dec_entry(flat[i * dim + j]) for j in range(dim)]
-                for i in range(dim)]
-        return MatrixElement(rows)
-
-    return enc, dec
+    dim, level = ALGEBRAS[algebra]
+    if dim is None:
+        return _decode_entry(value, level)
+    if not isinstance(value, list):
+        raise StructuralError(
+            f"a matrix coefficient must be a JSON array, got {value!r}")
+    if len(value) != dim * dim:
+        raise StructuralError(f"expected {dim * dim} entries, got {len(value)}")
+    return MatrixElement([[_decode_entry(value[i * dim + j], level)
+                           for j in range(dim)] for i in range(dim)])
 
 
-def _cd_codec(level: int):
-    from .algebras import cd_parse
-
-    def dec(text):
-        if not isinstance(text, str):
-            raise StructuralError(f"a Cayley-Dickson coefficient must be "
-                                  f"a JSON string, got {text!r}")
-        return cd_parse(text, level)
-
-    return str, dec
+def _encode(c, algebra: str):
+    if ALGEBRAS[algebra][0] is None:
+        return str(c)
+    return [str(e) for row in c.entries for e in row]
 
 
-# (encode, decode, unit) by algebra name, filled on first use
-_ALGEBRAS: dict[str, tuple] = {}
-
-
-def _register_algebras() -> None:
+def _unit(algebra: str):
     from fractions import Fraction
 
-    from .algebras import CDElement, MatrixElement, _as_fraction
+    from .algebras import CDElement, MatrixElement
 
-    _ALGEBRAS["q"] = (str, _as_fraction, Fraction(1))
-    for name, level in (("c", 1), ("h", 2), ("o", 3), ("sed", 4)):
-        enc, dec = _cd_codec(level)
-        _ALGEBRAS[name] = (enc, dec, CDElement.one(level))
-    for dim in (2, 3):
-        enc, dec = _matrix_codec(dim, str, _as_fraction)
-        one = MatrixElement.identity(dim, Fraction(1), Fraction(0))
-        _ALGEBRAS[f"m{dim}q"] = (enc, dec, one)
-    enc_s, dec_s = _cd_codec(4)
-    enc, dec = _matrix_codec(2, enc_s, dec_s)
-    one = MatrixElement.identity(2, CDElement.one(4), CDElement.zero(4))
-    _ALGEBRAS["m2sed"] = (enc, dec, one)
-
-
-def _codec(algebra: str) -> tuple:
-    if not _ALGEBRAS:
-        _register_algebras()
-    return _ALGEBRAS[algebra]
+    dim, level = ALGEBRAS[algebra]
+    if level is None:
+        one, zero = Fraction(1), Fraction(0)
+    else:
+        one, zero = CDElement.one(level), CDElement.zero(level)
+    return one if dim is None else MatrixElement.identity(dim, one, zero)
 
 
 def series_to_json(series: TruncatedSeries, algebra: str) -> dict:
-    enc, _, _ = _codec(algebra)
     return {
         "flavor": series.flavor,
         "order": series.order,
         "algebra": algebra,
-        "coeffs": [enc(c) for c in series.coeffs],
+        "coeffs": [_encode(c, algebra) for c in series.coeffs],
     }
 
 
@@ -153,14 +146,13 @@ def series_from_json(data, flavor: str, order: int, algebra: str
             f"series coefficients must be a JSON array, got {coeffs!r}")
     if len(coeffs) > order:
         raise StructuralError(f"{len(coeffs)} coefficients exceed order {order}")
-    _, dec, one = _codec(algebra)
     decoded = []
     for n, c in enumerate(coeffs, 1):
         try:
-            decoded.append(dec(c))
+            decoded.append(_decode(c, algebra))
         except StructuralError as exc:
             raise StructuralError(f"coefficient {n}: {exc}") from None
-    return TruncatedSeries(flavor, order, decoded, one)
+    return TruncatedSeries(flavor, order, decoded, _unit(algebra))
 
 
 # -- the series commands -------------------------------------------------------

@@ -178,10 +178,6 @@ class NCPolynomial(Sparse):
         return cls({(): 1})
 
     @classmethod
-    def scalar(cls, c: int) -> "NCPolynomial":
-        return cls({(): c})
-
-    @classmethod
     def generator(cls, copy: int, index: int) -> "NCPolynomial":
         return cls({(letter(copy, index),): 1})
 
@@ -196,19 +192,6 @@ class NCPolynomial(Sparse):
                 w = w1 + w2
                 out[w] = out.get(w, 0) + c1 * c2
         return NCPolynomial(out)
-
-    # -- inspection -------------------------------------------------------
-
-    def degree(self) -> int:
-        """Top degree; 0 for scalars and the zero polynomial."""
-        return max((word_degree(w) for w in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {word_degree(w) for w in self.terms}
-        return len(degrees) <= 1
-
-    def coefficient(self, w: Word) -> int:
-        return self.terms.get(tuple(w), 0)
 
     # -- text and JSON output ----------------------------------------------
 

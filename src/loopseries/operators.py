@@ -88,10 +88,6 @@ class GradedTensorPoly(Sparse):
                 out[k] = out.get(k, 0) + c1 * c2
         return GradedTensorPoly(out)
 
-    def length_part(self, length: int) -> "GradedTensorPoly":
-        return GradedTensorPoly(
-            {k: c for k, c in self.terms.items() if len(k) == length})
-
     def scalar_length_polynomial(self) -> NCPolynomial:
         """The length-1 component as a plain polynomial (plus nothing of
         the scalar component)."""

@@ -1,10 +1,10 @@
-"""The element loops, the witness-only carriers and the named
-counterexample witnesses.
+"""The unitary element loop of a doubling, the witness-only carriers and
+the named counterexample witnesses.
 
-The element loops are the invertible elements, the unitary elements and
-the unitary elements of a Cayley-Dickson doubling, each divided through
-its conjugate (``element_loop_div``). Two carriers serve only them and
-the witnesses: the one-step doubling ``DoubledElement`` (``A + Aj``) and
+The unitary elements of a Cayley-Dickson doubling ``A + Aj`` are divided
+through the doubled conjugate (``ucd_divide``); the ``ucd-not-loop``
+witness shows where that division fails. Two carriers serve only it and
+the witnesses: the one-step doubling ``DoubledElement`` and
 ``SplitQuaternionMatrix``, whose doubling is the split octonion (Zorn)
 algebra. ``witness`` recomputes one of the named counterexamples from
 scratch and checks every known value.
@@ -122,51 +122,22 @@ class SplitQuaternionMatrix(MatrixElement):
         a, b, c, d = self.nums
         return (d, -b, -c, a)
 
-    def det(self) -> Fraction:
-        a, b, c, d = self.nums
-        return Fraction(a * d - b * c, self.den * self.den)
 
+# -- the unitary element loop of a doubling ----------------------------------
 
-# -- element loops ------------------------------------------------------------
-
-def element_loop_div(kind: str, side: str, x, y):
-    """Division in the element loops via the conjugate/norm shortcut.
-
-    ``I``: invertible elements, ``x^{-1} = x^* / n(x)`` (needs ``n(x)``
-    invertible and scalar); ``U``: unitary elements, ``x^{-1} = x^*``;
-    ``UCD``: unitary elements of a doubling ``A + Aj``, divided through
-    the doubled conjugate. This shortcut is a genuine loop division
-    exactly on alternative carriers; on others the cancellation defect is
-    what the stored witnesses exhibit.
-    """
+def ucd_divide(side: str, x: DoubledElement, y: DoubledElement
+               ) -> DoubledElement:
+    """Division in the unitary elements of a doubling ``A + Aj``
+    (``a a* + b b* = 1``) through the doubled conjugate, ``x^{-1} = x*``.
+    This shortcut is a genuine loop division exactly on alternative
+    carriers; on others the cancellation defect is what ``ucd-not-loop``
+    exhibits."""
     if side not in ("left", "right"):
         raise StructuralError(f"side must be left or right, got {side!r}")
-    if kind == "I":
-        if not isinstance(x, CDElement):
-            raise StructuralError("kind I divides by Cayley-Dickson elements")
-        n = x.norm()
-        if n == 0:
-            raise DomainError("division by an element of norm zero")
-        inv = x.conj() * (Fraction(1) / n)
-        return inv * y if side == "left" else y * inv
-    if kind == "U":
-        if isinstance(x, CDElement):
-            if x.norm() != 1:
-                raise DomainError("kind U needs a norm-one element")
-        else:
-            defect = x * conj_of(x) - one_of(x)
-            if not is_zero(defect):
-                raise DomainError("kind U needs a unitary element")
-        inv = conj_of(x)
-        return inv * y if side == "left" else y * inv
-    if kind == "UCD":
-        if not isinstance(x, DoubledElement):
-            raise StructuralError("kind UCD divides doubled elements")
-        if not is_zero(x.unitary_defect()):
-            raise DomainError("kind UCD needs a a* + b b* = 1")
-        inv = x.conj()
-        return inv * y if side == "left" else y * inv
-    raise StructuralError(f"unknown element loop {kind!r}")
+    if not is_zero(x.unitary_defect()):
+        raise DomainError("a unitary division needs a a* + b b* = 1")
+    inv = x.conj()
+    return inv * y if side == "left" else y * inv
 
 
 # -- seeded exact samplers ----------------------------------------------------
@@ -411,14 +382,14 @@ def _witness_ucd_not_loop(seed: int = DEFAULT_SEED) -> dict:
     ok_zorn = True
     for x in rational[:12]:
         for y in rational[12:]:
-            left = element_loop_div("UCD", "left", x, y)
+            left = ucd_divide("left", x, y)
             if not is_zero(left.unitary_defect()) or x * left != y:
                 ok_zorn = False
     quaternionic = sample_ucd_unitaries(rng, 40)
     found = None
     for x in quaternionic:
         for y in quaternionic:
-            left = element_loop_div("UCD", "left", x, y)
+            left = ucd_divide("left", x, y)
             stays = is_zero(left.unitary_defect())
             cancels = (x * left == y)
             if not (stays and cancels):

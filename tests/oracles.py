@@ -6,9 +6,11 @@ doubling, the matrix entry loop, the proved Lagrange-coefficient
 recurrences, the operator identities, tensor coassociativity and the
 tuple-sum form of the non-commutative Faa di Bruno coproduct over weak
 compositions, and the seeded samplers of random coefficients. So do the
-test-only structures: the eight-element hyperbolic-quaternion loop with
-its table-derived division and loop axioms, the text parser of the free
-algebra (the inverse of its text form) and the leaf count of a tree.
+test-only structures: the octonion loops of invertible and of norm-one
+elements, divided through the conjugate, the eight-element
+hyperbolic-quaternion loop with its table-derived division and loop
+axioms, the text parser of the free algebra (the inverse of its text
+form) and the leaf count of a tree.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from loopseries.combinatorics import (
     lagrange_d_labeled,
     m_sequences,
 )
-from loopseries.errors import StructuralError
+from loopseries.errors import DomainError, StructuralError
 from loopseries.freealg import COPY_NAMES, NCPolynomial, TensorPoly, letter
 from loopseries.operators import (
     GradedTensorPoly,
@@ -95,7 +97,31 @@ def cd_conj(x: CDElement) -> CDElement:
 
 
 def cd_norm(x: CDElement) -> Fraction:
-    return x.norm()
+    """Scalar part of ``x x*``; for any level this is the coordinate sum
+    of squares (norm multiplicativity, not scalarity, is what breaks at
+    level 4)."""
+    n = x * x.conj()
+    return n.coords[0]
+
+
+def octonion_loop_div(kind: str, side: str, x: CDElement,
+                      y: CDElement) -> CDElement:
+    """Division in the loops of Cayley-Dickson elements through the
+    conjugate: ``I``, the invertible elements, ``x^{-1} = x* / n(x)``;
+    ``U``, the norm-one elements, ``x^{-1} = x*``. A genuine loop
+    division exactly on the alternative levels, up to the octonions."""
+    n = cd_norm(x)
+    if kind == "I":
+        if n == 0:
+            raise DomainError("division by an element of norm zero")
+        inv = x.conj() * (1 / n)
+    elif kind == "U":
+        if n != 1:
+            raise DomainError("kind U needs a norm-one element")
+        inv = x.conj()
+    else:
+        raise StructuralError(f"unknown element loop {kind!r}")
+    return inv * y if side == "left" else y * inv
 
 
 def double(a, b) -> DoubledElement:
@@ -228,7 +254,7 @@ def random_unit_octonion(rng: Random) -> CDElement:
     u = CDElement(3, coords)
     one = CDElement.one(3)
     diff = one - u
-    return (diff * diff) * Fraction(1, 1 + u.norm())
+    return (diff * diff) * Fraction(1, 1 + cd_norm(u))
 
 
 # -- Lagrange coefficients and trees ------------------------------------------

@@ -168,6 +168,12 @@ class TestCayleyDickson:
         ("+-1", 2, "more than one sign in term '+-1'"),
         ("e1 - -e2", 2, "more than one sign in term '--e2'"),
         ("-+e3", 2, "more than one sign in term '-+e3'"),
+        # ... and it opens the term: a factor after ``*`` takes none
+        ("e1*-2", 2, "bad factor '-2' in term 'e1*-2'"),
+        ("-e1*-2", 2, "bad factor '-2' in term 'e1*-2'"),
+        ("e1*+2", 2, "bad factor '+2' in term 'e1*+2'"),
+        ("1/2*-3", 0, "bad factor '-3' in term '1/2*-3'"),
+        ("2*-e1", 2, "bad factor '-e1' in term '2*-e1'"),
     ])
     def test_parse_errors(self, text, level, message):
         with pytest.raises(StructuralError, match=re.escape(message)):
@@ -331,10 +337,11 @@ class TestMatrixAlgebra:
     def test_split_quaternion_involution(self):
         rng = Random(38)
         for _ in range(20):
-            a = SplitQuaternionMatrix([[q(rng.randint(-4, 4)) for _ in range(2)]
-                                       for _ in range(2)])
+            (p, r), (s, t) = rows = [[q(rng.randint(-4, 4)) for _ in range(2)]
+                                     for _ in range(2)]
+            a = SplitQuaternionMatrix(rows)
             n = a * a.conj()
-            assert n == one_of(a) * a.det()
+            assert n == one_of(a) * (p * t - r * s)  # det(a) 1
             assert a.conj().conj() == a
             assert type(a + a) is SplitQuaternionMatrix
 

@@ -17,6 +17,7 @@ except ImportError:  # pragma: no cover
 from loopseries import (
     DEFAULT_SEED,
     __version__,
+    algebras,
     cli,
     coloops,
     operators,
@@ -332,7 +333,7 @@ invert = ["invert", "--flavor", "inv", "--side", "right", "--order", "3",
           "--algebra", "sed", "--a", '["e1 + e10"]']
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(divide), main(invert)]
-foreign = {"witness", "element_loop_div", "DoubledElement"} | {
+foreign = {"witness", "ucd_divide", "DoubledElement"} | {
     prefix + command for prefix in ("cmd_", "_cmd_")
     for command in ("coeffs", "coop", "operators", "verify", "witness",
                     "trees")}
@@ -355,8 +356,13 @@ def test_series_commands_load_no_other_commands_code():
 
 
 def test_parser_constants_match_the_library():
-    cli._register_algebras()
-    assert cli.ALGEBRA_NAMES == tuple(sorted(cli._ALGEBRAS))
+    assert cli.ALGEBRA_NAMES == tuple(sorted(cli.ALGEBRAS))
+    # each algebra's unit is the identity of its carrier
+    for name, (dim, level) in cli.ALGEBRAS.items():
+        one = cli._unit(name)
+        assert algebras.one_of(one) == one
+        assert getattr(one, "dim", None) == dim
+        assert getattr(one, "level", None) == level
     assert cli.WITNESS_NAMES == witnesses.WITNESS_NAMES
     seed = inspect.signature(witnesses.witness).parameters["seed"]
     assert cli.DEFAULT_SEED == seed.default == DEFAULT_SEED
@@ -482,6 +488,19 @@ BAD_INPUTS = [
      "--algebra", "h", "--a", '["e1 - -e2"]'],
     ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
      "--algebra", "m2sed", "--a", '[["+-1", "0", "0", "1"]]'],
+    # ... and it opens the term: a factor after "*" takes none
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["e1*-2"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["-e1*-2"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["e1*+2"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["1/2*-3"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["2*-e1"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "m2sed", "--a", '[["1", "e1*-2", "0", "1"]]'],
     ["divide", "--flavor", "inv", "--side", "left", "--order", "1",
      "--algebra", "q", "--a", '["0"]', "--b", "[0.1]"],
     ["divide", "--flavor", "inv", "--side", "left", "--order", "1",
