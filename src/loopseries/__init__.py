@@ -14,7 +14,37 @@ __version__ = "0.1.0"
 # seed of the randomized witness sampler when none is given
 DEFAULT_SEED = 0x123456789ABCDEF0
 
-from .errors import DomainError, StructuralError
+
+class StructuralError(ValueError):
+    """Malformed or mismatched inputs: wrong level, arity, flavor, copy set,
+    an invalid index sequence, or a generator with no assigned image."""
+
+
+class DomainError(ArithmeticError):
+    """Input outside the mathematical domain of the operation, e.g. dividing
+    by an element of norm zero."""
+
+
+def _sum_text(terms) -> str:
+    """The text of a signed sum of ``(coefficient, body)`` pairs, where an
+    empty body is the scalar: zero terms are skipped, a unit magnitude is
+    dropped before a body, the first term is signed ``-`` or not at all
+    and the others ``+ `` or ``- ``; the empty sum is ``0``."""
+    chunks = []
+    for c, body in terms:
+        if c == 0:
+            continue
+        if not body:
+            text = str(abs(c))
+        elif abs(c) == 1:
+            text = body
+        else:
+            text = f"{abs(c)}*{body}"
+        if chunks:
+            chunks.append(("+ " if c > 0 else "- ") + text)
+        else:
+            chunks.append(text if c > 0 else "-" + text)
+    return " ".join(chunks) or "0"
 
 
 def _emit_json(command: str, data, seed=None, passed=None) -> str:

@@ -52,7 +52,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Sequence
 
-from .errors import StructuralError
+from . import StructuralError, _sum_text
 
 # bare instances for the unchecked private constructors
 _new = object.__new__
@@ -232,17 +232,8 @@ class CDElement(_IntegerForm):
         return (nums[0],) + tuple([-a for a in nums[1:]])
 
     def __str__(self) -> str:
-        chunks = []
-        for i, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            body = str(abs(c)) if i == 0 else (
-                f"e{i}" if abs(c) == 1 else f"{abs(c)}*e{i}")
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks) if chunks else "0"
+        return _sum_text((c, f"e{i}" if i else "")
+                         for i, c in enumerate(self.coords))
 
     def __repr__(self) -> str:
         return f"CDElement(level={self.level}, {self})"
@@ -403,11 +394,6 @@ class MatrixElement(_IntegerForm):
             cells = [_cd(level, *_reduce(nums[i:i + w], den))
                      for i in range(0, len(nums), w)]
         return tuple([tuple(cells[i:i + n]) for i in range(0, n * n, n)])
-
-    @classmethod
-    def identity(cls, dim: int, one, zero) -> "MatrixElement":
-        return cls([[one if i == j else zero for j in range(dim)]
-                    for i in range(dim)])
 
     def unit(self) -> "MatrixElement":
         n, size = self.dim, len(self.nums)

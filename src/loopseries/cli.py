@@ -8,7 +8,7 @@ counterexample reproduction (``witness``) and the M-sequence/tree
 bijection (``trees``).
 
 This module holds the parser, built from plain constants, the series
-codecs and the handlers of ``divide`` and ``invert``; the other handlers
+codecs and the one handler of ``divide`` and ``invert``; the other handlers
 are in :mod:`loopseries.commands`, imported only for their commands. Each
 handler imports the library layers it runs, so a command compiles and
 loads only the modules it needs (``trees`` and ``coeffs`` load just the
@@ -31,8 +31,13 @@ import functools
 import sys
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_SEED, __version__, _emit_json
-from .errors import DomainError, StructuralError
+from . import (
+    DEFAULT_SEED,
+    DomainError,
+    StructuralError,
+    __version__,
+    _emit_json,
+)
 
 if TYPE_CHECKING:
     from .seriesloops import TruncatedSeries
@@ -92,16 +97,12 @@ def _encode(c, algebra: str):
 
 
 def _unit(algebra: str):
-    from fractions import Fraction
+    """The unit of ``algebra``, read by ``one_of`` off its decoded zero."""
+    from .algebras import one_of
 
-    from .algebras import CDElement, MatrixElement
-
-    dim, level = ALGEBRAS[algebra]
-    if level is None:
-        one, zero = Fraction(1), Fraction(0)
-    else:
-        one, zero = CDElement.one(level), CDElement.zero(level)
-    return one if dim is None else MatrixElement.identity(dim, one, zero)
+    dim = ALGEBRAS[algebra][0]
+    return one_of(_decode("0" if dim is None else ["0"] * (dim * dim),
+                          algebra))
 
 
 def series_to_json(series: TruncatedSeries, algebra: str) -> dict:
@@ -170,24 +171,19 @@ def _series_arg(text: str, option: str, args) -> TruncatedSeries:
             from None
 
 
-def _cmd_divide(args) -> tuple[str, int]:
-    from .seriesloops import divide
+def _cmd_series(args) -> tuple[str, int]:
+    """The handler of ``divide`` and ``invert``: decode, compute, emit."""
+    from .seriesloops import divide, series_inverse
 
     a = _series_arg(args.a, "--a", args)
-    b = _series_arg(args.b, "--b", args)
-    result = divide(args.side, a, b, args.mode)
+    if args.command == "divide":
+        result = divide(args.side, a, _series_arg(args.b, "--b", args),
+                        args.mode)
+    else:
+        result = series_inverse(a, args.side)
     if args.format == "json":
-        return _emit_json("divide", series_to_json(result, args.algebra)), 0
-    return str(result) + "\n", 0
-
-
-def _cmd_invert(args) -> tuple[str, int]:
-    from .seriesloops import series_inverse
-
-    a = _series_arg(args.a, "--a", args)
-    result = series_inverse(a, args.side)
-    if args.format == "json":
-        return _emit_json("invert", series_to_json(result, args.algebra)), 0
+        return _emit_json(args.command,
+                          series_to_json(result, args.algebra)), 0
     return str(result) + "\n", 0
 
 
@@ -272,10 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _handler(command: str):
     """The handler of ``command``; the other commands' handlers are in
     :mod:`loopseries.commands`, which the series commands never import."""
-    if command == "divide":
-        return _cmd_divide
-    if command == "invert":
-        return _cmd_invert
+    if command in ("divide", "invert"):
+        return _cmd_series
     from . import commands
     return getattr(commands, f"cmd_{command}")
 

@@ -40,13 +40,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from . import StructuralError
 from .combinatorics import (
     bit_sequences,
     bit_sign,
     codivision_terms,
     compositions,
 )
-from .errors import StructuralError
 from .freealg import (
     MultiMorphism,
     NCPolynomial,

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import StructuralError
+from . import StructuralError
 
 Tree = tuple
 LEAF: Tree = ()

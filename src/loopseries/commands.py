@@ -9,8 +9,7 @@ output text with the exit status.
 
 from __future__ import annotations
 
-from . import _emit_json
-from .errors import StructuralError
+from . import StructuralError, _emit_json
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:
@@ -102,7 +101,7 @@ def _parse_int_tuple(text: str, option: str) -> tuple[int, ...]:
 
 
 def cmd_operators(args) -> tuple[str, int]:
-    from .freealg import NCPolynomial
+    from .freealg import NCPolynomial, _word_json
     from .operators import left_op, right_op, right_op_e, right_op_m
 
     if args.bits is not None and args.op != "Re":
@@ -128,8 +127,7 @@ def cmd_operators(args) -> tuple[str, int]:
         result = right_op_e(_parse_int_tuple(args.bits, "--bits"), factors,
                             mode)
     if args.format == "json":
-        terms = [{"coeff": str(c),
-                  "factors": [[[cp, i] for cp, i in w] for w in key]}
+        terms = [{"coeff": str(c), "factors": list(map(_word_json, key))}
                  for key, c in result.sorted_terms()]
         return _emit_json("operators", {"op": args.op,
                                         "degrees": list(degrees),

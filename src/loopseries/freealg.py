@@ -18,8 +18,12 @@ componentwise tensor product: keys are tuples of copy-free words.
 Both, and ``operators.GradedTensorPoly``, are ``Sparse`` linear
 combinations: the base holds the terms and implements the linear
 structure (linear-time ``sum``, ``+``, ``-``, integer scaling), equality,
-hashing and the signed text form once; each subclass adds its key order,
-the text of one monomial and its product.
+hashing and the signed text form once (the package's ``_sum_text``, which
+Cayley-Dickson elements share); each subclass adds its key order, the
+text of one monomial and its product. A word has one text form
+(``_word_text``, ``x1*y2``) and one JSON form (``_word_json``), and the
+polynomial product and the tensor product of ``operators`` are one
+concatenation loop (``_concat``).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
-from .errors import StructuralError
+from . import StructuralError, _sum_text
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
@@ -51,6 +55,28 @@ def _term_key(w: Word) -> tuple:
     return (word_degree(w), len(w), w)
 
 
+def _word_text(w: Word) -> str:
+    """A word in text, its letters joined by ``*``: ``x1*y2``."""
+    return "*".join(f"{COPY_NAMES[cp]}{idx}" for cp, idx in w)
+
+
+def _word_json(w: Word) -> list:
+    """A word in JSON, one ``[copy, index]`` pair per letter."""
+    return [[cp, idx] for cp, idx in w]
+
+
+def _concat(xs: Mapping, ys: Mapping) -> dict:
+    """Terms of the concatenation product of two term dicts whose keys
+    are tuples: ``k1 + k2`` gets ``c1 * c2``; zeros are left for the final
+    container to drop."""
+    out: dict = {}
+    for k1, c1 in xs.items():
+        for k2, c2 in ys.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
 def _add_terms(out: dict, terms: Mapping, scale: int = 1) -> None:
     """Add ``scale`` times ``terms`` into ``out`` in place; zero
     coefficients are left for the final container to drop."""
@@ -70,11 +96,10 @@ class Sparse:
     cannot be added.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | None = None):
         self.terms: dict = {k: c for k, c in (terms or {}).items() if c != 0}
-        self._hash: int | None = None
 
     def _shape(self) -> tuple:
         return ()
@@ -124,9 +149,7 @@ class Sparse:
                 and self._shape() == other._shape())
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._shape(), tuple(sorted(self.terms.items()))))
-        return self._hash
+        return hash((self._shape(), tuple(sorted(self.terms.items()))))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -140,22 +163,7 @@ class Sparse:
         return sorted(self.terms.items(), key=lambda item: key(item[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for k, c in self.sorted_terms():
-            body = self._key_text(k)
-            if not body:
-                mag = str(abs(c))
-            elif abs(c) == 1:
-                mag = body
-            else:
-                mag = f"{abs(c)}*{body}"
-            if not chunks:
-                chunks.append(mag if c > 0 else f"-{mag}")
-            else:
-                chunks.append(f"+ {mag}" if c > 0 else f"- {mag}")
-        return " ".join(chunks)
+        return _sum_text((c, self._key_text(k)) for k, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         args = [str(a) for a in self._shape()] + [str(self)]
@@ -186,26 +194,17 @@ class NCPolynomial(Sparse):
     def __mul__(self, other):
         if not isinstance(other, NCPolynomial):
             return super().__mul__(other)
-        out: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return NCPolynomial(out)
+        return NCPolynomial(_concat(self.terms, other.terms))
 
     # -- text and JSON output ----------------------------------------------
 
     _sort_key = staticmethod(_term_key)
-
-    def _key_text(self, w: Word) -> str:
-        return "*".join(f"{COPY_NAMES[cp]}{idx}" for cp, idx in w)
+    _key_text = staticmethod(_word_text)
 
     def to_json(self) -> dict:
         return {
-            "terms": [
-                {"coeff": str(c), "word": [[cp, idx] for cp, idx in w]}
-                for w, c in self.sorted_terms()
-            ]
+            "terms": [{"coeff": str(c), "word": _word_json(w)}
+                      for w, c in self.sorted_terms()]
         }
 
 

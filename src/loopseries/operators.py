@@ -32,7 +32,9 @@ the recursions below trust the letters, the bits and everything they
 build from them, so the closed first blocks read the unchecked DP fold.
 
 ``GradedTensorPoly`` is a ``freealg.Sparse`` combination: it inherits the
-linear structure and text form and adds its key order and ``tensor``.
+linear structure and text form and adds its key order and ``tensor``,
+the concatenation product ``freealg._concat`` that ``NCPolynomial``
+multiplies by too.
 """
 
 from __future__ import annotations
@@ -41,9 +43,16 @@ import itertools
 import math
 from typing import Sequence
 
+from . import StructuralError
 from .combinatorics import _d_fold, check_lagrange_args, is_m_sequence
-from .errors import StructuralError
-from .freealg import COPY_NAMES, NCPolynomial, Sparse, Word, word_degree
+from .freealg import (
+    NCPolynomial,
+    Sparse,
+    Word,
+    _concat,
+    _word_text,
+    word_degree,
+)
 
 TensorKey = tuple[Word, ...]
 
@@ -81,12 +90,7 @@ class GradedTensorPoly(Sparse):
         return _tensor_monomial(letters, coeff)
 
     def tensor(self, other: "GradedTensorPoly") -> "GradedTensorPoly":
-        out: dict[TensorKey, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
-        return GradedTensorPoly(out)
+        return GradedTensorPoly(_concat(self.terms, other.terms))
 
     def scalar_length_polynomial(self) -> NCPolynomial:
         """The length-1 component as a plain polynomial (plus nothing of
@@ -99,8 +103,7 @@ class GradedTensorPoly(Sparse):
         return (len(k), tuple((word_degree(w), len(w), w) for w in k))
 
     def _key_text(self, k: TensorKey) -> str:
-        return " | ".join("*".join(f"{COPY_NAMES[cp]}{i}" for cp, i in w)
-                          for w in k)
+        return " | ".join(map(_word_text, k))
 
 
 def _tensor_monomial(letters: Sequence[NCPolynomial],
@@ -109,12 +112,7 @@ def _tensor_monomial(letters: Sequence[NCPolynomial],
     is built from them; a zero factor gives zero."""
     out: dict[TensorKey, int] = {(): coeff}
     for f in letters:
-        acc: dict[TensorKey, int] = {}
-        for key, c in out.items():
-            for w, cw in f.terms.items():
-                nk = key + (w,)
-                acc[nk] = acc.get(nk, 0) + c * cw
-        out = acc
+        out = _concat(out, {(w,): c for w, c in f.terms.items()})
     return GradedTensorPoly(out)
 
 

@@ -13,22 +13,25 @@ series refuses a carrier known to be non-associative (octonions and
 higher Cayley-Dickson levels, matrices over them, doubled elements) with
 a ``StructuralError``.
 
-Both loop laws are written once, as the degree-``n`` coefficient of the
-law. The products use it, and so does the ``recursive`` division mode: it
-solves the defining cancellation equation degree by degree, the same way
-for both flavors and both sides. The ``inv`` law is the binary
-convolution ``(ab)_n = sum_m a_m b_{n-m}``. The ``diff`` law is
-``a(b(t)) = b(t) + sum_m a_m b(t)^(m+1)``; with ``B = 1 + sum_k b_k t^k``
-its degree-``n`` coefficient is
+The two loop laws are one law, written once as its degree-``n``
+coefficient. With ``B = 1 + sum_k b_k t^k``,
 
-    (a o b)_n = a_n + b_n + sum_{m=1}^{n-1} a_m [t^(n-m)] B^(m+1),
+    (a * b)_n = a_n + b_n + sum_{m=1}^{n-1} a_m [t^(n-m)] B^p,
 
-read from a table of the truncated powers ``B^p = B^(p-1) B``, built one
-column at a time on demand (Brent and Kung's power-series composition):
-``O(N^3)`` coefficient products for order ``N``, and the unit is never
-multiplied. Expanding ``b(t)^(m+1)`` into ``B^(m+1)`` and grouping the
-products of ``B^p`` in any order needs associativity, which is why
-``diff`` refuses non-associative carriers. The ``closed`` mode multiplies
+with ``p = 1`` for ``inv`` and ``p = m + 1`` for ``diff``. At ``p = 1``
+it is the binary convolution ``(ab)_n = sum_m a_m b_{n-m}`` of the
+pointwise product, binary products only. At ``p = m + 1`` it is the
+degree-``n`` part of ``a(b(t)) = b(t) + sum_m a_m b(t)^(m+1)``. The
+products use it, and so does the ``recursive`` division mode: it solves
+the defining cancellation equation degree by degree, the same way for
+both flavors and both sides. ``[t^j] B^p`` is read from a table of the
+truncated powers ``B^p = B^(p-1) B``, built one column at a time on
+demand (Brent and Kung's power-series composition): ``O(N^3)``
+coefficient products for order ``N``, and the unit is never multiplied;
+``B^1`` is ``B`` itself, so ``inv`` builds no power. Expanding
+``b(t)^(m+1)`` into ``B^(m+1)`` and grouping the products of ``B^p`` in
+any order needs associativity, which is why ``diff`` refuses
+non-associative carriers. The ``closed`` mode multiplies
 out the terms of ``combinatorics.codivision_terms``, the ones the coloop
 tables read, one formula per side for both flavors; it alone loads
 :mod:`loopseries.combinatorics`. ``convolution_eval`` evaluates the
@@ -46,8 +49,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from . import StructuralError
 from .algebras import is_zero, known_nonassociative, one_of, zero_of
-from .errors import StructuralError
 
 FLAVORS = ("inv", "diff")
 
@@ -166,27 +169,25 @@ class _Powers:
 
 
 def _law_coeff(flavor: str, a: Sequence, powers: _Powers, n: int):
-    """Degree-``n`` coefficient of the loop law ``a * b``.
+    """Degree-``n`` coefficient of the loop law ``a * b``,
+    ``a_n + b_n + sum_{m=1}^{n-1} a_m [t^(n-m)] B^p`` with ``p = 1``
+    for ``inv`` and ``p = m + 1`` for ``diff``.
 
     ``a`` is a coefficient sequence indexed from 0, where index 0 is the
     unit, and ``powers`` is the power table of ``b``; unit factors are
-    never multiplied. ``inv``: ``(ab)_n = sum_m a_m b_{n-m}``, binary
-    products only, so valid over non-associative coefficients. ``diff``:
-    ``(a o b)_n = a_n + b_n + sum_{m=1}^{n-1} a_m [t^(n-m)] B^(m+1)``,
-    the degree-``n`` part of ``b(t) + sum_m a_m t^(m+1) B(t)^(m+1)``.
-    It equals the chain sum ``sum_m sum_{k_0+...+k_m = n-m} a_m b_{k_0}
-    ... b_{k_m}`` only because the products are associative: the power
-    table groups each chain as ``a_m ((b_{k_0} ... b_{k_{m-1}}) b_{k_m})``
-    and sums the chains of a power before multiplying them on. The
-    ``m >= 1`` terms read column ``n - m`` of the powers, so only
-    ``b_1 .. b_{n-1}``.
+    never multiplied. At ``p = 1`` the terms are the binary products
+    ``a_m b_{n-m}``, so ``inv`` is valid over non-associative
+    coefficients. At ``p = m + 1`` the law equals the chain sum ``sum_m
+    sum_{k_0+...+k_m = n-m} a_m b_{k_0} ... b_{k_m}`` only because the
+    products are associative: the power table groups each chain as ``a_m
+    ((b_{k_0} ... b_{k_{m-1}}) b_{k_m})`` and sums the chains of a power
+    before multiplying them on. The ``m >= 1`` terms read column ``n - m``
+    of the powers, so only ``b_1 .. b_{n-1}``.
     """
+    inv = flavor == "inv"
     acc = a[n] + powers.b[n]
     for m in range(1, n):
-        if flavor == "inv":
-            acc = acc + a[m] * powers.b[n - m]
-        else:
-            acc = acc + a[m] * powers.coeff(m + 1, n - m)
+        acc = acc + a[m] * powers.coeff(1 if inv else m + 1, n - m)
     return acc
 
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
+from loopseries import DomainError, StructuralError
 from loopseries.algebras import CDElement, MatrixElement
 from loopseries.coloops import get_coloop
 from loopseries.combinatorics import (
@@ -32,7 +33,6 @@ from loopseries.combinatorics import (
     lagrange_d_labeled,
     m_sequences,
 )
-from loopseries.errors import DomainError, StructuralError
 from loopseries.freealg import COPY_NAMES, NCPolynomial, TensorPoly, letter
 from loopseries.operators import (
     GradedTensorPoly,
@@ -43,6 +43,7 @@ from loopseries.operators import (
     right_op_m,
     triangle,
 )
+from loopseries.seriesloops import TruncatedSeries
 from loopseries.witnesses import DoubledElement
 
 
@@ -255,6 +256,21 @@ def random_unit_octonion(rng: Random) -> CDElement:
     one = CDElement.one(3)
     diff = one - u
     return (diff * diff) * Fraction(1, 1 + cd_norm(u))
+
+
+# -- series laws --------------------------------------------------------------
+
+def inv_convolution(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The product of invertible series as the plain binary convolution
+    ``(ab)_n = sum_{m=0}^{n} a_m b_{n-m}``, unit factors multiplied too:
+    the oracle of the ``inv`` law, over any coefficient algebra."""
+    coeffs = []
+    for n in range(1, a.order + 1):
+        acc = a.coeff(0) * b.coeff(n)
+        for m in range(1, n + 1):
+            acc = acc + a.coeff(m) * b.coeff(n - m)
+        coeffs.append(acc)
+    return TruncatedSeries("inv", a.order, coeffs, a.one)
 
 
 # -- Lagrange coefficients and trees ------------------------------------------

@@ -16,6 +16,7 @@ except ImportError:  # pragma: no cover
 
 from loopseries import (
     DEFAULT_SEED,
+    StructuralError,
     __version__,
     algebras,
     cli,
@@ -25,7 +26,6 @@ from loopseries import (
     witnesses,
 )
 from loopseries.cli import main, series_from_json, series_to_json
-from loopseries.errors import StructuralError
 from loopseries.freealg import NCPolynomial
 from loopseries.seriesloops import TruncatedSeries
 
@@ -276,8 +276,8 @@ def test_diff_inverse_builds_no_table(capsys, monkeypatch):
         assert seriesloops.diff_compose(inv, lib_a).is_unit()
 
 
-# the loopseries modules each command loads besides the package, ``cli``
-# and ``errors``: exactly the layers its handler runs
+# the loopseries modules each command loads besides the package and
+# ``cli``: exactly the layers its handler runs
 IMPORT_GRAPH = [
     (["trees", "--length", "2"], {"commands", "combinatorics"}),
     (["coeffs", "--kind", "de", "--n", "3"], {"commands", "combinatorics"}),
@@ -317,7 +317,7 @@ def test_command_loads_only_its_layers(argv, layers):
     code, modules = json.loads(proc.stdout)
     assert code == 0
     loaded = {name for name in modules if name.startswith("loopseries")}
-    assert loaded == {"loopseries", "loopseries.cli", "loopseries.errors"} \
+    assert loaded == {"loopseries", "loopseries.cli"} \
         | {f"loopseries.{name}" for name in layers}
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from loopseries import StructuralError, coloops
 from loopseries.combinatorics import (
     bit_sequences,
     bit_sign,
@@ -16,8 +17,6 @@ from loopseries.coloops import (
     get_coloop,
     operator_expansions,
 )
-from loopseries import coloops
-from loopseries.errors import StructuralError
 from loopseries.freealg import (
     MultiMorphism,
     NCPolynomial,

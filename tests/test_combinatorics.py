@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from loopseries import combinatorics
+from loopseries import StructuralError, combinatorics
 from loopseries.combinatorics import (
     LEAF,
     _phi,
@@ -24,7 +24,6 @@ from loopseries.combinatorics import (
     tree_of_msequence,
     tree_to_parens,
 )
-from loopseries.errors import StructuralError
 from oracles import catalan, d_recurrence_check, tree_leaves, weak_compositions
 
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopseries import coloops
+from loopseries import StructuralError, coloops
 from loopseries.algebras import MatrixElement
-from loopseries.errors import StructuralError
 from loopseries.freealg import (
     MultiMorphism,
     NCPolynomial,
@@ -312,7 +311,7 @@ class TestEvaluate:
         a2 = MatrixElement([[q(3), q(0)], [q(1), q(1)]])
         b1 = MatrixElement([[q(0), q(1)], [q(1), q(0)]])
         b2 = MatrixElement([[q(2), q(1)], [q(0), q(2)]])
-        one = MatrixElement.identity(2, q(1), q(0))
+        one = MatrixElement([[q(1), q(0)], [q(0), q(1)]])
         p = coloops.get_coloop("fdb").codivision("right", 2)  # u2 - 2 u1 y1
         got = evaluate(p, coefficient_assignment([a1, a2], [b1, b2]), one)
         assert got == a2 - b2 - (a1 - b1) * b1 * 2
@@ -380,7 +379,7 @@ class TestTextAndJson:
         mats = [MatrixElement([[q(rng.randint(-3, 3)) for _ in range(2)]
                                for _ in range(2)]) for _ in range(6)]
         assign = coefficient_assignment(mats[:3], mats[3:])
-        one = MatrixElement.identity(2, q(1), q(0))
+        one = MatrixElement([[q(1), q(0)], [q(0), q(1)]])
         for _ in range(10):
             p, r = random_poly(rng), random_poly(rng)
             assert evaluate(p * r, assign, one) == \

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopseries import algebras
+from loopseries import StructuralError, algebras
 from loopseries.algebras import CDElement, MatrixElement
 from loopseries.combinatorics import (
     all_compositions,
@@ -37,7 +37,6 @@ from loopseries.combinatorics import (
     lagrange_d_labeled_row,
     m_sequences_labeled,
 )
-from loopseries.errors import StructuralError
 from loopseries.witnesses import DoubledElement, SplitQuaternionMatrix
 from oracles import (
     HQUnit,
@@ -199,7 +198,7 @@ class TestFractionMatrixKernel:
         assert (a * a).entries == ((7, 10), (15, 22))
         assert type((a * a).entries[0][0]) is Fraction
         assert (MatrixElement([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
-                * 2) == MatrixElement.identity(2, 1, 0)
+                * 2) == MatrixElement([[1, 0], [0, 1]])
 
     @KERNEL_SETTINGS
     @given(cd_grids())
@@ -291,11 +290,12 @@ def carriers():
         one, zero = CDElement.one(level), CDElement.zero(level)
         out.append((x, one, level >= 3))
         m = MatrixElement([[x, zero], [one, x]])
-        out.append((m, MatrixElement.identity(2, one, zero), level >= 3))
+        out.append((m, MatrixElement([[one, zero], [zero, one]]),
+                    level >= 3))
     out.append((MatrixElement([[q(1, 2), 3], [0, 1]]),
-                MatrixElement.identity(2, 1, 0), False))
+                MatrixElement([[1, 0], [0, 1]]), False))
     out.append((MatrixElement([[1, 2, 3]] * 3),
-                MatrixElement.identity(3, 1, 0), False))
+                MatrixElement([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), False))
     sq = SplitQuaternionMatrix([[q(1), q(2)], [q(0), q(1, 3)]])
     out.append((sq, SplitQuaternionMatrix([[1, 0], [0, 1]]), False))
     out.append((DoubledElement(q(2), q(1)),

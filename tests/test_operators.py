@@ -3,14 +3,13 @@ import math
 
 import pytest
 
-from loopseries import combinatorics, operators
+from loopseries import StructuralError, combinatorics, operators
 from loopseries.combinatorics import (
     bit_sequences,
     lagrange_d,
     m_sequences,
     m_sequences_labeled,
 )
-from loopseries.errors import StructuralError
 from loopseries.freealg import NCPolynomial, word_degree
 from loopseries.operators import (
     GradedTensorPoly,

@@ -12,10 +12,8 @@ from loopseries.algebras import (
     is_zero,
     zero_of,
 )
-from loopseries import coloops
-from loopseries.errors import DomainError, StructuralError
+from loopseries import DEFAULT_SEED, DomainError, StructuralError, coloops
 from loopseries.freealg import NCPolynomial, evaluate
-from loopseries import DEFAULT_SEED
 from loopseries.seriesloops import (
     TruncatedSeries,
     convolution_eval,
@@ -35,6 +33,7 @@ from loopseries.witnesses import (
 )
 from oracles import (
     cd_norm,
+    inv_convolution,
     octonion_loop_div,
     random_matrix,
     random_unit_octonion,
@@ -250,10 +249,11 @@ _fractions = st.builds(Fraction, _small, st.integers(1, 3))
 def coefficients(algebra):
     if algebra == "q":
         return _fractions
-    if algebra == "m2q":
-        return st.lists(_fractions, min_size=4, max_size=4).map(
+    if algebra in ("m2q", "m2sed"):
+        entries = _fractions if algebra == "m2q" else coefficients("sed")
+        return st.lists(entries, min_size=4, max_size=4).map(
             lambda e: MatrixElement([e[:2], e[2:]]))
-    level = {"c": 1, "h": 2, "sed": 4}[algebra]
+    level = {"c": 1, "h": 2, "o": 3, "sed": 4}[algebra]
     return st.lists(_small, min_size=1 << level, max_size=1 << level).map(
         lambda c: CDElement(level, c))
 
@@ -288,6 +288,20 @@ class TestDivisionProperties:
             assert mul(a, left) == b
             assert right == divide("right", a, b, "closed")
             assert left == divide("left", a, b, "closed")
+        check()
+
+    @pytest.mark.parametrize("algebra", ["sed", "o", "m2sed"])
+    def test_inv_law_is_the_binary_convolution(self, algebra):
+        # non-associative carriers: the one law at exponent p = 1 must be
+        # the binary convolution, and both recursive divisions cancel
+        # under it
+        @PROPERTY_SETTINGS
+        @given(series_pairs("inv", algebra, max_order=6))
+        def check(ab):
+            a, b = ab
+            assert inv_mul(a, b) == inv_convolution(a, b)
+            assert inv_convolution(divide("right", a, b), b) == a
+            assert inv_convolution(a, divide("left", a, b)) == b
         check()
 
     @pytest.mark.parametrize("algebra", ["q", "m2q", "h"])
@@ -472,7 +486,7 @@ class TestInverse:
         # diagonal matrices commute pairwise here only if we use one
         # diagonal slot; use scalar multiples of the identity instead
         def scalar_series():
-            coeffs = [MatrixElement.identity(2, q(1), q(0))
+            coeffs = [MatrixElement([[q(1), q(0)], [q(0), q(1)]])
                       * q(rng.randint(-3, 3)) for _ in range(8)]
             return TruncatedSeries("diff", 8, coeffs)
 
@@ -607,3 +621,13 @@ def test_quaternionic_samples_exist():
     rng = Random(67)
     xs = sample_ucd_unitaries(rng, 6)
     assert all(is_zero(s.unitary_defect()) for s in xs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, DEFAULT_SEED])
+def test_samplers_draw_unitary_elements(seed):
+    # the samplers do not check their own output; this checks it, at the
+    # witness's default seed among others
+    for sampler in (sample_zorn_unitaries, sample_ucd_unitaries):
+        xs = sampler(Random(seed), 40)
+        assert len(xs) == 40
+        assert all(is_zero(x.unitary_defect()) for x in xs), sampler.__name__
