@@ -139,6 +139,8 @@ def series_from_json(data, flavor: str, order: int, algebra: str
                 raise StructuralError(
                     f"series JSON has {key} {data[key]!r}, but {value!r} "
                     f"was requested")
+        if "coeffs" not in data:
+            raise StructuralError("series JSON has no coeffs key")
         coeffs = data["coeffs"]
     else:
         coeffs = data

@@ -15,10 +15,9 @@ taken. The ``delta`` coefficients are binomials for ``fdb`` and 1 for
 ``inv``. The codivisions read their signs, coefficients and bit labels
 from ``combinatorics.codivision_terms``, the one place that writes the
 closed formulas; the flavor only says whether the terms carry (labeled)
-Lagrange coefficients. ``operator_expansions`` rebuilds the
-same entries from the recursive operators of :mod:`loopseries.operators`,
-which it imports on first use; the tests check that every expansion
-equals its table.
+Lagrange coefficients. This direct formula is the one route to each
+entry here; the tests rebuild the fdb entries by the paper's second route
+and compare.
 
 Every map has one name in one vocabulary, the image of a letter ``x_n``
 under it (``Coloop.image``): ``delta``, ``counit``, ``delta_r``,
@@ -41,12 +40,7 @@ import math
 from typing import Callable
 
 from . import StructuralError
-from .combinatorics import (
-    bit_sequences,
-    bit_sign,
-    codivision_terms,
-    compositions,
-)
+from .combinatorics import codivision_terms, compositions
 from .freealg import (
     MultiMorphism,
     NCPolynomial,
@@ -60,18 +54,6 @@ FLAVORS = ("inv", "fdb")
 _X = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
 _Y = lambda n: NCPolynomial.generator(2, n)  # noqa: E731
 _Z = lambda n: NCPolynomial.generator(3, n)  # noqa: E731
-
-
-def _u(n: int) -> NCPolynomial:
-    return _X(n) - _Y(n)
-
-
-def _v(n: int) -> NCPolynomial:
-    return _Y(n) - _X(n)
-
-
-def _labeled(bit: int, n: int) -> NCPolynomial:
-    return _X(n) if bit == 1 else _Y(n)
 
 
 def _letters(n: int) -> tuple:
@@ -301,54 +283,6 @@ AXIOMS: dict[str, tuple] = {
 EXPECTED_FAILURES: dict[tuple[str, str], int] = {
     ("fdb", "coinverse-left"): 3,
 }
-
-
-def operator_expansions(kind: str, n: int) -> dict[str, NCPolynomial]:
-    """The fdb table entry ``kind`` at degree ``n`` rebuilt from the
-    recursive operators of :mod:`loopseries.operators`, one polynomial per
-    expansion: ``delta`` by ``triangle``, ``delta_r`` through ``right_op``
-    and through ``left_op``, ``delta_l`` through ``right_op_e``.
-
-    Each must equal the table built from the direct formula with (labeled)
-    Lagrange coefficients; the tables never call this, the tests compare.
-    """
-    from . import operators as ops
-    if n < 1:
-        raise StructuralError("tables are indexed by n >= 1")
-    if kind == "delta":
-        parts = {"triangle": [_X(n) + _Y(n)]}
-    elif kind == "delta_r":
-        parts = {"right_op": [_u(n)], "left_op": [_u(n)]}
-    elif kind == "delta_l":
-        parts = {"right_op_e": [_v(n)]}
-    else:
-        raise StructuralError(f"no operator expansion for {kind!r}")
-    for ell in range(1, n):
-        sign = -1 if ell % 2 else 1
-        for comp in compositions(n, ell + 1):
-            if kind == "delta":
-                block = ops.triangle(
-                    ops.element(_X(comp[0])),
-                    ops.GradedTensorPoly.from_factors([_Y(k) for k in comp[1:]]))
-                parts["triangle"].append(block.scalar_length_polynomial())
-            elif kind == "delta_r":
-                rhs = ops.right_op([_Y(k) for k in comp[1:]])
-                block = ops.triangle(ops.element(_u(comp[0])), rhs)
-                parts["right_op"].append(
-                    sign * block.scalar_length_polynomial())
-                lhs = ops.left_op([_u(comp[0])] + [_Y(k) for k in comp[1:ell]])
-                block = ops.triangle(lhs, ops.element(_Y(comp[ell])))
-                parts["left_op"].append(
-                    sign * block.scalar_length_polynomial())
-            else:
-                for e in bit_sequences(ell):
-                    lead = ops.element(_labeled(e[0], comp[0]))
-                    args = [_labeled(b, k) for b, k in zip(e[1:], comp[1:ell])]
-                    args.append(_v(comp[ell]))
-                    block = ops.triangle(lead, ops.right_op_e(e, args))
-                    parts["right_op_e"].append(
-                        (sign * bit_sign(e)) * block.scalar_length_polynomial())
-    return {name: NCPolynomial.sum(polys) for name, polys in parts.items()}
 
 
 _COLOOPS: dict[str, Coloop] = {}

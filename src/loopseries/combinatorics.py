@@ -23,14 +23,14 @@ composition in one depth-first walk over the bit prefixes: each step is
 taken once and shared by every ``e`` that extends its prefix, and a
 prefix whose DP vector vanishes (as for every ``e`` that starts with the
 bit 2) fills its subtree with zeros. ``check_lagrange_args`` holds the
-one argument check of all three, and of ``m_sequences_labeled`` and the
-labeled operators: positive degrees, one bit 1 or 2 per degree.
-``codivision_terms`` turns them into the signed, labeled terms of the
-closed codivisions, the paper's generalized Lagrange inversion, for the
-coloop tables and the closed series divisions alike. The enumeration of
-``M(l)`` and ``M(l)^e`` is kept as the definition, for the tree
-bijection, and for the tests as their oracle and in the operator identity
-check ``R1``; the operators' closed forms read ``d^e`` instead.
+one argument check of all three and of the labeled operators: positive
+degrees, one bit 1 or 2 per degree. ``codivision_terms`` turns them into
+the signed, labeled terms of the closed codivisions, the paper's
+generalized Lagrange inversion, for the coloop tables and the closed
+series divisions alike. The enumeration of ``M(l)`` is kept as the
+definition, for the tree bijection ``msequence_trees``, and for the tests
+as their oracle and in the operator identity check ``R1``; the operators'
+closed forms read ``d^e`` instead.
 
 Everything here is exact integer arithmetic.
 """
@@ -41,10 +41,6 @@ import math
 from typing import Sequence
 
 from . import StructuralError
-
-Tree = tuple
-LEAF: Tree = ()
-
 
 def compositions(n: int, length: int) -> list[tuple[int, ...]]:
     """All compositions of ``n`` into ``length`` positive parts.
@@ -140,14 +136,6 @@ def check_lagrange_args(ns: Sequence[int], e: Sequence[int] | None = None
     if any(b not in (1, 2) for b in e):
         raise StructuralError(f"bits must be 1 or 2, got {e}")
     return ns, e
-
-
-def m_sequences_labeled(length: int, e: Sequence[int]) -> list[tuple[int, ...]]:
-    """The subset ``M(length)^e``: sequences with ``m_i = 0`` wherever
-    ``e_i = 2``. Empty whenever ``e`` starts with the bit 2."""
-    _, e = check_lagrange_args((1,) * length, e)
-    return [m for m in m_sequences(length)
-            if all(m[i] == 0 for i in range(length) if e[i] == 2)]
 
 
 _D_CACHE: dict[tuple[int, ...], int] = {}
@@ -272,41 +260,18 @@ def d_cache_rows() -> list[tuple[str, str]]:
     return rows
 
 
-def tree_of_msequence(m: Sequence[int]) -> Tree:
-    """The bijection ``M(l) -> planar binary trees with l+1 leaves``.
-
-    A tree is a nested pair ``(left, right)`` with ``()`` as the leaf. The
-    sequence is split at its last decomposable position ``h`` (a proper
-    prefix summing to ``h``) and the second part is grafted onto the
-    rightmost leaf of the first; an indecomposable sequence peels one unit
-    off its head and pairs the remainder with a new right leaf. Base cases:
-    ``() -> leaf``, ``(1) -> (leaf, leaf)``.
-    """
-    m = tuple(m)
-    if not is_m_sequence(m):
-        raise StructuralError(f"{m} is not a valid M-sequence")
-    return _phi(m)
-
-
-def _phi(m: tuple[int, ...]) -> Tree:
-    if not m:
-        return LEAF
-    for h in range(len(m) - 1, 0, -1):
-        if sum(m[:h]) == h:
-            return _graft_rightmost(_phi(m[:h]), _phi(m[h:]))
-    # indecomposable: m = (k+1, m_2, ..., m_{l-1}, 0)
-    reduced = (m[0] - 1,) + m[1:-1] if len(m) > 1 else ()
-    return (_phi(reduced), LEAF)
-
-
 def msequence_trees(length: int) -> list[tuple[tuple[int, ...], str]]:
-    """Every ``m`` in ``M(length)`` with the parenthesis form of its tree.
+    """Every ``m`` in ``M(length)`` with the parenthesis form of its tree:
+    the bijection ``M(l) -> planar binary trees with l+1 leaves``.
 
-    The bijection of ``tree_of_msequence`` evaluated on the text form,
-    through a memo keyed by sub-sequence that lives for this call, so a
-    sub-tree shared by many sequences and its text are built once. The
-    rightmost leaf of a tree is the last ``.`` of its text, so grafting
-    replaces that character.
+    A leaf is ``.`` and a node ``(LR)``. The sequence is split at its last
+    decomposable position ``h`` (a proper prefix summing to ``h``) and the
+    tree of the second part is grafted onto the rightmost leaf of the
+    first, the last ``.`` of its text; an indecomposable sequence peels
+    one unit off its head and pairs the remainder with a new right leaf.
+    Base cases: ``() -> .``, ``(1) -> (..)``. A memo keyed by sub-sequence
+    lives for this call, so a sub-tree shared by many sequences and its
+    text are built once.
     """
     memo: dict[tuple[int, ...], str] = {(): "."}
 
@@ -330,16 +295,3 @@ def msequence_trees(length: int) -> list[tuple[tuple[int, ...], str]]:
         return got
 
     return [(m, parens(m)) for m in m_sequences(length)]
-
-
-def _graft_rightmost(t: Tree, s: Tree) -> Tree:
-    if t == LEAF:
-        return s
-    return (t[0], _graft_rightmost(t[1], s))
-
-
-def tree_to_parens(t: Tree) -> str:
-    """Balanced-parenthesis form: a leaf is ``.``, a node ``(LR)``."""
-    if t == LEAF:
-        return "."
-    return "(" + tree_to_parens(t[0]) + tree_to_parens(t[1]) + ")"

@@ -276,7 +276,7 @@ def fold(labelmap: Mapping[int, int], p: NCPolynomial) -> NCPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Canonical projection onto the tensor product and its linear section.
+# Canonical projection onto the tensor product.
 # ---------------------------------------------------------------------------
 
 PlainWord = tuple[int, ...]
@@ -337,18 +337,6 @@ def project_pi(p: NCPolynomial, arity: int) -> TensorPoly:
         key = tuple(tuple(s) for s in slots)
         out[key] = out.get(key, 0) + c
     return TensorPoly(arity, out)
-
-
-def include_iota(t: TensorPoly) -> NCPolynomial:
-    """Linear section of ``project_pi`` induced by the multiplication:
-    ``a (x) b -> a^(1) b^(2)``."""
-    out: dict[Word, int] = {}
-    for key, c in t.terms.items():
-        w: list[Letter] = []
-        for cp0, plain in enumerate(key, start=1):
-            w.extend((cp0, idx) for idx in plain)
-        out[tuple(w)] = out.get(tuple(w), 0) + c
-    return NCPolynomial(out)
 
 
 def evaluate(p: NCPolynomial, assignment: Callable[[int, int], object], one):

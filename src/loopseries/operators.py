@@ -15,8 +15,8 @@ and ``a |> 1 = a``; it is extended bilinearly.
 On top of it sit the left operator ``L_l``, the right operator ``R_l``,
 the single-structure operators ``R_m`` indexed by M-sequences, and the
 labeled operators ``R_l^e``, each available both through its recursive
-definition and through its closed form, plus executable checks for every
-identity relating them. ``R_l`` and ``R_l^e`` share one recursion in
+definition and through its closed form; the identities relating them are
+checked by the tests. ``R_l`` and ``R_l^e`` share one recursion in
 both modes, the defining sum grouped by its first block (see
 ``right_op_e``), so a memo entry costs ``l`` blocks rather than
 ``2^(l-1)`` compositions. Left-hand scalar parts of ``a_1 |> R_l(...)``
@@ -30,6 +30,8 @@ Every public operator checks its letters once, at entry, through
 ``right_op_e`` its bits through ``combinatorics.check_lagrange_args``;
 the recursions below trust the letters, the bits and everything they
 build from them, so the closed first blocks read the unchecked DP fold.
+Every tensor monomial is built by one constructor, ``_tensor_monomial``,
+from checked letters.
 
 ``GradedTensorPoly`` is a ``freealg.Sparse`` combination: it inherits the
 linear structure and text form and adds its key order and ``tensor``,
@@ -71,32 +73,8 @@ class GradedTensorPoly(Sparse):
     def unit(cls) -> "GradedTensorPoly":
         return cls({(): 1})
 
-    @classmethod
-    def from_factors(cls, factors: Sequence[NCPolynomial],
-                     coeff: int = 1) -> "GradedTensorPoly":
-        """Tensor monomial with polynomial entries, expanded bilinearly.
-
-        Every nonzero factor must be a letter in the sense of
-        ``_check_factors`` (so a difference like ``x_n - y_n`` is a legal
-        degree-``n`` entry); a zero factor anywhere makes the monomial
-        zero.
-        """
-        factors = list(factors)
-        letters, _ = _check_factors(
-            [f for f in factors
-             if not (isinstance(f, NCPolynomial) and f.is_zero())])
-        if len(letters) < len(factors):
-            return cls.zero()
-        return _tensor_monomial(letters, coeff)
-
     def tensor(self, other: "GradedTensorPoly") -> "GradedTensorPoly":
         return GradedTensorPoly(_concat(self.terms, other.terms))
-
-    def scalar_length_polynomial(self) -> NCPolynomial:
-        """The length-1 component as a plain polynomial (plus nothing of
-        the scalar component)."""
-        return NCPolynomial(
-            {k[0]: c for k, c in self.terms.items() if len(k) == 1})
 
     @staticmethod
     def _sort_key(k: TensorKey) -> tuple:
@@ -108,8 +86,9 @@ class GradedTensorPoly(Sparse):
 
 def _tensor_monomial(letters: Sequence[NCPolynomial],
                      coeff: int = 1) -> GradedTensorPoly:
-    """``from_factors`` without its checks, for checked letters and what
-    is built from them; a zero factor gives zero."""
+    """The tensor monomial ``coeff * f_1 (x) ... (x) f_l``, expanded
+    bilinearly, for checked letters and what is built from them; a zero
+    factor gives zero."""
     out: dict[TensorKey, int] = {(): coeff}
     for f in letters:
         out = _concat(out, {(w,): c for w, c in f.terms.items()})
@@ -134,11 +113,6 @@ def triangle(lhs: GradedTensorPoly, rhs: GradedTensorPoly) -> GradedTensorPoly:
                 key = (head + tuple(itertools.chain.from_iterable(rk)),)
                 out[key] = out.get(key, 0) + lc * rc * coeff
     return GradedTensorPoly(out)
-
-
-def element(p: NCPolynomial) -> GradedTensorPoly:
-    """A single homogeneous algebra element as a length-1 tensor."""
-    return GradedTensorPoly.from_factors([p])
 
 
 def _check_factors(factors: Sequence[NCPolynomial]

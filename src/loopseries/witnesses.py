@@ -304,15 +304,20 @@ def _sedenion_matrix_a1() -> MatrixElement:
     return MatrixElement([[E, F], [zero, one]])
 
 
+def _sedenion_matrix_defect() -> MatrixElement:
+    """``[[0, -2(e5+e14)], [0, 0]]``: the defect ``(a1 a1) a1 - a1 (a1 a1)``
+    of ``_sedenion_matrix_a1`` that both of its witnesses expect."""
+    zero = CDElement.zero(4)
+    return MatrixElement([[zero, _sed(5, 14) * -2], [zero, zero]])
+
+
 def _witness_inv_left_right_inverse() -> dict:
     a1 = _sedenion_matrix_a1()
-    F = _sed(5, 14)
-    zero = CDElement.zero(4)
     a = TruncatedSeries("inv", 4, [a1])
     e = unit_series("inv", 4, a.one)
     right_inv = divide("right", e, a)    # e / a
     left_inv = divide("left", a, e)      # a \ e
-    expected = MatrixElement([[zero, F * -2], [zero, zero]])
+    expected = _sedenion_matrix_defect()
     diff3 = left_inv.coeff(3) - right_inv.coeff(3)
     checks = [
         ("inverses agree below t^3",
@@ -353,13 +358,11 @@ def _witness_inv_right_alt() -> dict:
 
 def _witness_inv_power_assoc() -> dict:
     a1 = _sedenion_matrix_a1()
-    F = _sed(5, 14)
-    zero = CDElement.zero(4)
     a = TruncatedSeries("inv", 3, [a1])
     lhs = inv_mul(inv_mul(a, a), a)
     rhs = inv_mul(a, inv_mul(a, a))
     defect = lhs.coeff(3) - rhs.coeff(3)
-    expected = MatrixElement([[zero, F * -2], [zero, zero]])
+    expected = _sedenion_matrix_defect()
     checks = [
         ("a1^2 a1 - a1 a1^2 is the expected defect",
          (a1 * a1) * a1 - a1 * (a1 * a1) == expected),

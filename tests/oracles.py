@@ -3,14 +3,17 @@
 The library computes each result by one route; the second routes that
 the tests compare it with live here: the recursive Cayley-Dickson
 doubling, the matrix entry loop, the proved Lagrange-coefficient
-recurrences, the operator identities, tensor coassociativity and the
+recurrences, the filtered index set ``M(l)^e`` behind ``d^e``, the tuple
+form of the tree bijection, the operator identities, the fdb tables
+rebuilt from the recursive operators, tensor coassociativity and the
 tuple-sum form of the non-commutative Faa di Bruno coproduct over weak
 compositions, and the seeded samplers of random coefficients. So do the
 test-only structures: the octonion loops of invertible and of norm-one
 elements, divided through the conjugate, the eight-element
 hyperbolic-quaternion loop with its table-derived division and loop
-axioms, the text parser of the free algebra (the inverse of its text
-form) and the leaf count of a tree.
+axioms, the checked tensor constructors, the text parser of the free
+algebra (the inverse of its text form), the linear section of ``pi`` and
+the leaf count of a tree.
 """
 
 from __future__ import annotations
@@ -26,17 +29,27 @@ from loopseries import DomainError, StructuralError
 from loopseries.algebras import CDElement, MatrixElement
 from loopseries.coloops import get_coloop
 from loopseries.combinatorics import (
-    LEAF,
     bit_sequences,
+    bit_sign,
+    check_lagrange_args,
     compositions,
+    is_m_sequence,
     lagrange_d,
     lagrange_d_labeled,
     m_sequences,
 )
-from loopseries.freealg import COPY_NAMES, NCPolynomial, TensorPoly, letter
+from loopseries.freealg import (
+    COPY_NAMES,
+    Letter,
+    NCPolynomial,
+    TensorPoly,
+    Word,
+    letter,
+)
 from loopseries.operators import (
     GradedTensorPoly,
-    element,
+    _check_factors,
+    _tensor_monomial,
     left_op,
     right_op,
     right_op_e,
@@ -291,7 +304,62 @@ def weak_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def tree_leaves(t: tuple) -> int:
+def m_sequences_labeled(length: int,
+                        e: Sequence[int]) -> list[tuple[int, ...]]:
+    """The subset ``M(length)^e``: sequences with ``m_i = 0`` wherever
+    ``e_i = 2``. Empty whenever ``e`` starts with the bit 2. The
+    brute-force index set of the ``d^e`` DP."""
+    _, e = check_lagrange_args((1,) * length, e)
+    return [m for m in m_sequences(length)
+            if all(m[i] == 0 for i in range(length) if e[i] == 2)]
+
+
+Tree = tuple
+LEAF: Tree = ()
+
+
+def tree_of_msequence(m: Sequence[int]) -> Tree:
+    """The bijection ``M(l) -> planar binary trees with l+1 leaves`` on
+    one sequence, unmemoized; the oracle of ``msequence_trees``.
+
+    A tree is a nested pair ``(left, right)`` with ``()`` as the leaf. The
+    sequence is split at its last decomposable position ``h`` (a proper
+    prefix summing to ``h``) and the second part is grafted onto the
+    rightmost leaf of the first; an indecomposable sequence peels one unit
+    off its head and pairs the remainder with a new right leaf. Base cases:
+    ``() -> leaf``, ``(1) -> (leaf, leaf)``.
+    """
+    m = tuple(m)
+    if not is_m_sequence(m):
+        raise StructuralError(f"{m} is not a valid M-sequence")
+    return _phi(m)
+
+
+def _phi(m: tuple[int, ...]) -> Tree:
+    if not m:
+        return LEAF
+    for h in range(len(m) - 1, 0, -1):
+        if sum(m[:h]) == h:
+            return _graft_rightmost(_phi(m[:h]), _phi(m[h:]))
+    # indecomposable: m = (k+1, m_2, ..., m_{l-1}, 0)
+    reduced = (m[0] - 1,) + m[1:-1] if len(m) > 1 else ()
+    return (_phi(reduced), LEAF)
+
+
+def _graft_rightmost(t: Tree, s: Tree) -> Tree:
+    if t == LEAF:
+        return s
+    return (t[0], _graft_rightmost(t[1], s))
+
+
+def tree_to_parens(t: Tree) -> str:
+    """Balanced-parenthesis form: a leaf is ``.``, a node ``(LR)``."""
+    if t == LEAF:
+        return "."
+    return "(" + tree_to_parens(t[0]) + tree_to_parens(t[1]) + ")"
+
+
+def tree_leaves(t: Tree) -> int:
     """The leaves of a planar binary tree of ``tree_of_msequence``."""
     if t == LEAF:
         return 1
@@ -347,6 +415,37 @@ def d_recurrence_check(variant: str, ns: Sequence[int]) -> bool:
     return rhs == direct
 
 
+# -- checked tensor constructors ----------------------------------------------
+
+def from_factors(factors: Sequence[NCPolynomial],
+                 coeff: int = 1) -> GradedTensorPoly:
+    """Tensor monomial with polynomial entries, expanded bilinearly.
+
+    Every nonzero factor must be a letter in the sense of
+    ``operators._check_factors`` (so a difference like ``x_n - y_n`` is a
+    legal degree-``n`` entry); a zero factor anywhere makes the monomial
+    zero.
+    """
+    factors = list(factors)
+    letters, _ = _check_factors(
+        [f for f in factors
+         if not (isinstance(f, NCPolynomial) and f.is_zero())])
+    if len(letters) < len(factors):
+        return GradedTensorPoly.zero()
+    return _tensor_monomial(letters, coeff)
+
+
+def element(p: NCPolynomial) -> GradedTensorPoly:
+    """A single homogeneous algebra element as a length-1 tensor."""
+    return from_factors([p])
+
+
+def scalar_length_polynomial(t: GradedTensorPoly) -> NCPolynomial:
+    """The length-1 component of ``t`` as a plain polynomial (plus nothing
+    of the scalar component)."""
+    return NCPolynomial({k[0]: c for k, c in t.terms.items() if len(k) == 1})
+
+
 # -- operator identities, quantified over formal degree assignments -----------
 
 def _letters(degrees: Sequence[int]) -> list[NCPolynomial]:
@@ -385,7 +484,7 @@ def operator_identity_check(identity: str, ell: int,
             rhs = GradedTensorPoly.sum(
                 (-1) ** (ell - 1 - i) * triangle(
                     triangle(element(a[0]), right_op(a[1: i + 1])),
-                    GradedTensorPoly.from_factors(a[i + 1:]))
+                    from_factors(a[i + 1:]))
                 for i in range(ell))
             if lhs != rhs:
                 return False
@@ -397,7 +496,7 @@ def operator_identity_check(identity: str, ell: int,
             rhs = GradedTensorPoly.sum(
                 (-1) ** (i - 1) * triangle(
                     triangle(element(a[0]),
-                             GradedTensorPoly.from_factors(a[1: i + 1])),
+                             from_factors(a[1: i + 1])),
                     right_op(a[i + 1:]))
                 for i in range(1, ell + 1))
             if lhs != rhs:
@@ -407,11 +506,11 @@ def operator_identity_check(identity: str, ell: int,
         for degs in _degree_tuples(ell, degree_bound):
             a = _letters(degs)
             lhs = left_op(a)
-            parts = [(-1) ** (ell - 1) * GradedTensorPoly.from_factors(a)]
+            parts = [(-1) ** (ell - 1) * from_factors(a)]
             for i in range(1, ell):
                 head = triangle(element(a[0]),
-                                GradedTensorPoly.from_factors(a[1: i + 1]))
-                first = head.scalar_length_polynomial()
+                                from_factors(a[1: i + 1]))
+                first = scalar_length_polynomial(head)
                 parts.append((-1) ** (i - 1) * left_op([first] + a[i + 1:]))
             if lhs != GradedTensorPoly.sum(parts):
                 return False
@@ -442,22 +541,86 @@ def operator_identity_check(identity: str, ell: int,
                 got = triangle(element(a[0]), right_op_m(m, a[1:]))
                 coeff = math.prod(
                     math.comb(degs[i] + 1, m[i]) for i in range(ell))
-                if got != GradedTensorPoly.from_factors([product], coeff):
+                if got != from_factors([product], coeff):
                     return False
             full = triangle(element(a[0]), right_op(a[1:]))
-            want = GradedTensorPoly.from_factors(
+            want = from_factors(
                 [product], lagrange_d(degs[:ell]))
             if full != want:
                 return False
             for e in bit_sequences(ell):
                 got = triangle(element(a[0]), right_op_e(e, a[1:]))
                 de = lagrange_d_labeled(e, degs[:ell])
-                want = (GradedTensorPoly.from_factors([product], de)
+                want = (from_factors([product], de)
                         if de else GradedTensorPoly.zero())
                 if got != want:
                     return False
         return True
     raise StructuralError(f"unknown identity {identity!r}")
+
+
+# -- the fdb tables from the recursive operators ------------------------------
+
+_X = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
+_Y = lambda n: NCPolynomial.generator(2, n)  # noqa: E731
+
+
+def _u(n: int) -> NCPolynomial:
+    return _X(n) - _Y(n)
+
+
+def _v(n: int) -> NCPolynomial:
+    return _Y(n) - _X(n)
+
+
+def _labeled(bit: int, n: int) -> NCPolynomial:
+    return _X(n) if bit == 1 else _Y(n)
+
+
+def operator_expansions(kind: str, n: int) -> dict[str, NCPolynomial]:
+    """The fdb table entry ``kind`` at degree ``n`` rebuilt from the
+    recursive operators, one polynomial per expansion: ``delta`` by
+    ``triangle``, ``delta_r`` through ``right_op`` and through
+    ``left_op``, ``delta_l`` through ``right_op_e``.
+
+    Each must equal the table that ``coloops`` builds from the direct
+    formula with (labeled) Lagrange coefficients.
+    """
+    if n < 1:
+        raise StructuralError("tables are indexed by n >= 1")
+    if kind == "delta":
+        parts = {"triangle": [_X(n) + _Y(n)]}
+    elif kind == "delta_r":
+        parts = {"right_op": [_u(n)], "left_op": [_u(n)]}
+    elif kind == "delta_l":
+        parts = {"right_op_e": [_v(n)]}
+    else:
+        raise StructuralError(f"no operator expansion for {kind!r}")
+    for ell in range(1, n):
+        sign = -1 if ell % 2 else 1
+        for comp in compositions(n, ell + 1):
+            if kind == "delta":
+                block = triangle(element(_X(comp[0])),
+                                 from_factors([_Y(k) for k in comp[1:]]))
+                parts["triangle"].append(scalar_length_polynomial(block))
+            elif kind == "delta_r":
+                rhs = right_op([_Y(k) for k in comp[1:]])
+                block = triangle(element(_u(comp[0])), rhs)
+                parts["right_op"].append(
+                    sign * scalar_length_polynomial(block))
+                lhs = left_op([_u(comp[0])] + [_Y(k) for k in comp[1:ell]])
+                block = triangle(lhs, element(_Y(comp[ell])))
+                parts["left_op"].append(
+                    sign * scalar_length_polynomial(block))
+            else:
+                for e in bit_sequences(ell):
+                    lead = element(_labeled(e[0], comp[0]))
+                    args = [_labeled(b, k) for b, k in zip(e[1:], comp[1:ell])]
+                    args.append(_v(comp[ell]))
+                    block = triangle(lead, right_op_e(e, args))
+                    parts["right_op_e"].append(
+                        (sign * bit_sign(e)) * scalar_length_polynomial(block))
+    return {name: NCPolynomial.sum(polys) for name, polys in parts.items()}
 
 
 # -- the free algebra's text form ----------------------------------------------
@@ -496,6 +659,18 @@ def _parse_monomial(signed: str, text: str) -> NCPolynomial:
 
 
 # -- the tensor Hopf algebra ---------------------------------------------------
+
+def include_iota(t: TensorPoly) -> NCPolynomial:
+    """Linear section of ``project_pi`` induced by the multiplication:
+    ``a (x) b -> a^(1) b^(2)``."""
+    out: dict[Word, int] = {}
+    for key, c in t.terms.items():
+        w: list[Letter] = []
+        for cp0, plain in enumerate(key, start=1):
+            w.extend((cp0, idx) for idx in plain)
+        out[tuple(w)] = out.get(tuple(w), 0) + c
+    return NCPolynomial(out)
+
 
 def _tensor_coproduct_hom(flavor: str):
     """``Delta^(x)`` extended multiplicatively to copy-free words."""

@@ -13,9 +13,8 @@ from loopseries.combinatorics import (
     all_compositions,
     lagrange_d,
     m_sequences,
-    tree_of_msequence,
 )
-from loopseries.freealg import NCPolynomial, include_iota, project_pi
+from loopseries.freealg import NCPolynomial, project_pi
 from loopseries.operators import left_op, right_op
 from loopseries.seriesloops import (
     TruncatedSeries,
@@ -31,11 +30,13 @@ from oracles import (
     compare_nc_hopf,
     d_recurrence_check,
     hq_loop_axioms,
+    include_iota,
     operator_identity_check,
     random_matrix,
     random_unit_octonion,
     tensor_coassociative,
     tree_leaves,
+    tree_of_msequence,
 )
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731

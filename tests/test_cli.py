@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import re
@@ -293,9 +294,21 @@ IMPORT_GRAPH = [
     (["invert", "--flavor", "diff", "--order", "3", "--algebra", "m2q",
       "--a", '[["1", "1", "0", "1"]]'],
      {"algebras", "seriesloops"}),
+    # only the closed division formulas read Lagrange coefficients
+    (["divide", "--flavor", "inv", "--side", "right", "--order", "3",
+      "--algebra", "q", "--mode", "closed", "--a", '["1"]', "--b", '["2"]'],
+     {"combinatorics", "algebras", "seriesloops"}),
     (["witness", "ucd-not-loop"],
      {"commands", "algebras", "seriesloops", "witnesses"}),
 ]
+
+
+def table_label(argv: list[str]) -> str:
+    """A command line as the README's cold-start table names it: the
+    command, and the mode where it is closed, which loads more."""
+    return " ".join([argv[0]] + (["--mode", "closed"] if "closed" in argv
+                                 else []))
+
 
 LOADED_MODULES = """
 import contextlib, io, json, sys
@@ -307,7 +320,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 
 @pytest.mark.parametrize("argv, layers", IMPORT_GRAPH,
-                         ids=[argv[0] for argv, _ in IMPORT_GRAPH])
+                         ids=[table_label(argv) for argv, _ in IMPORT_GRAPH])
 def test_command_loads_only_its_layers(argv, layers):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -438,6 +451,8 @@ BAD_INPUTS = [
      "--algebra", "q", "--a", '["1/0"]', "--b", '["1"]'],
     ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
      "--algebra", "q", "--a", "{}", "--b", '["1"]'],
+    ["divide", "--flavor", "inv", "--side", "left", "--order", "2",
+     "--algebra", "q", "--a", '["1"]', "--b", '{"flavor": "inv"}'],
     ["invert", "--flavor", "inv", "--order", "2", "--algebra", "q",
      "--a", "7"],
     ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
@@ -570,6 +585,8 @@ BAD_INPUTS = [
     ([1], "h", "a Cayley-Dickson coefficient must be a JSON string"),
     ([["e1", 1, "0", "1"]], "m2sed",
      "a Cayley-Dickson coefficient must be a JSON string"),
+    ({}, "q", "series JSON has no coeffs key"),
+    ({"flavor": "inv", "order": 2}, "q", "series JSON has no coeffs key"),
 ])
 def test_series_json_names_the_expected_type(data, algebra, expected):
     with pytest.raises(StructuralError, match=expected):
@@ -715,6 +732,46 @@ def test_readme_examples_run(capsys):
             code = exc.code
         capsys.readouterr()
         assert code == 0, argv
+
+
+def cold_start_table() -> list[tuple[list[str], set[str], int]]:
+    """The rows of the README's cold-start table: the commands, the
+    modules they load besides ``cli``, and the source lines they compile."""
+    with open(README) as fh:
+        lines = fh.read().split("### Cold start", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"),
+                                lines[start:])
+    rows = []
+    # the header and the rule line first
+    for line in list(table)[2:]:
+        commands, modules, count = line.strip("|").split("|")
+        rows.append((re.findall(r"`([^`]+)`", commands),
+                     set(re.findall(r"`([^`]+)`", modules)),
+                     int(count.replace(",", ""))))
+    return rows
+
+
+def test_readme_cold_start_table():
+    # each row's modules are the IMPORT_GRAPH layers of its commands, and
+    # its source lines those modules', the package __init__ and cli's
+    graph = {}
+    for argv, layers in IMPORT_GRAPH:
+        assert graph.setdefault(table_label(argv), layers) == layers, argv
+    rows = cold_start_table()
+    assert sorted(c for commands, _, _ in rows for c in commands) == \
+        sorted(graph)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                       "loopseries")
+
+    def wc_l(module: str) -> int:
+        with open(os.path.join(src, f"{module}.py"), "rb") as fh:
+            return fh.read().count(b"\n")
+
+    for commands, modules, count in rows:
+        assert all(graph[c] == modules for c in commands), commands
+        assert count == sum(map(wc_l, ["__init__", "cli", *modules])), \
+            commands
 
 
 class TestHarness:

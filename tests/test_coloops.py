@@ -15,18 +15,22 @@ from loopseries.coloops import (
     EXPECTED_FAILURES,
     Coloop,
     get_coloop,
-    operator_expansions,
 )
 from loopseries.freealg import (
     MultiMorphism,
     NCPolynomial,
     TensorPoly,
     fold,
-    include_iota,
     project_pi,
     word_degree,
 )
-from oracles import compare_nc_hopf, nc_hopf_coproduct, tensor_coassociative
+from oracles import (
+    compare_nc_hopf,
+    include_iota,
+    nc_hopf_coproduct,
+    operator_expansions,
+    tensor_coassociative,
+)
 from test_freealg import apply_by_sums
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731

@@ -5,8 +5,6 @@ import pytest
 
 from loopseries import StructuralError, combinatorics
 from loopseries.combinatorics import (
-    LEAF,
-    _phi,
     all_compositions,
     bit_sequences,
     bit_sign,
@@ -19,12 +17,20 @@ from loopseries.combinatorics import (
     lagrange_d_labeled,
     lagrange_d_labeled_row,
     m_sequences,
-    m_sequences_labeled,
     msequence_trees,
+)
+from oracles import (
+    LEAF,
+    _phi,
+    catalan,
+    d_recurrence_check,
+    m_sequences_labeled,
+    operator_expansions,
+    tree_leaves,
     tree_of_msequence,
     tree_to_parens,
+    weak_compositions,
 )
-from oracles import catalan, d_recurrence_check, tree_leaves, weak_compositions
 
 
 def brute_m_sequences(length):
@@ -163,6 +169,7 @@ class TestArgumentCheck:
         ((1, 3), (1, 1)), ((2, 0), (1, 1)), ((1,), (1, 2)),
         ((1, 2, 1), (1, 2))])
     def test_bits_refused_by_the_one_check(self, e, ns, monkeypatch):
+        import oracles
         from loopseries import operators
         from loopseries.freealg import NCPolynomial
 
@@ -174,6 +181,7 @@ class TestArgumentCheck:
 
         monkeypatch.setattr(combinatorics, "check_lagrange_args", counted)
         monkeypatch.setattr(operators, "check_lagrange_args", counted)
+        monkeypatch.setattr(oracles, "check_lagrange_args", counted)
         letters = [NCPolynomial.generator(1, n) for n in ns]
         for call in (lambda: m_sequences_labeled(len(ns), e),
                      lambda: lagrange_d_labeled(e, ns),
@@ -301,7 +309,7 @@ class TestCodivisionTerms:
             calls.clear()
             got = fdb.codivision(side, 5)
             assert calls == [(side, True, 5)]
-            for expansion in coloops.operator_expansions(kind, 5).values():
+            for expansion in operator_expansions(kind, 5).values():
                 assert got == expansion
 
         for flavor in seriesloops.FLAVORS:

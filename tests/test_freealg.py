@@ -15,11 +15,10 @@ from loopseries.freealg import (
     TensorPoly,
     evaluate,
     fold,
-    include_iota,
     project_pi,
     word_degree,
 )
-from oracles import parse_polynomial
+from oracles import from_factors, include_iota, parse_polynomial
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
 y = lambda n: NCPolynomial.generator(2, n)  # noqa: E731
@@ -360,7 +359,7 @@ class TestTextAndJson:
             (G({(): -4}), "-4", "GradedTensorPoly(-4)"),
             (G({(((1, 1),), ((2, 2),)): -1, (((1, 1), (1, 2)),): 3, (): 2}),
              "2 + 3*x1*x2 - x1 | y2", "GradedTensorPoly(2 + 3*x1*x2 - x1 | y2)"),
-            (G.from_factors([x(1) - y(1), x(2)], -2), "-2*x1 | x2 + 2*y1 | x2",
+            (from_factors([x(1) - y(1), x(2)], -2), "-2*x1 | x2 + 2*y1 | x2",
              "GradedTensorPoly(-2*x1 | x2 + 2*y1 | x2)"),
         ]
         for value, text, rep in cases:

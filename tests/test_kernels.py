@@ -35,7 +35,6 @@ from loopseries.combinatorics import (
     lagrange_d,
     lagrange_d_labeled,
     lagrange_d_labeled_row,
-    m_sequences_labeled,
 )
 from loopseries.witnesses import DoubledElement, SplitQuaternionMatrix
 from oracles import (
@@ -44,6 +43,7 @@ from oracles import (
     cd_norm,
     doubling_conj,
     doubling_mul,
+    m_sequences_labeled,
 )
 from test_combinatorics import brute_d, brute_m_sequences
 

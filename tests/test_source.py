@@ -96,21 +96,11 @@ UNREACHED = {
         "paper: the defect (ab)c - a(bc) behind every witness",
     "algebras.identity_check":
         "paper: the loop identities, checked on Cayley-Dickson elements",
-    "coloops.operator_expansions":
-        "paper: the tables rebuilt from the recursive operators",
-    "combinatorics.m_sequences_labeled":
-        "paper: the index set M(l)^e, oracle of the d^e DP",
     "combinatorics.lagrange_d_labeled":
         "paper: one d^e coefficient, oracle of the d^e row; the bench "
         "counts its calls",
-    "combinatorics.tree_of_msequence":
-        "paper: the bijection M(l) -> planar binary trees",
-    "combinatorics.tree_to_parens":
-        "paper: the text form of a tree, oracle of msequence_trees",
     "freealg.project_pi":
         "paper: the projection onto the tensor Hopf algebra",
-    "freealg.include_iota":
-        "paper: the linear section of project_pi",
     "freealg.TensorPoly":
         "paper: the tensor product project_pi lands in",
     "freealg.evaluate":
@@ -119,8 +109,6 @@ UNREACHED = {
     "seriesloops.convolution_eval":
         "paper: the tables evaluated on series, the representability "
         "statement",
-    "operators.element":
-        "paper: one letter as a tensor, for operator_expansions",
     "seriesloops.mul":
         "bench: bench/run.py multiplies each series result back with it",
     "combinatorics.d_cache_rows":
@@ -134,11 +122,6 @@ UNREACHED = {
     "coloops.Coloop.projected_coproduct":
         "paper: pi of the coproduct, the non-commutative Faa di Bruno "
         "Hopf algebra",
-    "operators.GradedTensorPoly.from_factors":
-        "paper: a tensor monomial, for operators.element and "
-        "operator_expansions",
-    "operators.GradedTensorPoly.scalar_length_polynomial":
-        "paper: the length-1 part of an operator, for operator_expansions",
     "witnesses.DoubledElement.unit":
         "carrier protocol: algebras.one_of reads unit() on every carrier",
     "seriesloops.TruncatedSeries.is_unit":
