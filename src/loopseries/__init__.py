@@ -9,6 +9,8 @@ coefficient algebras on which every identity and counterexample is
 verified mechanically, with integer/rational arithmetic throughout.
 """
 
+import contextlib
+
 __version__ = "0.1.0"
 
 # seed of the randomized witness sampler when none is given
@@ -23,6 +25,16 @@ class StructuralError(ValueError):
 class DomainError(ArithmeticError):
     """Input outside the mathematical domain of the operation, e.g. dividing
     by an element of norm zero."""
+
+
+@contextlib.contextmanager
+def _option(name: str):
+    """Name the command-line option ``name`` in a ``StructuralError``
+    raised in the block, as ``--m: (1, 0) is not an M-sequence ...``."""
+    try:
+        yield
+    except StructuralError as exc:
+        raise StructuralError(f"{name}: {exc}") from None
 
 
 def _sum_text(terms) -> str:

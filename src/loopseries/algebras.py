@@ -62,16 +62,15 @@ def _as_fraction(v) -> Fraction:
     """An exact rational from a ``Fraction``, an integer or a string.
 
     The one rule for rational literals: floats and booleans are refused,
-    and so are strings with digit-group underscores, an exponent or a
-    non-ASCII digit, which ``Fraction`` would read as ``"1_0" == 10``,
-    ``"2e1" == 20`` and a full-width ``1`` as 1.
+    and a string is an optional sign, then ASCII digits, ``.`` and ``/``.
+    ``Fraction`` alone would also read ``"1_0"`` as 10, ``"2e1"`` as 20,
+    a full-width ``1`` as 1 and strip surrounding whitespace.
     """
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str) and v.isascii() and "_" not in v \
-            and "e" not in v.lower():
+    if isinstance(v, str) and re.fullmatch(r"[+-]?[0-9./]+", v):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

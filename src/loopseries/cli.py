@@ -37,6 +37,7 @@ from . import (
     StructuralError,
     __version__,
     _emit_json,
+    _option,
 )
 
 if TYPE_CHECKING:
@@ -163,14 +164,15 @@ def series_from_json(data, flavor: str, order: int, algebra: str
 def _series_arg(text: str, option: str, args) -> TruncatedSeries:
     """Decode a series option; malformed JSON, coefficients or series are
     structural errors, named by the option."""
-    try:
-        return series_from_json(text, args.flavor, args.order, args.algebra)
-    except StructuralError as exc:
-        raise StructuralError(f"{option}: {exc}") from None
-    except (ValueError, TypeError, KeyError, AttributeError,
-            ZeroDivisionError) as exc:
-        raise StructuralError(f"{option}: cannot decode series: {exc}") \
-            from None
+    with _option(option):
+        try:
+            return series_from_json(text, args.flavor, args.order,
+                                    args.algebra)
+        except StructuralError:  # a ValueError too, worded already
+            raise
+        except (ValueError, TypeError, KeyError, AttributeError,
+                ZeroDivisionError) as exc:
+            raise StructuralError(f"cannot decode series: {exc}") from None
 
 
 def _cmd_series(args) -> tuple[str, int]:
@@ -182,7 +184,8 @@ def _cmd_series(args) -> tuple[str, int]:
         result = divide(args.side, a, _series_arg(args.b, "--b", args),
                         args.mode)
     else:
-        result = series_inverse(a, args.side)
+        with _option("--side"):
+            result = series_inverse(a, args.side)
     if args.format == "json":
         return _emit_json(args.command,
                           series_to_json(result, args.algebra)), 0

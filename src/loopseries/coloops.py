@@ -11,10 +11,11 @@ Every entry of the coproduct and the two codivisions is a signed sum of
 words, and each table is built once by adding the ``(word, coefficient)``
 pairs of its direct formula into one term dict: ``u_k = x_k - y_k`` and
 ``v_k = y_k - x_k`` become two words each, and no polynomial product is
-taken. The ``delta`` coefficients are binomials for ``fdb`` and 1 for
-``inv``. The codivisions read their signs, coefficients and bit labels
-from ``combinatorics.codivision_terms``, the one place that writes the
-closed formulas; the flavor only says whether the terms carry (labeled)
+taken. One coproduct formula serves both flavors; ``inv`` keeps its
+``l = 1`` terms with unit coefficients (see ``_delta_words``). The
+codivisions read their signs, coefficients and bit labels from
+``combinatorics.codivision_terms``, the one place that writes the closed
+formulas; the flavor only says whether the terms carry (labeled)
 Lagrange coefficients. This direct formula is the one route to each
 entry here; the tests rebuild the fdb entries by the paper's second route
 and compare.
@@ -50,10 +51,6 @@ from .freealg import (
 )
 
 FLAVORS = ("inv", "fdb")
-
-_X = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
-_Y = lambda n: NCPolynomial.generator(2, n)  # noqa: E731
-_Z = lambda n: NCPolynomial.generator(3, n)  # noqa: E731
 
 
 def _letters(n: int) -> tuple:
@@ -115,19 +112,17 @@ class Coloop:
         return _signed_sum(self._delta_words(n))
 
     def _delta_words(self, n: int):
-        """``x_n + y_n`` and ``c x_{k0} y_{k1} ... y_{kl}`` with ``c = 1``
-        for inv (``l = 1``) and ``c = binom(k_0 + 1, l)`` for fdb."""
+        """``x_n + y_n`` and ``c x_{k0} y_{k1} ... y_{kl}`` over the
+        compositions ``k`` of ``n``: ``c = binom(k_0 + 1, l)`` for fdb, and
+        inv keeps the ``l = 1`` terms with ``c = 1``."""
+        fdb = self.flavor == "fdb"
         _, x, y = _letters(n)
         yield (x[n],), 1
         yield (y[n],), 1
-        if self.flavor == "inv":
-            for m in range(1, n):
-                yield (x[m], y[n - m]), 1
-            return
-        for ell in range(1, n):
+        for ell in range(1, n if fdb else min(n, 2)):
             for comp in compositions(n, ell + 1):
                 yield ((x[comp[0]],) + tuple([y[k] for k in comp[1:]]),
-                       math.comb(comp[0] + 1, ell))
+                       math.comb(comp[0] + 1, ell) if fdb else 1)
 
     def _build_delta_r(self, n: int) -> NCPolynomial:
         return _signed_sum(self._delta_r_words(n))
@@ -167,9 +162,9 @@ class Coloop:
     # image's copy 1 to copy 2, ``@23`` moves copies 1, 2 to 2, 3, and
     # ``@1`` folds copies 1, 2 into copy 1 (``mu``).
     _IMAGES: dict[str, Callable[["Coloop", int], NCPolynomial]] = {
-        "x": lambda self, k: _X(k),
-        "y": lambda self, k: _Y(k),
-        "z": lambda self, k: _Z(k),
+        "x": lambda self, k: NCPolynomial.generator(1, k),
+        "y": lambda self, k: NCPolynomial.generator(2, k),
+        "z": lambda self, k: NCPolynomial.generator(3, k),
         "counit": lambda self, k: NCPolynomial.zero(),
         "delta": lambda self, k: self.coproduct(k),
         "delta@23": lambda self, k: fold({1: 2, 2: 3}, self.coproduct(k)),

@@ -9,7 +9,7 @@ output text with the exit status.
 
 from __future__ import annotations
 
-from . import StructuralError, _emit_json
+from . import StructuralError, _emit_json, _option
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:
@@ -112,7 +112,9 @@ def cmd_operators(args) -> tuple[str, int]:
         raise StructuralError("--mode applies to --op L, R and Re, not Rm")
     mode = args.mode or "recursive"
     degrees = _parse_int_tuple(args.degrees, "--degrees")
-    factors = [NCPolynomial.generator(1, d) for d in degrees]
+    with _option("--degrees"):
+        factors = [NCPolynomial.generator(1, d) for d in degrees]
+    # the letters are checked: a later refusal is of --m or --bits
     if args.op == "L":
         result = left_op(factors, mode)
     elif args.op == "R":
@@ -120,12 +122,15 @@ def cmd_operators(args) -> tuple[str, int]:
     elif args.op == "Rm":
         if args.m is None:
             raise StructuralError("Rm needs --m")
-        result = right_op_m(_parse_int_tuple(args.m, "--m"), factors)
+        m = _parse_int_tuple(args.m, "--m")
+        with _option("--m"):
+            result = right_op_m(m, factors)
     else:
         if args.bits is None:
             raise StructuralError("Re needs --bits")
-        result = right_op_e(_parse_int_tuple(args.bits, "--bits"), factors,
-                            mode)
+        bits = _parse_int_tuple(args.bits, "--bits")
+        with _option("--bits"):
+            result = right_op_e(bits, factors, mode)
     if args.format == "json":
         terms = [{"coeff": str(c), "factors": list(map(_word_json, key))}
                  for key, c in result.sorted_terms()]

@@ -14,16 +14,17 @@ and ``a |> 1 = a``; it is extended bilinearly.
 
 On top of it sit the left operator ``L_l``, the right operator ``R_l``,
 the single-structure operators ``R_m`` indexed by M-sequences, and the
-labeled operators ``R_l^e``, each available both through its recursive
-definition and through its closed form; the identities relating them are
-checked by the tests. ``R_l`` and ``R_l^e`` share one recursion in
-both modes, the defining sum grouped by its first block (see
-``right_op_e``), so a memo entry costs ``l`` blocks rather than
-``2^(l-1)`` compositions. Left-hand scalar parts of ``a_1 |> R_l(...)``
-reproduce the Lagrange coefficients of :mod:`loopseries.combinatorics`
-(identity ``R1``); the closed mode reads its first blocks from them, so
-no mode enumerates M-sequences. The sum of ``R_m`` over M-sequences, the
-paper's definition, stays the oracle of the tests.
+labeled operators ``R_l^e``. ``R_m`` is one scan of its M-sequence, a
+preorder reading (see ``right_op_m``); the others have a recursive and a
+closed form, and the tests check the identities relating them. ``R_l``
+and ``R_l^e`` share one recursion in both modes, the defining sum
+grouped by its first block (see ``right_op_e``), so a memo entry costs
+``l`` blocks rather than ``2^(l-1)`` compositions. Left-hand scalar
+parts of ``a_1 |> R_l(...)`` reproduce the Lagrange coefficients of
+:mod:`loopseries.combinatorics` (identity ``R1``); the closed mode reads
+its first blocks from them, so no mode enumerates M-sequences. The sum
+of ``R_m`` over M-sequences, the paper's definition, stays the oracle of
+the tests.
 
 Every public operator checks its letters once, at entry, through
 ``_check_factors``, which returns them with their degrees, and
@@ -194,43 +195,30 @@ def right_op_m(m: Sequence[int],
                factors: Sequence[NCPolynomial]) -> GradedTensorPoly:
     """Single-structure operator ``R_m`` for an M-sequence ``m``.
 
-    ``m_1`` is the number of tensor factors; scanning the letters, a zero
-    entry ``m_{i+1}`` closes the current item after ``a_i`` while a value
-    ``c > 0`` opens ``a_i |> (item ... item)`` over the next ``c`` items.
-    The result is one tensor monomial whose total coefficient is
-    ``prod_i binom(|a_i|+1, m_{i+1})`` (trailing entry read as 0); a
-    vanishing binomial makes its item, and so the monomial, zero.
+    ``m`` is the preorder reading of a planar forest on the letters:
+    ``m_1`` is the number of tensor factors and ``a_i`` opens
+    ``a_i |> (item ... item)`` over the next ``m_{i+1}`` items (trailing
+    entry read as 0). So one scan builds it: a letter starts a new factor
+    when no nested item is pending and extends the current one otherwise.
+    The result is one tensor monomial with coefficient
+    ``prod_i binom(|a_i|+1, m_{i+1})``; a vanishing binomial makes it zero.
     """
     letters, degrees = _check_factors(factors)
     m = tuple(m)
     if not is_m_sequence(m) or len(m) != len(letters):
         raise StructuralError(f"{m} is not an M-sequence matching the input")
-    if not m:
-        return GradedTensorPoly.unit()
-
-    def build_item(i: int) -> tuple[NCPolynomial, int]:
-        a = letters[i]
-        nested = m[i + 1] if i + 1 < len(m) else 0
-        if nested == 0:
-            return a, i + 1
-        items, nxt = build_items(i + 1, nested)
-        coeff = math.comb(degrees[i] + 1, nested)
-        prod = a * coeff
-        for it in items:
-            prod = prod * it
-        return prod, nxt
-
-    def build_items(i: int, count: int) -> tuple[list[NCPolynomial], int]:
-        items = []
-        for _ in range(count):
-            item, i = build_item(i)
-            items.append(item)
-        return items, i
-
-    top, end = build_items(0, m[0])
-    if end != len(m):
-        raise StructuralError(f"sequence {m} does not parse to length {len(m)}")
-    return _tensor_monomial(top)
+    blocks: list[NCPolynomial] = []
+    pending = 0
+    coeff = 1
+    for a, n, nested in zip(letters, degrees, m[1:] + (0,)):
+        if pending:
+            blocks[-1] = blocks[-1] * a
+            pending -= 1
+        else:
+            blocks.append(a)
+        pending += nested
+        coeff *= math.comb(n + 1, nested)
+    return _tensor_monomial(blocks, coeff)
 
 
 def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],

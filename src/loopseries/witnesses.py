@@ -31,9 +31,8 @@ from .algebras import (
 from .seriesloops import (
     TruncatedSeries,
     diff_compose,
-    divide,
     inv_mul,
-    unit_series,
+    series_inverse,
 )
 
 
@@ -227,14 +226,6 @@ def sample_ucd_unitaries(rng: Random, count: int) -> list[DoubledElement]:
 
 # -- named counterexample witnesses -------------------------------------------
 
-def _q(v) -> Fraction:
-    return Fraction(v)
-
-
-def _m2(rows) -> MatrixElement:
-    return MatrixElement([[_q(v) for v in r] for r in rows])
-
-
 def _sed(*indices) -> CDElement:
     out = CDElement.zero(4)
     for i in indices:
@@ -253,16 +244,16 @@ def _report(name: str, inputs: dict, computed: dict, checks: list) -> dict:
 
 
 def _witness_diff_power_assoc() -> dict:
-    c1 = _m2([[1, 1], [0, 1]])
-    c2 = _m2([[1, 0], [1, 0]])
+    c1 = MatrixElement([[1, 1], [0, 1]])
+    c2 = MatrixElement([[1, 0], [1, 0]])
     c = TruncatedSeries("diff", 6, [c1, c2])
     lhs = diff_compose(diff_compose(c, c), c)
     rhs = diff_compose(c, diff_compose(c, c))
     t1 = c1 * c2 * (c1 * c1)
     t2 = (c1 * c1) * c2 * c1
     checks = [
-        ("c1 c2 c1^2 = [[2,4],[1,2]]", t1 == _m2([[2, 4], [1, 2]])),
-        ("c1^2 c2 c1 = [[3,3],[1,1]]", t2 == _m2([[3, 3], [1, 1]])),
+        ("c1 c2 c1^2 = [[2,4],[1,2]]", t1 == MatrixElement([[2, 4], [1, 2]])),
+        ("c1^2 c2 c1 = [[3,3],[1,1]]", t2 == MatrixElement([[3, 3], [1, 1]])),
         ("(c o c) o c and c o (c o c) agree below t^6",
          all(lhs.coeff(n) == rhs.coeff(n) for n in range(1, 5))),
         ("defect at t^6 is c1 c2 c1^2 - c1^2 c2 c1",
@@ -277,9 +268,9 @@ def _witness_diff_power_assoc() -> dict:
 
 
 def _witness_diff_right_alt() -> dict:
-    one = _m2([[1, 0], [0, 1]])
-    b1 = _m2([[1, 0], [0, 0]])   # E_11
-    b2 = _m2([[0, 0], [1, 0]])   # E_21
+    one = MatrixElement([[1, 0], [0, 1]])
+    b1 = MatrixElement([[1, 0], [0, 0]])   # E_11
+    b2 = MatrixElement([[0, 0], [1, 0]])   # E_21
     a = TruncatedSeries("diff", 6, [one])
     b = TruncatedSeries("diff", 6, [b1, b2])
     lhs = diff_compose(diff_compose(a, b), b)
@@ -314,9 +305,8 @@ def _sedenion_matrix_defect() -> MatrixElement:
 def _witness_inv_left_right_inverse() -> dict:
     a1 = _sedenion_matrix_a1()
     a = TruncatedSeries("inv", 4, [a1])
-    e = unit_series("inv", 4, a.one)
-    right_inv = divide("right", e, a)    # e / a
-    left_inv = divide("left", a, e)      # a \ e
+    right_inv = series_inverse(a, "right")    # e / a
+    left_inv = series_inverse(a, "left")      # a \ e
     expected = _sedenion_matrix_defect()
     diff3 = left_inv.coeff(3) - right_inv.coeff(3)
     checks = [

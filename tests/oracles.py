@@ -5,15 +5,15 @@ the tests compare it with live here: the recursive Cayley-Dickson
 doubling, the matrix entry loop, the proved Lagrange-coefficient
 recurrences, the filtered index set ``M(l)^e`` behind ``d^e``, the tuple
 form of the tree bijection, the operator identities, the fdb tables
-rebuilt from the recursive operators, tensor coassociativity and the
-tuple-sum form of the non-commutative Faa di Bruno coproduct over weak
-compositions, and the seeded samplers of random coefficients. So do the
-test-only structures: the octonion loops of invertible and of norm-one
-elements, divided through the conjugate, the eight-element
-hyperbolic-quaternion loop with its table-derived division and loop
-axioms, the checked tensor constructors, the text parser of the free
-algebra (the inverse of its text form), the linear section of ``pi`` and
-the leaf count of a tree.
+rebuilt from the recursive operators, the nested-item parse of ``R_m``,
+tensor coassociativity and the tuple-sum form of the non-commutative Faa
+di Bruno coproduct over weak compositions, and the seeded samplers of
+random coefficients. So do the test-only structures: the octonion loops
+of invertible and of norm-one elements, divided through the conjugate,
+the eight-element hyperbolic-quaternion loop with its table-derived
+division and loop axioms, the checked tensor constructors, the text
+parser of the free algebra (the inverse of its text form), the linear
+section of ``pi`` and the leaf count of a tree.
 """
 
 from __future__ import annotations
@@ -444,6 +444,44 @@ def scalar_length_polynomial(t: GradedTensorPoly) -> NCPolynomial:
     """The length-1 component of ``t`` as a plain polynomial (plus nothing
     of the scalar component)."""
     return NCPolynomial({k[0]: c for k, c in t.terms.items() if len(k) == 1})
+
+
+# -- the single-structure operator by its nested items ------------------------
+
+def right_op_m_nested(m: Sequence[int],
+                      factors: Sequence[NCPolynomial]) -> GradedTensorPoly:
+    """``R_m`` by parsing ``m`` into nested items: the ``m_1`` tensor
+    factors are items, and item ``a_i`` is ``binom(|a_i|+1, m_{i+1}) a_i``
+    times the next ``m_{i+1}`` items (trailing entry read as 0). The
+    oracle of the one-scan ``operators.right_op_m``."""
+    letters, degrees = _check_factors(factors)
+    m = tuple(m)
+    if not is_m_sequence(m) or len(m) != len(letters):
+        raise StructuralError(f"{m} is not an M-sequence matching the input")
+    if not m:
+        return GradedTensorPoly.unit()
+
+    def build_item(i: int) -> tuple[NCPolynomial, int]:
+        a = letters[i]
+        nested = m[i + 1] if i + 1 < len(m) else 0
+        if nested == 0:
+            return a, i + 1
+        items, nxt = build_items(i + 1, nested)
+        prod = a * math.comb(degrees[i] + 1, nested)
+        for it in items:
+            prod = prod * it
+        return prod, nxt
+
+    def build_items(i: int, count: int) -> tuple[list[NCPolynomial], int]:
+        items = []
+        for _ in range(count):
+            item, i = build_item(i)
+            items.append(item)
+        return items, i
+
+    top, end = build_items(0, m[0])
+    assert end == len(m), m
+    return _tensor_monomial(top)
 
 
 # -- operator identities, quantified over formal degree assignments -----------

@@ -29,6 +29,7 @@ from loopseries import (
 from loopseries.cli import main, series_from_json, series_to_json
 from loopseries.freealg import NCPolynomial
 from loopseries.seriesloops import TruncatedSeries
+from test_cli_grammar import check
 
 
 def run(capsys, *argv):
@@ -575,6 +576,14 @@ BAD_INPUTS = [
     ["trees", "--length", "3000"],
     ["operators", "--op", "R", "--degrees", ",".join(["1"] * 1500),
      "--mode", "closed"],
+    # a rational literal has no surrounding whitespace, which Fraction
+    # alone strips
+    ["invert", "--flavor", "inv", "--side", "left", "--order", "2",
+     "--algebra", "c", "--a", '["\t1"]'],
+    ["invert", "--flavor", "inv", "--side", "left", "--order", "2",
+     "--algebra", "q", "--a", '[" 1"]'],
+    ["invert", "--flavor", "diff", "--order", "1", "--algebra", "m2q",
+     "--a", '[["1 ", "0", "0", "1"]]'],
 ]
 
 
@@ -644,6 +653,18 @@ def test_text_verify_does_not_import_json():
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a))
 def test_bad_input_exits_2_without_traceback(argv):
+    # in-process: an exception that escapes cli.main fails the test
+    check(argv, valid=False)
+
+
+# one argparse usage error, one StructuralError and one RecursionError,
+# each in a fresh interpreter as a user meets them
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n", "0"],
+    ["operators", "--op", "R", "--degrees", "1,,2"],
+    ["trees", "--length", "3000"],
+], ids=lambda a: " ".join(a))
+def test_bad_input_exits_2_in_a_fresh_interpreter(argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-m", "loopseries.cli", *argv],
@@ -653,6 +674,25 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert len([line for line in proc.stderr.splitlines()
                 if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["operators", "--op", "R", "--degrees", "0"],
+     "--degrees: generator index must be >= 1, got 0"),
+    (["operators", "--op", "Re", "--degrees", "1,1", "--bits", "1,3"],
+     "--bits: bits must be 1 or 2, got (1, 3)"),
+    (["operators", "--op", "Re", "--degrees", "1,1", "--bits", "1"],
+     "--bits: 1 bits for length 2"),
+    (["operators", "--op", "Rm", "--degrees", "1,1", "--m", "1,0"],
+     "--m: (1, 0) is not an M-sequence matching the input"),
+    (["invert", "--flavor", "inv", "--order", "2", "--algebra", "q",
+      "--a", '["1"]'],
+     "--side: inv series need an explicit inverse side"),
+])
+def test_input_error_names_its_option(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
 
 
 def test_output_ignores_the_int_string_limit():

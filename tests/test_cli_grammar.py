@@ -83,8 +83,8 @@ def integer(lo: int, hi: int) -> tuple:
 
 RATIONALS = st.sampled_from(("0", "3", "-1/2", "2/3", 2, 0, -1))
 NOT_RATIONALS = st.sampled_from(
-    ("1_0", "2e1", "\uff11", "\u0663", "1/0", "x", "", 0.5, True,
-     None, ()))
+    ("1_0", "2e1", "\uff11", "\u0663", "1/0", "x", "", " 1", "\t1", 0.5,
+     True, None, ()))
 NOT_CD = ("e1*e1", "e1*-2", "2*-e1", "--1", "e1 - -e2", "2e1", "1_0*e1",
           "\uff11*e1", "e", "", "e1_0", 1, 0.5, True, None, ("e1",))
 

@@ -107,6 +107,10 @@ class TestTables:
 
     def test_inv_coproduct(self):
         assert get_coloop("inv").coproduct(2) == x(2) + x(1) * y(1) + y(2)
+        for n in range(1, 13):
+            want = x(n) + y(n) + NCPolynomial.sum(
+                x(m) * y(n - m) for m in range(1, n))
+            assert Coloop("inv").coproduct(n) == want, n
 
     def test_fdb_right_codivision_displays(self):
         fdb = get_coloop("fdb")

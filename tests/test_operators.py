@@ -19,6 +19,7 @@ from oracles import (
     from_factors,
     m_sequences_labeled,
     operator_identity_check,
+    right_op_m_nested,
     scalar_length_polynomial,
 )
 
@@ -166,6 +167,23 @@ class TestStructureOperators:
             for m in m_sequences(ell):
                 total = total + right_op_m(m, fs)
             assert total == right_op(fs)
+
+    def test_scan_equals_nested_parse(self):
+        # letters of degree 1-3, single words and sums of words; degree 1
+        # letters make binom(2, m) vanish for m >= 3
+        pool = [x(1), x(2), x(3), x(1) * x(1) - x(2),
+                2 * (x(1) * x(2)) + x(3) - x(2) * x(1)]
+        vanished = 0
+        for ell in range(1, 8):
+            letter_lists = ([x(1)] * ell,
+                            [pool[i % len(pool)] for i in range(ell)],
+                            [pool[-1 - i % len(pool)] for i in range(ell)])
+            for m in m_sequences(ell):
+                for fs in letter_lists:
+                    got = right_op_m(m, fs)
+                    assert got == right_op_m_nested(m, fs), (m, fs)
+                    vanished += got.is_zero()
+        assert vanished > 0
 
     def test_invalid_sequence(self):
         with pytest.raises(StructuralError):
