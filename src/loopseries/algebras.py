@@ -308,7 +308,12 @@ def cd_parse(text: str, level: int) -> CDElement:
     e.g. ``e1 + e10`` or ``1/2 - 3*e7``; a bare number is the scalar. A
     term is at most one sign, then a product of unsigned rationals, read
     by ``_as_fraction``, and at most one basis letter, whose index is
-    plain digits."""
+    plain digits. A space may stand at either end or next to a sign or
+    ``*``; any other space would join two tokens (``e1 0`` is not
+    ``e10``)."""
+    joined = re.search(r"[^-+]*?[^-+* ] +[^-+* ][^-+]*", text.strip(" "))
+    if joined:
+        raise StructuralError(f"space inside term {joined.group().strip()!r}")
     stripped = text.replace(" ", "")
     if not stripped:
         raise StructuralError("empty Cayley-Dickson literal")

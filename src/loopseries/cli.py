@@ -115,19 +115,30 @@ def series_to_json(series: TruncatedSeries, algebra: str) -> dict:
     }
 
 
+def _unrepeated(pairs: list) -> dict:
+    """A JSON object whose keys are distinct; ``json`` alone keeps the
+    last of a repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise StructuralError(f"series JSON repeats key {key!r}")
+        out[key] = value
+    return out
+
+
 def series_from_json(data, flavor: str, order: int, algebra: str
                      ) -> TruncatedSeries:
     """Decode a series given as a coefficient list or as the object that
     ``series_to_json`` writes. The arguments fix flavor, order and algebra;
     a ``flavor``, ``order`` or ``algebra`` key in the object may repeat
     them, with the same JSON type, but not contradict them, and no other
-    key than these and ``coeffs`` is allowed. A bad coefficient's error
-    names its degree."""
+    key than these and ``coeffs`` is allowed, nor a repeated key. A bad
+    coefficient's error names its degree."""
     from .seriesloops import TruncatedSeries
 
     if isinstance(data, str):
         import json
-        data = json.loads(data)
+        data = json.loads(data, object_pairs_hook=_unrepeated)
     if isinstance(data, dict):
         expected = {"flavor": flavor, "order": order, "algebra": algebra}
         for key in data:

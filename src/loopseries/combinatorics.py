@@ -19,18 +19,19 @@ sum) in ``O(l^3)`` integer operations. Its step is written once
 (``_step``) and read three ways: ``lagrange_d_labeled`` folds it along
 ``e``, ``lagrange_d`` is the memoized all-ones fold, and
 ``lagrange_d_labeled_row`` gives all ``2^l`` values ``d_l^e`` of one
-composition in one depth-first walk over the bit prefixes: each step is
-taken once and shared by every ``e`` that extends its prefix, and a
-prefix whose DP vector vanishes (as for every ``e`` that starts with the
-bit 2) fills its subtree with zeros. ``check_lagrange_args`` holds the
+composition level by level over the bit prefixes: each step is taken
+once and shared by every ``e`` that extends its prefix, and a prefix
+whose DP vector vanishes (as for every ``e`` that starts with the bit 2)
+reads zero for all its extensions. ``check_lagrange_args`` holds the
 one argument check of all three and of the labeled operators: positive
 degrees, one bit 1 or 2 per degree. ``codivision_terms`` turns them into
 the signed, labeled terms of the closed codivisions, the paper's
 generalized Lagrange inversion, for the coloop tables and the closed
 series divisions alike. The enumeration of ``M(l)`` is kept as the
-definition, for the tree bijection ``msequence_trees``, and for the tests
-as their oracle and in the operator identity check ``R1``; the operators'
-closed forms read ``d^e`` instead.
+definition, for the tree bijection ``msequence_trees`` (one preorder
+scan of each sequence), and for the tests as their oracle and in the
+operator identity check ``R1``; the operators' closed forms read ``d^e``
+instead.
 
 Everything here is exact integer arithmetic.
 """
@@ -38,6 +39,7 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
+from itertools import combinations, product
 from typing import Sequence
 
 from . import StructuralError
@@ -47,24 +49,18 @@ def compositions(n: int, length: int) -> list[tuple[int, ...]]:
 
     Ordered descending-lexicographically, matching the display order
     ``C(3,2) = [(2,1), (1,2)]``. Out-of-range ``length`` yields ``[]``.
+    A composition is read off its ``length - 1`` cut points in
+    ``1..n-1``, whose lexicographic order is the compositions' own.
     """
-    if n < 1 or length < 1 or length > n:
+    if n < 1 or length < 1:
         return []
-    if length == 1:
-        return [(n,)]
-    out = []
-    for first in range(n - length + 1, 0, -1):
-        for rest in compositions(n - first, length - 1):
-            out.append((first,) + rest)
-    return out
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for cuts in reversed(list(combinations(range(1, n), length - 1)))]
 
 
 def all_compositions(n: int) -> list[tuple[int, ...]]:
     """Compositions of ``n`` of every length, longest parts first."""
-    out = []
-    for length in range(1, n + 1):
-        out.extend(compositions(n, length))
-    return out
+    return [c for length in range(1, n + 1) for c in compositions(n, length)]
 
 
 def m_sequences(length: int) -> list[tuple[int, ...]]:
@@ -72,6 +68,8 @@ def m_sequences(length: int) -> list[tuple[int, ...]]:
 
     ``m_sequences(0)`` is the empty list: the length-0 index set is empty,
     while the matching coefficient convention is ``lagrange_d(()) == 1``.
+    Each entry runs down from what the sum has left and stops at the
+    first that breaks the prefix bound; the last entry is what is left.
     """
     if length <= 0:
         return []
@@ -80,18 +78,14 @@ def m_sequences(length: int) -> list[tuple[int, ...]]:
     def extend(prefix: tuple[int, ...], total: int) -> None:
         pos = len(prefix) + 1
         if pos == length:
-            last = length - total
-            if last >= 0:
-                out.append(prefix + (last,))
+            out.append(prefix + (length - total,))
             return
         for m in range(length - total, -1, -1):
-            if total + m >= pos:
-                extend(prefix + (m,), total + m)
+            if total + m < pos:
+                break
+            extend(prefix + (m,), total + m)
 
-    if length == 1:
-        return [(1,)]
-    for m1 in range(length, 0, -1):
-        extend((m1,), m1)
+    extend((), 0)
     return out
 
 
@@ -108,11 +102,9 @@ def is_m_sequence(m: Sequence[int]) -> bool:
 
 
 def bit_sequences(length: int) -> list[tuple[int, ...]]:
-    """The set ``E(length)`` of bit tuples over ``{1, 2}``; ``E(0) = [()]``."""
-    out = [()]
-    for _ in range(length):
-        out = [e + (b,) for e in out for b in (1, 2)]
-    return out
+    """The set ``E(length)`` of bit tuples over ``{1, 2}``, in
+    lexicographic order; ``E(0) = [()]``."""
+    return list(product((1, 2), repeat=length))
 
 
 def bit_sign(e: Sequence[int]) -> int:
@@ -204,28 +196,24 @@ def lagrange_d_labeled(e: Sequence[int], ns: Sequence[int]) -> int:
 def lagrange_d_labeled_row(ns: Sequence[int]) -> list[int]:
     """``d_l^e(ns)`` for every ``e`` in ``bit_sequences(l)``, in that order.
 
-    The DP run depth first over the bit prefixes, bit 1 before bit 2: a
+    The DP run level by level over the bit prefixes, in lexicographic
+    order: each prefix steps to its two extensions, bit 1 then bit 2, so a
     step is taken once per prefix and shared by all ``2^(l-j)`` sequences
     extending it, with the weights of each position computed once. A
-    prefix whose ``ways`` vanishes contributes zeros to its whole subtree.
+    prefix whose ``ways`` vanishes hands ``None`` to both extensions, and
+    its whole subtree reads zero.
     """
     ns, _ = check_lagrange_args(ns)
-    ell = len(ns)
-    row: list[int] = []
-    weights = _weights(ns)
-
-    def walk(j: int, ways: list[int]) -> None:
-        if j == ell:
-            row.append(ways[ell])
-            return
-        if not any(ways):
-            row.extend([0] * (1 << (ell - j)))
-            return
-        walk(j + 1, _step(ways, j, 1, weights[j]))
-        walk(j + 1, _step(ways, j, 2, weights[j]))
-
-    walk(0, [1] + [0] * ell)
-    return row
+    level: list[list[int] | None] = [[1] + [0] * len(ns)]
+    for j, weight in enumerate(_weights(ns)):
+        nxt: list[list[int] | None] = []
+        for ways in level:
+            if ways is None or not any(ways):
+                nxt += (None, None)
+            else:
+                nxt += (_step(ways, j, 1, weight), _step(ways, j, 2, weight))
+        level = nxt
+    return [0 if ways is None else ways[-1] for ways in level]
 
 
 def codivision_terms(side: str, lagrange: bool, n: int):
@@ -264,34 +252,24 @@ def msequence_trees(length: int) -> list[tuple[tuple[int, ...], str]]:
     """Every ``m`` in ``M(length)`` with the parenthesis form of its tree:
     the bijection ``M(l) -> planar binary trees with l+1 leaves``.
 
-    A leaf is ``.`` and a node ``(LR)``. The sequence is split at its last
-    decomposable position ``h`` (a proper prefix summing to ``h``) and the
-    tree of the second part is grafted onto the rightmost leaf of the
-    first, the last ``.`` of its text; an indecomposable sequence peels
-    one unit off its head and pairs the remainder with a new right leaf.
-    Base cases: ``() -> .``, ``(1) -> (..)``. A memo keyed by sub-sequence
-    lives for this call, so a sub-tree shared by many sequences and its
-    text are built once.
+    A leaf is ``.`` and a node ``(LR)``. Read in preorder, the tree of
+    ``m`` opens ``m_i`` nodes right before its ``i``-th leaf and none
+    before its last, so one scan of ``m`` writes the text. The open nodes
+    are a stack of bits above a sentinel 1, the top lowest (bit 1: the
+    left subtree is done); after a leaf, the trailing 1s are the nodes it
+    completes, each closed by ``)``, and the node below them has its left
+    subtree done.
     """
-    memo: dict[tuple[int, ...], str] = {(): "."}
-
-    def parens(m: tuple[int, ...]) -> str:
-        got = memo.get(m)
-        if got is not None:
-            return got
-        split = total = 0
-        for h in range(1, len(m)):
-            total += m[h - 1]
-            if total == h:
-                split = h
-        if split:
-            head = parens(m[:split])
-            leaf = head.rindex(".")
-            got = head[:leaf] + parens(m[split:]) + head[leaf + 1:]
-        else:
-            got = "(" + parens((m[0] - 1,) + m[1:-1] if len(m) > 1 else ()) \
-                + ".)"
-        memo[m] = got
-        return got
-
-    return [(m, parens(m)) for m in m_sequences(length)]
+    heads = ["(" * k + "." for k in range(length + 1)]
+    out = []
+    for m in m_sequences(length):
+        text = []
+        bits = 1
+        for k in m:
+            bits <<= k
+            done = (bits ^ (bits + 1)).bit_length() - 1
+            text.append(heads[k] + ")" * done)
+            bits = bits >> done | 1
+        text.append("." + ")" * (bits.bit_length() - 1))
+        out.append((m, "".join(text)))
+    return out

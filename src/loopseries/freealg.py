@@ -9,8 +9,8 @@ all co-operations of the coloop bialgebras take their values.
 A letter is a pair ``(copy, index)`` and a word a tuple of letters; the
 degree of a word is the sum of its indices, the product is concatenation.
 Maps out of these algebras are always algebra homomorphisms, so they are
-represented by their generator tables (``MultiMorphism``) or, for copy
-relabelings, by a plain label map (``fold``).
+represented by their generator tables (``MultiMorphism``); a copy
+relabeling (``fold``) is the ``MultiMorphism`` of its label map.
 
 ``TensorPoly`` is the image of the canonical projection ``pi`` onto the
 componentwise tensor product: keys are tuples of copy-free words.
@@ -256,23 +256,15 @@ def fold(labelmap: Mapping[int, int], p: NCPolynomial) -> NCPolynomial:
 
     The codiagonal ``mu`` is ``fold({1: 1, 2: 1})``; ``(id u mu)`` on three
     copies is ``fold({1: 1, 2: 2, 3: 2})``; embeddings and the canonical
-    isomorphisms of the free product are the injective label maps.
+    isomorphisms of the free product are the injective label maps. One
+    relabeled letter object is shared by every word, through
+    ``MultiMorphism.image_terms``.
     """
-    out: dict[Word, int] = {}
-    # one relabeled letter object per letter, shared by every word
-    letters: dict[Letter, Letter] = {}
-
-    def relabel(old: Letter) -> Letter:
-        new = letters[old] = (labelmap[old[0]], old[1])
-        return new
-
     try:
-        for w, c in p.terms.items():
-            nw = tuple([letters.get(a) or relabel(a) for a in w])
-            out[nw] = out.get(nw, 0) + c
+        return MultiMorphism(
+            lambda cp, k: NCPolynomial.generator(labelmap[cp], k))(p)
     except KeyError as exc:
         raise StructuralError(f"label map {labelmap} undefined on copy {exc}")
-    return NCPolynomial(out)
 
 
 # ---------------------------------------------------------------------------

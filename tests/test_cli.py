@@ -584,6 +584,19 @@ BAD_INPUTS = [
      "--algebra", "q", "--a", '[" 1"]'],
     ["invert", "--flavor", "diff", "--order", "1", "--algebra", "m2q",
      "--a", '[["1 ", "0", "0", "1"]]'],
+    # a space inside a Cayley-Dickson term would join two tokens
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "sed", "--a", '["e1 0"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "h", "--a", '["1 2"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "1",
+     "--algebra", "m2sed", "--a", '[["1 /2", "0", "0", "1"]]'],
+    # json alone keeps the last value of a repeated key
+    ["divide", "--flavor", "inv", "--order", "2", "--side", "right",
+     "--algebra", "q", "--a", '{"coeffs": ["1"], "coeffs": ["2"]}',
+     "--b", '["1"]'],
+    ["invert", "--flavor", "inv", "--side", "right", "--order", "2",
+     "--algebra", "q", "--a", '{"order": 3, "order": 2, "coeffs": []}'],
 ]
 
 
@@ -596,6 +609,10 @@ BAD_INPUTS = [
      "a Cayley-Dickson coefficient must be a JSON string"),
     ({}, "q", "series JSON has no coeffs key"),
     ({"flavor": "inv", "order": 2}, "q", "series JSON has no coeffs key"),
+    ('{"coeffs": ["1"], "coeffs": ["2"]}', "q",
+     "series JSON repeats key 'coeffs'"),
+    ('{"order": 3, "order": 2, "coeffs": []}', "q",
+     "series JSON repeats key 'order'"),
 ])
 def test_series_json_names_the_expected_type(data, algebra, expected):
     with pytest.raises(StructuralError, match=expected):

@@ -86,7 +86,8 @@ NOT_RATIONALS = st.sampled_from(
     ("1_0", "2e1", "\uff11", "\u0663", "1/0", "x", "", " 1", "\t1", 0.5,
      True, None, ()))
 NOT_CD = ("e1*e1", "e1*-2", "2*-e1", "--1", "e1 - -e2", "2e1", "1_0*e1",
-          "\uff11*e1", "e", "", "e1_0", 1, 0.5, True, None, ("e1",))
+          "\uff11*e1", "e", "", "e1_0", "e1 0", "1 2", "e 1", 1, 0.5, True,
+          None, ("e1",))
 
 
 def cd_literals(level: int) -> tuple:
@@ -95,7 +96,7 @@ def cd_literals(level: int) -> tuple:
     top = (1 << level) - 1
     return ("0", "1", "-2/3", "e1", f"-e{top}", f"1/2*e{top}", "2 - e1",
             f"e1 + 2*e{top}", f"-1/2*e{top // 2 + 1}+e0", f"1-e1+e{top}",
-            f"3*e{top}*2")
+            f"3*e{top}*2", "2 * e1", "- e1")
 
 
 def entry(level: int | None, bad: bool = False):

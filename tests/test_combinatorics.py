@@ -76,6 +76,24 @@ class TestCompositions:
         assert compositions(3, 0) == []
         assert compositions(0, 1) == []
 
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_order_is_descending(self, n):
+        # brute force: each subset of the n - 1 gaps between n units
+        # is the set of cuts of one composition; n = 0 has none
+        brute: dict[int, list] = {}
+        for mask in range(2 ** n // 2):
+            parts, run = [], 1
+            for gap in range(n - 1):
+                if mask >> gap & 1:
+                    parts.append(run)
+                    run = 0
+                run += 1
+            comp = tuple(parts + [run])
+            brute.setdefault(len(comp), []).append(comp)
+        for ell in range(-1, n + 2):
+            assert compositions(n, ell) == \
+                sorted(brute.get(ell, []), reverse=True), (n, ell)
+
     def test_all_compositions(self):
         assert len(all_compositions(6)) == 2 ** 5
 
@@ -96,6 +114,18 @@ class TestMSequences:
         assert set(m_sequences(4)) == set(brute_m_sequences(4))
         for ell in range(1, 9):
             assert len(m_sequences(ell)) == catalan(ell)
+
+    @pytest.mark.parametrize("ell", range(1, 8))
+    def test_order_is_descending(self, ell):
+        assert m_sequences(ell) == sorted(brute_m_sequences(ell),
+                                          reverse=True)
+
+    @pytest.mark.parametrize("ell", range(0, 7))
+    def test_bit_sequences_are_lexicographic(self, ell):
+        got = bit_sequences(ell)
+        assert len(got) == len(set(got)) == 2 ** ell
+        assert set(got) == set(itertools.product((1, 2), repeat=ell))
+        assert got == sorted(got)
 
     def test_length_zero_is_empty_set(self):
         assert m_sequences(0) == []
@@ -374,10 +404,20 @@ class TestTreeBijection:
         assert tree_to_parens(LEAF) == "."
         assert tree_to_parens((LEAF, LEAF)) == "(..)"
 
-    @pytest.mark.parametrize("ell", range(0, 10))
+    @pytest.mark.parametrize("ell", range(0, 11))
     def test_memoized_table_equals_unmemoized_bijection(self, ell):
         assert msequence_trees(ell) == [(m, tree_to_parens(_phi(m)))
                                         for m in m_sequences(ell)]
+
+    @pytest.mark.parametrize("ell", range(1, 10))
+    def test_preorder_opens_m_i_nodes_before_leaf_i(self, ell):
+        # the text before each leaf ends in exactly m_i open parentheses,
+        # and the last leaf follows no open parenthesis
+        for m, text in msequence_trees(ell):
+            before = text.split(".")[:-1]
+            assert len(before) == ell + 1, (m, text)
+            opens = [len(p) - len(p.rstrip("(")) for p in before]
+            assert opens == list(m) + [0], (m, text)
 
     def test_no_memo_survives_the_call(self):
         def state():

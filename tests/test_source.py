@@ -92,8 +92,6 @@ def _commands() -> list[list[str]]:
 # Public names and methods that no command enters, each with the reason
 # it stays; a method of a class listed here is covered by its class.
 UNREACHED = {
-    "algebras.associator":
-        "paper: the defect (ab)c - a(bc) behind every witness",
     "algebras.identity_check":
         "paper: the loop identities, checked on Cayley-Dickson elements",
     "combinatorics.lagrange_d_labeled":
