@@ -530,13 +530,13 @@ def associator(a, b, c):
     return (a * b) * c - a * (b * c)
 
 
-_IDENTITY_CHECKS = {
+# Each named identity's exact check; it takes as many elements as its
+# lambda has arguments.
+_IDENTITIES = {
+    "power-assoc-3": lambda a: (a * a) * a == a * (a * a),
     "left-alternative": lambda a, b: (a * a) * b == a * (a * b),
     "right-alternative": lambda a, b: (a * b) * b == a * (b * b),
     "flexible": lambda a, b: (a * b) * a == a * (b * a),
-}
-
-_MOUFANG_CHECKS = {
     # the four Moufang identities of the invertible-octonion loop
     "moufang-1": lambda a, b, c: a * (b * (a * c)) == ((a * b) * a) * c,
     "moufang-2": lambda a, b, c: (a * b) * (c * a) == (a * (b * c)) * a,
@@ -548,18 +548,15 @@ _MOUFANG_CHECKS = {
 def identity_check(name: str, *elements):
     """Exact check of a named identity on concrete algebra elements.
 
-    Two-element identities: ``left-alternative``, ``right-alternative``,
-    ``flexible``, ``power-assoc-3`` (with one element). Three-element:
-    ``moufang-1`` .. ``moufang-4``. The defect ``(ab)c - a(bc)`` itself is
+    One element: ``power-assoc-3``. Two: ``left-alternative``,
+    ``right-alternative``, ``flexible``. Three: ``moufang-1`` ..
+    ``moufang-4``. The defect ``(ab)c - a(bc)`` itself is
     :func:`associator`.
     """
-    if name == "power-assoc-3":
-        (a,) = elements
-        return (a * a) * a == a * (a * a)
-    if name in _IDENTITY_CHECKS:
-        a, b = elements
-        return _IDENTITY_CHECKS[name](a, b)
-    if name in _MOUFANG_CHECKS:
-        a, b, c = elements
-        return _MOUFANG_CHECKS[name](a, b, c)
-    raise StructuralError(f"unknown identity {name!r}")
+    check = _IDENTITIES.get(name)
+    if check is None:
+        raise StructuralError(f"unknown identity {name!r}")
+    arity = check.__code__.co_argcount
+    if len(elements) != arity:
+        raise StructuralError(f"{name} takes {arity} elements")
+    return check(*elements)

@@ -138,7 +138,10 @@ def series_from_json(data, flavor: str, order: int, algebra: str
 
     if isinstance(data, str):
         import json
-        data = json.loads(data, object_pairs_hook=_unrepeated)
+        try:
+            data = json.loads(data, object_pairs_hook=_unrepeated)
+        except json.JSONDecodeError as exc:
+            raise StructuralError(f"cannot decode series: {exc}") from None
     if isinstance(data, dict):
         expected = {"flavor": flavor, "order": order, "algebra": algebra}
         for key in data:
@@ -173,17 +176,9 @@ def series_from_json(data, flavor: str, order: int, algebra: str
 # -- the series commands -------------------------------------------------------
 
 def _series_arg(text: str, option: str, args) -> TruncatedSeries:
-    """Decode a series option; malformed JSON, coefficients or series are
-    structural errors, named by the option."""
+    """Decode a series option; its errors are named by the option."""
     with _option(option):
-        try:
-            return series_from_json(text, args.flavor, args.order,
-                                    args.algebra)
-        except StructuralError:  # a ValueError too, worded already
-            raise
-        except (ValueError, TypeError, KeyError, AttributeError,
-                ZeroDivisionError) as exc:
-            raise StructuralError(f"cannot decode series: {exc}") from None
+        return series_from_json(text, args.flavor, args.order, args.algebra)
 
 
 def _cmd_series(args) -> tuple[str, int]:

@@ -20,19 +20,20 @@ Lagrange coefficients. This direct formula is the one route to each
 entry here; the tests rebuild the fdb entries by the paper's second route
 and compare.
 
-Every map has one name in one vocabulary, the image of a letter ``x_n``
-under it (``Coloop.image``): ``delta``, ``counit``, ``delta_r``,
-``delta_l``, ``s_r``, ``s_l``, the letters ``x``, ``y``, ``z`` and the
-relabeled images ``delta@23``, ``s_r@2``, ``delta_r@1``, ``delta_l@1``.
-``coop`` prints an image, and ``AXIOMS`` writes each axiom's pairs of
-sides in the same names, so a new axiom is one row of that table. The
-battery covers the counitary property, the four cocancellations, partial
-counitality, the 5-terms identities, ``mu . codivision = unit . counit``,
-the coinverse properties and the two-sided antipode; the coassociator and
-the projection onto the tensor Hopf algebra use the same engine. A copy
-relabeling (``fold``) after a morphism is composed into the morphism's
-images instead, so every composite side is one morphism application;
-only ``mu . codivision`` folds a table entry.
+Every map has one name in one grammar, the image of a letter ``x_n``
+under it (``Coloop.image``). A spec is a table or letter name
+(``delta``, ``counit``, ``delta_r``, ``delta_l``, ``s_r``, ``s_l``, ``x``,
+``y``, ``z``) or a tuple ``(name, *specs)``: the image of ``name`` under
+the algebra map sending copy ``i`` through ``specs[i - 1]``. So
+``mu . Delta_r`` is ``("delta_r", "x", "x")`` and ``S_r`` moved to copy 2
+is ``("s_r", "y")``. ``coop`` prints an image, and ``AXIOMS`` writes each
+axiom's pairs of sides as specs, so a new axiom is one row of that table.
+The battery covers the counitary property, the four cocancellations,
+partial counitality, the 5-terms identities, ``mu . codivision = unit .
+counit``, the coinverse properties and the two-sided antipode; the
+antipodes, the coassociator and its folds are written in the same
+grammar. A copy relabeling after a morphism is composed into the
+morphism's images, so a composite is one morphism application per tuple.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .freealg import (
     MultiMorphism,
     NCPolynomial,
     TensorPoly,
-    fold,
     project_pi,
 )
 
@@ -151,66 +151,66 @@ class Coloop:
             yield head + (x[comp[-1]],), -c
 
     def _build_s_r(self, n: int) -> NCPolynomial:
-        return self._hom("counit", "x")(self.codivision("right", n))
+        return self.image(("delta_r", "counit", "x"), n)
 
     def _build_s_l(self, n: int) -> NCPolynomial:
-        return self._hom("x", "counit")(self.codivision("left", n))
+        return self.image(("delta_l", "x", "counit"), n)
 
     # -- composition engine ---------------------------------------------------
 
-    # Images of the letters ``x_k`` of one copy, by name. ``@2`` moves the
-    # image's copy 1 to copy 2, ``@23`` moves copies 1, 2 to 2, 3, and
-    # ``@1`` folds copies 1, 2 into copy 1 (``mu``).
+    # Images of the letters ``x_k`` of one copy, by name.
     _IMAGES: dict[str, Callable[["Coloop", int], NCPolynomial]] = {
         "x": lambda self, k: NCPolynomial.generator(1, k),
         "y": lambda self, k: NCPolynomial.generator(2, k),
         "z": lambda self, k: NCPolynomial.generator(3, k),
         "counit": lambda self, k: NCPolynomial.zero(),
         "delta": lambda self, k: self.coproduct(k),
-        "delta@23": lambda self, k: fold({1: 2, 2: 3}, self.coproduct(k)),
         "delta_r": lambda self, k: self.codivision("right", k),
-        "delta_r@1": lambda self, k: fold({1: 1, 2: 1},
-                                          self.codivision("right", k)),
         "delta_l": lambda self, k: self.codivision("left", k),
-        "delta_l@1": lambda self, k: fold({1: 1, 2: 1},
-                                          self.codivision("left", k)),
         "s_r": lambda self, k: self.antipode("right", k),
-        "s_r@2": lambda self, k: fold({1: 2}, self.antipode("right", k)),
         "s_l": lambda self, k: self.antipode("left", k),
     }
 
-    def image(self, name: str, n: int) -> NCPolynomial:
-        """The image of ``x_n`` under the map called ``name``."""
-        fn = self._IMAGES.get(name)
+    def image(self, spec, n: int) -> NCPolynomial:
+        """The image of ``x_n`` under the map ``spec``: a name of
+        ``_IMAGES``, or ``(name, *specs)``, the image of ``name`` under
+        ``_hom(*specs)``."""
+        if isinstance(spec, tuple) and spec:
+            name, *specs = spec
+            return self._hom(*specs)(self.image(name, n))
+        fn = self._IMAGES.get(spec) if isinstance(spec, str) else None
         if fn is None:
-            raise StructuralError(f"unknown image {name!r}")
+            raise StructuralError(f"unknown image {spec!r}")
         if n < 1:
             raise StructuralError("tables are indexed by n >= 1")
         return fn(self, n)
 
-    def _hom(self, *names: str) -> MultiMorphism:
+    def _hom(self, *specs) -> MultiMorphism:
         """The algebra map sending the letters of copy ``i`` through the
-        image named ``names[i - 1]``. One map per name tuple and coloop,
-        so its ``image_terms`` memo serves every degree and every axiom."""
-        got = self._homs.get(names)
+        image ``specs[i - 1]``. One map per spec tuple and coloop, so its
+        ``image_terms`` memo serves every degree and every axiom."""
+        got = self._homs.get(specs)
         if got is None:
-            got = MultiMorphism(
-                image_fn=lambda cp, k: self.image(names[cp - 1], k))
-            self._homs[names] = got
+            def image_fn(cp: int, k: int) -> NCPolynomial:
+                if cp > len(specs):
+                    raise StructuralError(
+                        f"{specs} has no image for copy {cp}")
+                return self.image(specs[cp - 1], k)
+            got = self._homs[specs] = MultiMorphism(image_fn)
         return got
 
     def coassociator(self, n: int) -> NCPolynomial:
         """``K = (Delta u id) Delta - (id u Delta) Delta`` in three copies."""
-        delta = self.coproduct(n)
-        return self._hom("delta", "z")(delta) - self._hom("x", "delta@23")(delta)
+        return (self.image(("delta", "delta", "z"), n)
+                - self.image(("delta", "x", ("delta", "y", "z")), n))
 
     def coassociator_fold1(self, n: int) -> NCPolynomial:
         """``(id u mu) K``: the right-coalternativity defect."""
-        return fold({1: 1, 2: 2, 3: 2}, self.coassociator(n))
+        return self._hom("x", "y", "y")(self.coassociator(n))
 
     def coassociator_fold2(self, n: int) -> NCPolynomial:
         """``mu (id u mu) K``: the power-associativity defect."""
-        return fold({1: 1, 2: 1, 3: 1}, self.coassociator(n))
+        return self._hom("x", "x", "x")(self.coassociator(n))
 
     def projected_coproduct(self, n: int) -> TensorPoly:
         """``Delta^(x) = pi . Delta``: the induced tensor comultiplication."""
@@ -239,18 +239,11 @@ class Coloop:
         rows = AXIOMS.get(axiom)
         if rows is None:
             raise StructuralError(f"unknown axiom {axiom!r}")
-        return [(self._side(lhs, n), self._side(rhs, n)) for lhs, rhs in rows]
-
-    def _side(self, side, n: int) -> NCPolynomial:
-        if isinstance(side, str):
-            return self.image(side, n)
-        name, *images = side
-        return self._hom(*images)(self.image(name, n))
+        return [(self.image(lhs, n), self.image(rhs, n)) for lhs, rhs in rows]
 
 
-# Each axiom's pairs of sides on x_n. A side is an image name, evaluated
-# at n, or ``(name, *images)``: that entry under ``hom(*images)``. A fold
-# after a morphism is the morphism whose images are already folded, so
+# Each axiom's pairs of sides on x_n, as image specs. A fold after a
+# morphism is the morphism whose images are already folded, so
 # ``(id u mu)(Delta_r u id) Delta`` is ``("delta", "delta_r", "y")`` and
 # ``mu (S_r u id) Delta`` is ``("delta", "s_r", "x")``.
 AXIOMS: dict[str, tuple] = {
@@ -264,8 +257,9 @@ AXIOMS: dict[str, tuple] = {
                        (("delta_l", "counit", "y"), "y")),
     "five-terms-left": ((("delta", "s_r", "x"), "counit"),),
     "five-terms-right": ((("delta", "x", "s_l"), "counit"),),
-    "mu-delta": (("delta_r@1", "counit"), ("delta_l@1", "counit")),
-    "coinverse-right": (("delta_r", ("delta", "x", "s_r@2")),),
+    "mu-delta": ((("delta_r", "x", "x"), "counit"),
+                 (("delta_l", "x", "x"), "counit")),
+    "coinverse-right": (("delta_r", ("delta", "x", ("s_r", "y"))),),
     "coinverse-left": (("delta_l", ("delta", "s_l", "y")),),
     "antipode-two-sided": (("s_r", "s_l"),),
 }

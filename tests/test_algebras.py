@@ -272,6 +272,18 @@ class TestIdentityChecks:
         with pytest.raises(StructuralError):
             identity_check("bogus", e(2, 1), e(2, 2))
 
+    @pytest.mark.parametrize("name, arity", [
+        ("power-assoc-3", 1), ("left-alternative", 2),
+        ("right-alternative", 2), ("flexible", 2), ("moufang-1", 3),
+        ("moufang-2", 3), ("moufang-3", 3), ("moufang-4", 3)])
+    def test_wrong_element_count_names_the_arity(self, name, arity):
+        units = [e(4, i) for i in (1, 2, 4, 8)]
+        for count in (arity - 1, arity + 1):
+            with pytest.raises(StructuralError,
+                               match=f"^{name} takes {arity} elements$"):
+                identity_check(name, *units[:count])
+        assert identity_check(name, *units[:arity]) in (True, False)
+
     def test_associator_is_not_an_identity_check(self):
         # identity_check returns verdicts; the defect (ab)c - a(bc) is
         # associator()

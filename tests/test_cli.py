@@ -381,13 +381,20 @@ def test_parser_constants_match_the_library():
     seed = inspect.signature(witnesses.witness).parameters["seed"]
     assert cli.DEFAULT_SEED == seed.default == DEFAULT_SEED
     assert 0 <= DEFAULT_SEED < 2 ** 64
-    # coop prints images, and the axiom table names its sides by image
+    # coop prints images, and the axiom table writes its sides as image
+    # specs: every name in a spec, at any depth, is an image name
     images = set(coloops.Coloop._IMAGES)
     assert set(cli.COOP_KINDS) <= images
+
+    def names(spec) -> set:
+        if isinstance(spec, str):
+            return {spec}
+        assert isinstance(spec, tuple) and spec, spec
+        return set().union(*map(names, spec))
+
     for axiom, rows in coloops.AXIOMS.items():
         for side in (side for row in rows for side in row):
-            names = {side} if isinstance(side, str) else set(side)
-            assert names <= images, (axiom, side)
+            assert names(side) <= images, (axiom, side)
 
 
 class TestWitnessCommand:
@@ -646,6 +653,26 @@ def test_count_error_names_the_option(capsys, option):
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == \
         f"error: {option}: 2 coefficients exceed order 1"
+
+
+def test_malformed_series_json_keeps_its_message(capsys):
+    code, out, err = run(capsys, "invert", "--flavor", "inv", "--order", "2",
+                         "--side", "right", "--algebra", "q", "--a", "[1,")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(
+        "error: --a: cannot decode series: Expecting value")
+
+
+def test_decoder_fault_is_not_reported_as_bad_input(capsys, monkeypatch):
+    # only malformed JSON is a decode error; a fault of the program
+    # propagates instead of exiting 2
+    def broken(value, algebra):
+        raise TypeError("decoder fault")
+
+    monkeypatch.setattr(cli, "_decode", broken)
+    with pytest.raises(TypeError, match="decoder fault"):
+        run(capsys, "invert", "--flavor", "inv", "--order", "2",
+            "--side", "right", "--algebra", "q", "--a", '["1"]')
 
 
 # Reads sys.modules without importing json itself.

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from loopseries import StructuralError, coloops
+from loopseries import StructuralError, coloops, freealg
 from loopseries.combinatorics import (
     bit_sequences,
     bit_sign,
@@ -214,7 +214,7 @@ class TestTables:
             get_coloop("fdb").codivision("up", 2)
         with pytest.raises(StructuralError):
             get_coloop("fdb").image("eps", 2)
-        for name in ("counit", "x", "delta_r@1"):
+        for name in ("counit", "x", ("delta_r", "x", "x")):
             with pytest.raises(StructuralError):
                 get_coloop("fdb").image(name, 0)
         with pytest.raises(StructuralError):
@@ -344,15 +344,11 @@ class TestAxiomBattery:
         def forbidden(labelmap, p):
             raise AssertionError(f"fold {labelmap} called")
 
+        assert not hasattr(coloops, "fold")
         for flavor in ("inv", "fdb"):
             table = Coloop(flavor)
+            monkeypatch.setattr(freealg, "fold", forbidden)
             for axiom in AXIOMS:
-                for n in range(1, 7):
-                    table.axiom_check(axiom, n)
-            monkeypatch.setattr(coloops, "fold", forbidden)
-            for axiom in AXIOMS:
-                if axiom == "mu-delta":
-                    continue
                 first_expected = EXPECTED_FAILURES.get((flavor, axiom), 7)
                 for n in range(1, 7):
                     ok, _ = table.axiom_check(axiom, n)
@@ -405,6 +401,34 @@ def fold_composed_sides(table, axiom, n):
         "antipode-two-sided": lambda: [(s_r(n), s_l(n))],
     }
     return sides[axiom]()
+
+
+class TestImageSpecs:
+    # each spec against its copy relabeling through fold, the oracle
+    @pytest.mark.parametrize("flavor", ["inv", "fdb"])
+    @pytest.mark.parametrize("spec, labelmap, name", [
+        (("delta_r", "x", "x"), {1: 1, 2: 1}, "delta_r"),
+        (("delta_l", "x", "x"), {1: 1, 2: 1}, "delta_l"),
+        (("s_r", "y"), {1: 2}, "s_r"),
+        (("delta", "y", "z"), {1: 2, 2: 3}, "delta"),
+    ], ids=["mu-delta_r", "mu-delta_l", "s_r-at-y", "delta-at-yz"])
+    def test_spec_equals_fold(self, flavor, spec, labelmap, name):
+        table = Coloop(flavor)
+        for n in range(1, 9):
+            want = fold(labelmap, table.image(name, n))
+            assert table.image(spec, n) == want, (spec, n)
+
+    @pytest.mark.parametrize("spec", [
+        ("delta", "x"), ("s_r",), ("delta", "x", ("delta", "y"))])
+    def test_missing_copy_is_refused(self, spec):
+        with pytest.raises(StructuralError, match="has no image for copy"):
+            Coloop("fdb").image(spec, 2)
+
+    @pytest.mark.parametrize("spec", [
+        ["delta", "x", "y"], 3, None, (), ("delta", "x", 3), ("delta@23",)])
+    def test_spec_that_is_not_an_image_is_refused(self, spec):
+        with pytest.raises(StructuralError, match="unknown image"):
+            Coloop("fdb").image(spec, 2)
 
 
 class TestCoassociator:

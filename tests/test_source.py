@@ -10,6 +10,7 @@ import contextlib
 import importlib
 import inspect
 import io
+import json
 import os
 import sys
 
@@ -89,6 +90,39 @@ def _commands() -> list[list[str]]:
     return out
 
 
+def test_schema_types_the_data_of_every_command():
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(os.path.join(SRC, "schemas", "cli_output.schema.json")) as fh:
+        schema = json.load(fh)
+    # one branch types the data of each command the envelope names
+    branches = [branch["if"]["properties"]["command"]
+                for branch in schema["allOf"]]
+    covered = [name for b in branches for name in b.get("enum", [])] + \
+        [b["const"] for b in branches if "const" in b]
+    assert sorted(covered) == \
+        sorted(schema["properties"]["command"]["enum"])
+    # the json output of every command and kind that _commands runs
+    outputs = []
+    for argv in _commands():
+        if argv[:2] == ["--format", "json"]:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0, argv
+            outputs.append(json.loads(sink.getvalue()))
+    assert {envelope["command"] for envelope in outputs} == set(covered)
+    for envelope in outputs:
+        jsonschema.validate(envelope, schema)
+    # a mutated output is refused: an integer coefficient in coop
+    coop = next(envelope for envelope in outputs
+                if envelope["command"] == "coop"
+                and envelope["data"]["polynomial"]["terms"])
+    bad = json.loads(json.dumps(coop))
+    bad["data"]["polynomial"]["terms"][0]["coeff"] = 1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, schema)
+
+
 # Public names and methods that no command enters, each with the reason
 # it stays; a method of a class listed here is covered by its class.
 UNREACHED = {
@@ -111,6 +145,8 @@ UNREACHED = {
         "bench: bench/run.py multiplies each series result back with it",
     "combinatorics.d_cache_rows":
         "bench: bench/tracer.py counts the new lagrange_d memo rows",
+    "freealg.fold":
+        "bench: bench/tracer.py counts its calls; the tests' relabel oracle",
     "coloops.Coloop.coassociator":
         "paper: the coassociator K, the defect of coassociativity",
     "coloops.Coloop.coassociator_fold1":
