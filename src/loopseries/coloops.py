@@ -9,16 +9,15 @@ the labeled free algebra of :mod:`loopseries.freealg` (copy 1 letters
 
 Every entry of the coproduct and the two codivisions is a signed sum of
 words, and each table is built once by adding the ``(word, coefficient)``
-pairs of its direct formula into one term dict: ``u_k = x_k - y_k`` and
-``v_k = y_k - x_k`` become two words each, and no polynomial product is
-taken. One coproduct formula serves both flavors; ``inv`` keeps its
-``l = 1`` terms with unit coefficients (see ``_delta_words``). The
-codivisions read their signs, coefficients and bit labels from
-``combinatorics.codivision_terms``, the one place that writes the closed
-formulas; the flavor only says whether the terms carry (labeled)
-Lagrange coefficients. This direct formula is the one route to each
-entry here; the tests rebuild the fdb entries by the paper's second route
-and compare.
+pairs of its direct formula into one term dict: the difference letter
+``x_k - y_k`` becomes two words, and no polynomial product is taken. One
+coproduct formula serves both flavors; ``inv`` keeps its ``l = 1`` terms
+with unit coefficients (see ``_delta_words``). Both codivisions are one
+word generator over ``combinatorics.codivision_terms``, the one place
+that writes the closed formulas; the flavor only says whether the terms
+carry (labeled) Lagrange coefficients. This direct formula is the one
+route to each entry here; the tests rebuild the fdb entries by the
+paper's second route and compare.
 
 Every map has one name in one grammar, the image of a letter ``x_n``
 under it (``Coloop.image``). A spec is a table or letter name
@@ -54,9 +53,11 @@ FLAVORS = ("inv", "fdb")
 
 
 def _letters(n: int) -> tuple:
-    """``letters[copy][k]``: one ``(copy, k)`` object per letter of copies
-    1 and 2 up to ``k = n``, shared by every word of a table build."""
-    return (None, *([(cp, k) for k in range(n + 1)] for cp in (1, 2)))
+    """``letters[bit][k]``: one ``(copy, k)`` object per letter of copies
+    1 and 2 up to ``k = n``, shared by every word of a table build; the
+    bit 0 reads copy 1 first."""
+    x, y = ([(cp, k) for k in range(n + 1)] for cp in (1, 2))
+    return x, x, y
 
 
 def _signed_sum(words) -> NCPolynomial:
@@ -116,7 +117,7 @@ class Coloop:
         compositions ``k`` of ``n``: ``c = binom(k_0 + 1, l)`` for fdb, and
         inv keeps the ``l = 1`` terms with ``c = 1``."""
         fdb = self.flavor == "fdb"
-        _, x, y = _letters(n)
+        x, _, y = _letters(n)
         yield (x[n],), 1
         yield (y[n],), 1
         for ell in range(1, n if fdb else min(n, 2)):
@@ -125,30 +126,23 @@ class Coloop:
                        math.comb(comp[0] + 1, ell) if fdb else 1)
 
     def _build_delta_r(self, n: int) -> NCPolynomial:
-        return _signed_sum(self._delta_r_words(n))
-
-    def _delta_r_words(self, n: int):
-        """``c u_{k0} y_{k1} ... y_{kl}`` for each term of
-        ``codivision_terms``; ``u = x - y`` gives two words."""
-        _, x, y = _letters(n)
-        for c, _, comp in codivision_terms("right", self.flavor == "fdb", n):
-            tail = tuple([y[k] for k in comp[1:]])
-            yield (x[comp[0]],) + tail, c
-            yield (y[comp[0]],) + tail, -c
+        return _signed_sum(self._codivision_words("right", n))
 
     def _build_delta_l(self, n: int) -> NCPolynomial:
-        return _signed_sum(self._delta_l_words(n))
+        return _signed_sum(self._codivision_words("left", n))
 
-    def _delta_l_words(self, n: int):
-        """``c w v_{kl}`` for each term of ``codivision_terms``, where ``w``
-        has the letter of copy ``e_i`` at place ``i`` (bit 1 labels ``x``,
-        bit 2 labels ``y``); ``v = y - x`` gives two words."""
+    def _codivision_words(self, side: str, n: int):
+        """``c w`` for each term ``(c, bits, comp)`` of
+        ``codivision_terms``, letter ``i`` of ``w`` read off ``bits[i]``;
+        the difference letter (bit 0) gives two words, ``x_k`` with ``c``
+        and ``y_k`` with ``-c``."""
         letters = _letters(n)
-        _, x, y = letters
-        for c, e, comp in codivision_terms("left", self.flavor == "fdb", n):
-            head = tuple([letters[bit][k] for bit, k in zip(e, comp)])
-            yield head + (y[comp[-1]],), c
-            yield head + (x[comp[-1]],), -c
+        at = 0 if side == "right" else -1
+        for c, bits, comp in codivision_terms(side, self.flavor == "fdb", n):
+            word = [letters[bit][k] for bit, k in zip(bits, comp)]
+            yield tuple(word), c
+            word[at] = letters[2][comp[at]]
+            yield tuple(word), -c
 
     def _build_s_r(self, n: int) -> NCPolynomial:
         return self.image(("delta_r", "counit", "x"), n)

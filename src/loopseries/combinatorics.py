@@ -27,11 +27,12 @@ one argument check of all three and of the labeled operators: positive
 degrees, one bit 1 or 2 per degree. ``codivision_terms`` turns them into
 the signed, labeled terms of the closed codivisions, the paper's
 generalized Lagrange inversion, for the coloop tables and the closed
-series divisions alike. The enumeration of ``M(l)`` is kept as the
-definition, for the tree bijection ``msequence_trees`` (one preorder
-scan of each sequence), and for the tests as their oracle and in the
-operator identity check ``R1``; the operators' closed forms read ``d^e``
-instead.
+series divisions alike, one label per letter, the bit 0 marking the
+difference ``x_k - y_k``, so both sides share one layout. The
+enumeration of ``M(l)`` is kept as the definition, for the tree
+bijection ``msequence_trees`` (one preorder scan of each sequence), and
+for the tests as their oracle and in the operator identity check
+``R1``; the operators' closed forms read ``d^e`` instead.
 
 Everything here is exact integer arithmetic.
 """
@@ -217,26 +218,32 @@ def lagrange_d_labeled_row(ns: Sequence[int]) -> list[int]:
 
 
 def codivision_terms(side: str, lagrange: bool, n: int):
-    """``(c, e, comp)`` for every composition ``comp = (k_0..k_l)`` of
-    ``n``, shortest first: the term ``c u_{k_0} y_{k_1} ... y_{k_l}`` of
-    ``Delta_r`` with ``c = (-1)^l d_l(k_0..k_{l-1})`` and ``e = (1..1)``,
-    or the term ``c c_{e_1,k_0} ... c_{e_l,k_{l-1}} v_{k_l}`` of
-    ``Delta_l`` with ``c = (-1)^l (-1)^e d_l^e(k_0..k_{l-1})``, zero terms
-    skipped. Without ``lagrange`` (flavor ``inv``) ``c = (-1)^l`` and ``e =
-    (1..1)``. Representability makes them the closed series divisions."""
+    """``(c, bits, comp)`` for every composition ``comp = (k_0..k_l)`` of
+    ``n``, shortest first, zero terms skipped. Letter ``i`` of the term is
+    ``x_k`` (bit 1), ``y_k`` (bit 2) or, once, ``u_k = x_k - y_k`` (bit 0):
+    ``c u_{k_0} y_{k_1} ... y_{k_l}`` of ``Delta_r``, ``c = (-1)^l
+    d_l(k_0..k_{l-1})``, or the term of ``Delta_l`` ending in ``v_{k_l} =
+    -u_{k_l}``, ``bits = e + (0,)``, ``c = -(-1)^l (-1)^e d_l^e(...)``;
+    without ``lagrange`` (``inv``) ``d = 1`` and ``e = (1..1)``. Label
+    tuples are shared across compositions."""
+    right = side == "right"
     for ell in range(n):
         sign = -1 if ell % 2 else 1
-        ones = (1,) * ell
+        if right:
+            labels = [((0,) + (2,) * ell, sign)]
+        else:
+            labels = [(e + (0,), -sign * bit_sign(e)) for e in
+                      (bit_sequences(ell) if lagrange else [(1,) * ell])]
         for comp in compositions(n, ell + 1):
             if not lagrange:
-                yield sign, ones, comp
-            elif side == "right":
-                yield sign * lagrange_d(comp[:ell]), ones, comp
+                ds = (1,)
+            elif right:
+                ds = (lagrange_d(comp[:ell]),)
             else:
-                for e, d in zip(bit_sequences(ell),
-                                lagrange_d_labeled_row(comp[:ell])):
-                    if d:
-                        yield sign * bit_sign(e) * d, e, comp
+                ds = lagrange_d_labeled_row(comp[:ell])
+            for (bits, c), d in zip(labels, ds):
+                if d:
+                    yield c * d, bits, comp
 
 
 def d_cache_rows() -> list[tuple[str, str]]:

@@ -31,14 +31,16 @@ coefficient products for order ``N``, and the unit is never multiplied;
 ``B^1`` is ``B`` itself, so ``inv`` builds no power. Expanding
 ``b(t)^(m+1)`` into ``B^(m+1)`` and grouping the products of ``B^p`` in
 any order needs associativity, which is why ``diff`` refuses
-non-associative carriers. The ``closed`` mode multiplies
-out the terms of ``combinatorics.codivision_terms``, the ones the coloop
-tables read, one formula per side for both flavors; it alone loads
+non-associative carriers. The ``closed`` mode is one formula for both
+sides and flavors: it multiplies out the terms of
+``combinatorics.codivision_terms``, the ones the coloop tables read,
+outward from the difference ``(a-b)_k``; it alone loads
 :mod:`loopseries.combinatorics`. ``convolution_eval`` evaluates the
 generator tables of :mod:`loopseries.coloops` under the coefficient
-assignment. Each call computes one route only; the tests
-check that all three agree, and keep the weak-composition sum over
-coefficient chains as the oracle of the ``diff`` law. The ``diff``
+assignment, over associative carriers. Each call computes one route
+only; the tests check that all three agree, and keep the
+weak-composition sum over coefficient chains as the oracle of the
+``diff`` law. The ``diff``
 inverse is the recursive left division of the unit series, so the module
 needs the table layer (``coloops``, ``freealg``) only inside
 ``convolution_eval``, which imports it on call. The element loops and the
@@ -249,8 +251,7 @@ def divide(side: str, a: TruncatedSeries, b: TruncatedSeries,
     if mode not in ("recursive", "closed"):
         raise StructuralError(f"mode must be recursive or closed, got {mode!r}")
     if mode == "closed":
-        closed = _right_closed if side == "right" else _left_closed
-        out = [closed(a, b, n) for n in range(1, a.order + 1)]
+        out = [_closed(side, a, b, n) for n in range(1, a.order + 1)]
         return TruncatedSeries(a.flavor, a.order, out, a.one)
     if side == "right":
         return _solve(a.flavor, side, a, _indexed(b))
@@ -281,30 +282,22 @@ def _solve(flavor: str, side: str, target: TruncatedSeries,
     return TruncatedSeries(flavor, target.order, x[1:], target.one)
 
 
-def _right_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
-    """Degree ``n`` of the closed right division ``a/b``: the sum of
-    ``c ((a-b)_(k_0) b_(k_1)) ... b_(k_l)``, left-nested, over the terms
-    ``(c, e, comp)`` of ``codivision_terms("right", ...)``."""
+def _closed(side: str, a: TruncatedSeries, b: TruncatedSeries, n: int):
+    """Degree ``n`` of ``a/b`` (``right``) or ``a\\b`` (``left``): the sum
+    over ``codivision_terms(side, ...)`` of ``(a-b)_k c`` at the bit 0,
+    the letters ``a_k`` (bit 1) and ``b_k`` (bit 2) multiplied on outward:
+    on the right for ``right`` (left-nested), else on the left."""
     from .combinatorics import codivision_terms
+    right = side == "right"
+    coeff = (None, a.coeff, b.coeff)
     acc = zero_of(a.one)
-    for c, _, comp in codivision_terms("right", a.flavor == "diff", n):
-        term = (a.coeff(comp[0]) - b.coeff(comp[0])) * c
-        for k in comp[1:]:
-            term = term * b.coeff(k)
-        acc = acc + term
-    return acc
-
-
-def _left_closed(a: TruncatedSeries, b: TruncatedSeries, n: int):
-    """Degree ``n`` of the closed left division ``a\\b``: the sum of
-    ``c_(e_1,k_0) (... (c (b-a)_(k_l)))``, right-nested, with ``c_(1,k) =
-    a_k`` and ``c_(2,k) = b_k``, over ``codivision_terms("left", ...)``."""
-    from .combinatorics import codivision_terms
-    acc = zero_of(a.one)
-    for c, e, comp in codivision_terms("left", a.flavor == "diff", n):
-        term = (b.coeff(comp[-1]) - a.coeff(comp[-1])) * c
-        for bit, k in zip(reversed(e), reversed(comp[:-1])):
-            term = (a.coeff(k) if bit == 1 else b.coeff(k)) * term
+    for c, bits, comp in codivision_terms(side, a.flavor == "diff", n):
+        letters = zip(bits, comp) if right \
+            else zip(reversed(bits), reversed(comp))
+        _, k = next(letters)
+        term = (a.coeff(k) - b.coeff(k)) * c
+        for bit, k in letters:
+            term = term * coeff[bit](k) if right else coeff[bit](k) * term
         acc = acc + term
     return acc
 
@@ -337,7 +330,10 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
     With ``kind`` one of ``delta``, ``delta_r``, ``delta_l`` this realizes
     the convolution formulas: the coproduct gives the loop law, the
     codivisions give the divisions, degree by degree. This is the
-    representability statement made executable.
+    representability statement made executable, over associative
+    coefficients: ``evaluate`` nests every word to the left, the left
+    division to the right, so a carrier known to be non-associative is
+    refused with a ``StructuralError``.
     """
     from . import coloops
     from .freealg import evaluate
@@ -347,6 +343,9 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
         raise StructuralError(f"degree {n} outside order {a.order}")
     if kind not in ("delta", "delta_r", "delta_l"):
         raise StructuralError(f"unknown co-operation {kind!r}")
+    if known_nonassociative(a.one):
+        raise StructuralError(
+            "convolution_eval needs an associative coefficient algebra")
     flavor = "inv" if a.flavor == "inv" else "fdb"
     poly = coloops.get_coloop(flavor).image(kind, n)
 

@@ -239,7 +239,7 @@ def test_divide_computes_one_route_only(capsys, monkeypatch):
     a = json.dumps({"coeffs": [["1", "1", "0", "1"], ["1", "0", "1", "0"]]})
     b = json.dumps({"coeffs": [["0", "1", "1", "0"]]})
     outputs = {}
-    for mode, others in (("recursive", ("_right_closed", "_left_closed")),
+    for mode, others in (("recursive", ("_closed",)),
                          ("closed", ("_solve",))):
         with monkeypatch.context() as patch:
             for other in others:

@@ -296,7 +296,9 @@ class TestCodivisionTerms:
     @pytest.mark.parametrize("lagrange", [True, False])
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_terms_equal_the_definition(self, side, lagrange):
-        # each coefficient summed over M(l)^e directly, (-1)^e from the bits
+        # each coefficient summed over M(l)^e directly, (-1)^e from the
+        # bits; the right term is c u y..y, the left one c c_e..c_e v with
+        # v = -u, so its sign moves into the coefficient
         for n in range(1, 8):
             want = []
             for comp in all_compositions(n):
@@ -310,15 +312,36 @@ class TestCodivisionTerms:
                                           for k, m in zip(comp, mseq))
                                 for mseq in m_sequences_labeled(ell, e))
                     c = (-1) ** ell * (-1) ** (sum(e) - ell) * d
-                    if c:
-                        want.append((c, e, comp))
+                    if c and side == "right":
+                        want.append((c, (0,) + (2,) * ell, comp))
+                    elif c:
+                        want.append((-c, e + (0,), comp))
             got = list(codivision_terms(side, lagrange, n))
             assert got == want, (side, lagrange, n)
             assert all(c != 0 for c, _, _ in got)
             if not lagrange:
                 assert len(got) == 2 ** (n - 1)
+                flip = 1 if side == "right" else -1
                 assert [c for c, _, _ in got] == \
-                    [(-1) ** (len(comp) - 1) for _, _, comp in got]
+                    [flip * (-1) ** (len(comp) - 1) for _, _, comp in got]
+
+    @pytest.mark.parametrize("lagrange", [True, False])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_term_layout(self, side, lagrange):
+        # one label per letter and one difference letter (bit 0): first
+        # on the right, every other letter y; last on the left, after
+        # letters of either copy
+        for n in range(1, 9):
+            for c, bits, comp in codivision_terms(side, lagrange, n):
+                assert len(bits) == len(comp) and sum(comp) == n
+                assert bits.count(0) == 1
+                if side == "right":
+                    assert bits == (0,) + (2,) * (len(comp) - 1)
+                else:
+                    assert bits[-1] == 0
+                    assert set(bits[:-1]) <= {1, 2}
+                    if not lagrange:
+                        assert set(bits[:-1]) <= {1}
 
     def test_tables_and_closed_divisions_read_the_terms(self, monkeypatch):
         from fractions import Fraction

@@ -269,7 +269,8 @@ def series_pairs(flavor, algebra, max_order=5):
 
 
 CARRIERS = [("diff", "q"), ("diff", "m2q"), ("diff", "h"),
-            ("inv", "q"), ("inv", "m2q"), ("inv", "sed")]
+            ("inv", "q"), ("inv", "m2q"), ("inv", "sed"), ("inv", "o"),
+            ("inv", "m2sed")]
 
 
 class TestDivisionProperties:
@@ -531,6 +532,22 @@ class TestConvolution:
                 assert convolution_eval("delta", a, b, n) == prod.coeff(n)
                 assert convolution_eval("delta_r", a, b, n) == right.coeff(n)
                 assert convolution_eval("delta_l", a, b, n) == left.coeff(n)
+
+    def test_nonassociative_carrier_refused(self):
+        # evaluate nests every word to the left, but the left codivision's
+        # words nest to the right, so over sedenions the table would give
+        # a wrong left division: 2*e1 - 2*e5 + 2*e10 - 2*e14 here
+        def sed(*units):
+            return CDElement(4, [int(i in units) for i in range(16)])
+
+        a = TruncatedSeries("inv", 3, [sed(1, 10)])
+        b = TruncatedSeries("inv", 3, [sed(5, 14), sed(5, 14)])
+        left = divide("left", a, b)
+        assert left == divide("left", a, b, "closed")
+        assert str(left.coeff(3)) == "2*e1 + 2*e10"
+        for kind in ("delta", "delta_r", "delta_l"):
+            with pytest.raises(StructuralError, match="associative"):
+                convolution_eval(kind, a, b, 3)
 
     def test_degree_guard(self):
         rng = Random(62)
