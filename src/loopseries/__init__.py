@@ -7,6 +7,14 @@ closed-form codivisions, the recursive-operator and Lagrange-coefficient
 combinatorics behind those formulas, and the exact Cayley-Dickson
 coefficient algebras on which every identity and counterexample is
 verified mechanically, with integer/rational arithmetic throughout.
+
+The vocabularies are stated here once, for the parser and the library:
+the series flavors ``SERIES_FLAVORS`` (``inv`` for ``Inv(A)``, ``diff``
+for ``Diff(A)``), the flavors of the coloops representing them
+``COLOOP_FLAVORS`` (``inv``, Faa di Bruno ``fdb``), the division
+``SIDES`` (``INVERSE_SIDES`` adds ``both``) and ``MODES`` (the
+``recursive`` existence proof or the ``closed`` formulas). ``_choose``
+refuses any other name with one message that lists the allowed ones.
 """
 
 import contextlib
@@ -15,6 +23,13 @@ __version__ = "0.1.0"
 
 # seed of the randomized witness sampler when none is given
 DEFAULT_SEED = 0x123456789ABCDEF0
+
+# the vocabularies that the parser offers and the library checks
+SIDES = ("left", "right")
+MODES = ("recursive", "closed")
+SERIES_FLAVORS = ("inv", "diff")
+COLOOP_FLAVORS = ("inv", "fdb")
+INVERSE_SIDES = SIDES + ("both",)
 
 
 class StructuralError(ValueError):
@@ -25,6 +40,15 @@ class StructuralError(ValueError):
 class DomainError(ArithmeticError):
     """Input outside the mathematical domain of the operation, e.g. dividing
     by an element of norm zero."""
+
+
+def _choose(what: str, value, allowed):
+    """``value`` if it is one of ``allowed``; otherwise the one refusal of
+    an unknown name, which lists the allowed ones."""
+    if value not in allowed:
+        raise StructuralError(
+            f"{what} must be one of {tuple(allowed)}, got {value!r}")
+    return value
 
 
 @contextlib.contextmanager
@@ -72,4 +96,6 @@ def _emit_json(command: str, data, seed=None, passed=None) -> str:
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
-__all__ = ["DEFAULT_SEED", "DomainError", "StructuralError", "__version__"]
+__all__ = ["COLOOP_FLAVORS", "DEFAULT_SEED", "DomainError", "INVERSE_SIDES",
+           "MODES", "SERIES_FLAVORS", "SIDES", "StructuralError",
+           "__version__"]

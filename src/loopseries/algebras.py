@@ -52,7 +52,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Sequence
 
-from . import StructuralError, _sum_text
+from . import StructuralError, _choose, _sum_text
 
 # bare instances for the unchecked private constructors
 _new = object.__new__
@@ -553,9 +553,7 @@ def identity_check(name: str, *elements):
     ``moufang-4``. The defect ``(ab)c - a(bc)`` itself is
     :func:`associator`.
     """
-    check = _IDENTITIES.get(name)
-    if check is None:
-        raise StructuralError(f"unknown identity {name!r}")
+    check = _IDENTITIES[_choose("identity", name, _IDENTITIES)]
     arity = check.__code__.co_argcount
     if len(elements) != arity:
         raise StructuralError(f"{name} takes {arity} elements")

@@ -32,7 +32,12 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import (
+    COLOOP_FLAVORS,
     DEFAULT_SEED,
+    INVERSE_SIDES,
+    MODES,
+    SERIES_FLAVORS,
+    SIDES,
     DomainError,
     StructuralError,
     __version__,
@@ -43,8 +48,9 @@ from . import (
 if TYPE_CHECKING:
     from .seriesloops import TruncatedSeries
 
-# The parser is built from these constants, so a command imports only the
-# layers its handler runs; the tests check them against the library.
+# The parser is built from these constants and the package's vocabularies,
+# so a command imports only the layers its handler runs; the tests check
+# these against the library.
 COOP_KINDS = ("delta", "counit", "delta_r", "delta_l", "s_r", "s_l")
 # The series algebras, each as (matrix dimension, Cayley-Dickson level of
 # the entries): a dimension of None is no matrix, a level of None the
@@ -235,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
 
     p = command("coop", help="co-operation table entries")
-    p.add_argument("--flavor", choices=("inv", "fdb"), required=True)
+    p.add_argument("--flavor", choices=COLOOP_FLAVORS, required=True)
     p.add_argument("--kind", choices=COOP_KINDS, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
 
@@ -245,27 +251,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated letter degrees, e.g. 1,2,1")
     p.add_argument("--bits", help="bit sequence for Re, e.g. 1,2,1")
     p.add_argument("--m", help="M-sequence for Rm, e.g. 2,0,1")
-    p.add_argument("--mode", choices=("recursive", "closed"),
+    p.add_argument("--mode", choices=MODES,
                    help="for L, R and Re; recursive when not given")
 
     p = command("verify", help="run the symbolic axiom battery")
-    p.add_argument("--flavor", choices=("inv", "fdb", "both"), default="both")
+    p.add_argument("--flavor", choices=COLOOP_FLAVORS + ("both",),
+                   default="both")
     p.add_argument("--max-degree", type=_positive_int, default=5)
 
     for name in ("divide", "invert"):
         p = command(name, help=f"{name} truncated series")
-        p.add_argument("--flavor", choices=("inv", "diff"), required=True)
+        p.add_argument("--flavor", choices=SERIES_FLAVORS, required=True)
         p.add_argument("--order", type=_positive_int, required=True)
         p.add_argument("--algebra", choices=ALGEBRA_NAMES, required=True)
         p.add_argument("--a", required=True, help="series JSON")
         if name == "divide":
             p.add_argument("--b", required=True, help="series JSON")
-            p.add_argument("--side", choices=("left", "right"), required=True)
-            p.add_argument("--mode", choices=("recursive", "closed"),
-                           default="recursive")
+            p.add_argument("--side", choices=SIDES, required=True)
+            p.add_argument("--mode", choices=MODES, default="recursive")
         else:
-            p.add_argument("--side", choices=("left", "right", "both"),
-                           default="both")
+            p.add_argument("--side", choices=INVERSE_SIDES, default="both")
 
     p = command("witness", help="reproduce a named counterexample")
     p.add_argument("name", choices=WITNESS_NAMES)
@@ -293,8 +298,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     print(f"loopseries {__version__}", file=sys.stderr)
-    if args.command == "witness" and args.name == "ucd-not-loop":
-        print(f"seed {args.seed}", file=sys.stderr)
     try:
         if args.format == "csv" and args.command in NO_CSV:
             raise StructuralError(f"{args.command} has no csv output")

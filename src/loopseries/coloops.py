@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from . import StructuralError
+from . import COLOOP_FLAVORS, SIDES, StructuralError, _choose
 from .combinatorics import codivision_terms, compositions
 from .freealg import (
     MultiMorphism,
@@ -48,8 +48,6 @@ from .freealg import (
     TensorPoly,
     project_pi,
 )
-
-FLAVORS = ("inv", "fdb")
 
 
 def _letters(n: int) -> tuple:
@@ -73,9 +71,7 @@ class Coloop:
     """Generator tables of one coloop bialgebra, cached by degree."""
 
     def __init__(self, flavor: str):
-        if flavor not in FLAVORS:
-            raise StructuralError(f"unknown flavor {flavor!r}")
-        self.flavor = flavor
+        self.flavor = _choose("flavor", flavor, COLOOP_FLAVORS)
         self._cache: dict[tuple[str, int], NCPolynomial] = {}
         self._homs: dict[tuple[str, ...], MultiMorphism] = {}
 
@@ -84,18 +80,15 @@ class Coloop:
     def coproduct(self, n: int) -> NCPolynomial:
         return self._entry("delta", n)
 
+    # a side's tables end in its initial: delta_r and s_r, delta_l and s_l
     def codivision(self, side: str, n: int) -> NCPolynomial:
-        if side not in ("right", "left"):
-            raise StructuralError(f"side must be left or right, got {side!r}")
-        return self._entry("delta_r" if side == "right" else "delta_l", n)
+        return self._entry("delta_" + _choose("side", side, SIDES)[0], n)
 
     def antipode(self, side: str, n: int) -> NCPolynomial:
         """``S_r = (counit u id) delta_r`` resp.
         ``S_l = (id u counit) delta_l``,
         written in one copy."""
-        if side not in ("right", "left"):
-            raise StructuralError(f"side must be left or right, got {side!r}")
-        return self._entry("s_r" if side == "right" else "s_l", n)
+        return self._entry("s_" + _choose("side", side, SIDES)[0], n)
 
     def _entry(self, kind: str, n: int) -> NCPolynomial:
         if n < 1:
@@ -221,8 +214,7 @@ class Coloop:
         All maps involved are algebra homomorphisms, so generator-level
         verification is sufficient.
         """
-        sides = self._axiom_sides(axiom, n)
-        for lhs, rhs in sides:
+        for lhs, rhs in self._axiom_sides(axiom, n):
             if lhs != rhs:
                 return False, lhs - rhs
         return True, None
@@ -230,9 +222,7 @@ class Coloop:
     def _axiom_sides(self, axiom: str, n: int):
         """The pairs of sides of ``axiom`` on ``x_n``, read from
         ``AXIOMS``."""
-        rows = AXIOMS.get(axiom)
-        if rows is None:
-            raise StructuralError(f"unknown axiom {axiom!r}")
+        rows = AXIOMS[_choose("axiom", axiom, AXIOMS)]
         return [(self.image(lhs, n), self.image(rhs, n)) for lhs, rhs in rows]
 
 

@@ -9,7 +9,9 @@ output text with the exit status.
 
 from __future__ import annotations
 
-from . import StructuralError, _emit_json, _option
+import sys
+
+from . import COLOOP_FLAVORS, StructuralError, _emit_json, _option
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:
@@ -162,7 +164,7 @@ def _verify_records(flavor: str, max_degree: int) -> list[dict]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    flavors = ("inv", "fdb") if args.flavor == "both" else (args.flavor,)
+    flavors = COLOOP_FLAVORS if args.flavor == "both" else (args.flavor,)
     records = []
     for flavor in flavors:
         records.extend(_verify_records(flavor, args.max_degree))
@@ -192,12 +194,16 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_witness(args) -> tuple[str, int]:
-    from .witnesses import witness
+    from .witnesses import SEEDED_WITNESS, witness
 
+    # only the seeded witness reports its seed, on stderr and in json
+    seed = args.seed if args.name == SEEDED_WITNESS else None
+    if seed is not None:
+        print(f"seed {seed}", file=sys.stderr)
     report = witness(args.name, args.seed)
     code = 0 if report["pass"] else 1
     if args.format == "json":
-        return _emit_json("witness", report, seed=args.seed,
+        return _emit_json("witness", report, seed=seed,
                           passed=report["pass"]), code
     lines = [f"witness {report['name']}: "
              + ("PASS" if report["pass"] else "FAIL")]

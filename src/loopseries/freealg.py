@@ -21,7 +21,9 @@ structure (linear-time ``sum``, ``+``, ``-``, integer scaling), equality,
 hashing and the signed text form once (the package's ``_sum_text``, which
 Cayley-Dickson elements share); each subclass adds its key order, the
 text of one monomial and its product. A word has one text form
-(``_word_text``, ``x1*y2``) and one JSON form (``_word_json``), and the
+(``_word_text``, ``x1*y2``) and one JSON form (``_word_json``); the csv
+of ``coop`` writes a third, its ``copy:index`` pairs (``1:1 2:2``, in
+``commands.cmd_coop``). The
 polynomial product and the tensor product of ``operators`` are one
 concatenation loop (``_concat``).
 """

@@ -46,7 +46,7 @@ import itertools
 import math
 from typing import Sequence
 
-from . import StructuralError
+from . import MODES, StructuralError, _choose
 from .combinatorics import _d_fold, check_lagrange_args, is_m_sequence
 from .freealg import (
     NCPolynomial,
@@ -132,11 +132,6 @@ def _check_factors(factors: Sequence[NCPolynomial]
     return letters, degrees
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("recursive", "closed"):
-        raise StructuralError(f"unknown mode {mode!r}")
-
-
 def left_op(factors: Sequence[NCPolynomial],
             mode: str = "recursive") -> GradedTensorPoly:
     """Left recursive operator ``L_l``.
@@ -150,7 +145,7 @@ def left_op(factors: Sequence[NCPolynomial],
     L_{l-1} (x) a_l``, i.e. the signed sum of all 2^(l-1) left-nested
     ``|>``/tensor combinations. Both agree; ``L_1(a) = a``.
     """
-    _check_mode(mode)
+    _choose("mode", mode, MODES)
     letters, _ = _check_factors(factors)
     ell = len(letters)
     if ell == 0:
@@ -185,7 +180,7 @@ def right_op(factors: Sequence[NCPolynomial],
     differ only in the first block (see ``right_op_e``). ``R_1(a) = a``
     and ``R_2(a, b) = a |> b + a (x) b``.
     """
-    _check_mode(mode)
+    _choose("mode", mode, MODES)
     letters, degrees = _check_factors(factors)
     return _right_labeled((1,) * len(letters), tuple(letters),
                           tuple(degrees), mode == "closed", {})
@@ -241,7 +236,7 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
     ``R1``, ``a_1 |> R^(e_2..e_p)(a_2..a_p) = d^(e_2..e_p)(n_1..n_(p-1))
     a_1...a_p``, so it builds no ``|>`` of a first block.
     """
-    _check_mode(mode)
+    _choose("mode", mode, MODES)
     letters, degrees = _check_factors(factors)
     degrees, e = check_lagrange_args(degrees, e)
     return _right_labeled(e, tuple(letters), degrees, mode == "closed", {})

@@ -51,10 +51,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import StructuralError
+from . import (
+    INVERSE_SIDES,
+    MODES,
+    SERIES_FLAVORS,
+    SIDES,
+    StructuralError,
+    _choose,
+)
 from .algebras import is_zero, known_nonassociative, one_of, zero_of
-
-FLAVORS = ("inv", "diff")
 
 
 class TruncatedSeries:
@@ -69,8 +74,7 @@ class TruncatedSeries:
     __slots__ = ("flavor", "order", "coeffs", "one")
 
     def __init__(self, flavor: str, order: int, coeffs: Sequence, one=None):
-        if flavor not in FLAVORS:
-            raise StructuralError(f"flavor must be one of {FLAVORS}")
+        self.flavor = _choose("flavor", flavor, SERIES_FLAVORS)
         if order < 1:
             raise StructuralError("order must be >= 1")
         coeffs = list(coeffs)
@@ -85,7 +89,6 @@ class TruncatedSeries:
                 "diff series need an associative coefficient algebra")
         zero = zero_of(one)
         coeffs.extend(zero for _ in range(order - len(coeffs)))
-        self.flavor = flavor
         self.order = order
         self.coeffs = tuple(coeffs)
         self.one = one
@@ -246,10 +249,8 @@ def divide(side: str, a: TruncatedSeries, b: TruncatedSeries,
     non-associative coefficients.
     """
     a._check(b)
-    if side not in ("right", "left"):
-        raise StructuralError(f"side must be left or right, got {side!r}")
-    if mode not in ("recursive", "closed"):
-        raise StructuralError(f"mode must be recursive or closed, got {mode!r}")
+    _choose("side", side, SIDES)
+    _choose("mode", mode, MODES)
     if mode == "closed":
         out = [_closed(side, a, b, n) for n in range(1, a.order + 1)]
         return TruncatedSeries(a.flavor, a.order, out, a.one)
@@ -313,8 +314,7 @@ def series_inverse(a: TruncatedSeries, side: str = "both") -> TruncatedSeries:
     tests use it as the oracle. For ``inv`` the two inverses differ over
     non-associative coefficients, so a ``side`` is required there.
     """
-    if side not in ("both", "left", "right"):
-        raise StructuralError(f"bad side {side!r}")
+    _choose("side", side, INVERSE_SIDES)
     e = unit_series(a.flavor, a.order, a.one)
     if a.flavor == "inv" and side == "both":
         raise StructuralError("inv series need an explicit inverse side")
@@ -341,8 +341,7 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
     a._check(b)
     if not 1 <= n <= a.order:
         raise StructuralError(f"degree {n} outside order {a.order}")
-    if kind not in ("delta", "delta_r", "delta_l"):
-        raise StructuralError(f"unknown co-operation {kind!r}")
+    _choose("kind", kind, ("delta", "delta_r", "delta_l"))
     if known_nonassociative(a.one):
         raise StructuralError(
             "convolution_eval needs an associative coefficient algebra")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-from . import DEFAULT_SEED, DomainError, StructuralError
+from . import DEFAULT_SEED, SIDES, DomainError, StructuralError, _choose
 from .algebras import (
     CDElement,
     MatrixElement,
@@ -131,8 +131,7 @@ def ucd_divide(side: str, x: DoubledElement, y: DoubledElement
     This shortcut is a genuine loop division exactly on alternative
     carriers; on others the cancellation defect is what ``ucd-not-loop``
     exhibits."""
-    if side not in ("left", "right"):
-        raise StructuralError(f"side must be left or right, got {side!r}")
+    _choose("side", side, SIDES)
     if not is_zero(x.unitary_defect()):
         raise DomainError("a unitary division needs a a* + b b* = 1")
     inv = x.conj()
@@ -415,16 +414,14 @@ _WITNESSES: dict[str, Callable[[], dict]] = {
 }
 
 WITNESS_NAMES = tuple(sorted(_WITNESSES))
+# the one witness that samples, so the one that reads a seed
+SEEDED_WITNESS = "ucd-not-loop"
 
 
 def witness(name: str, seed: int = DEFAULT_SEED) -> dict:
     """Recompute one of the named counterexamples from scratch and
     check every known value; the report carries all computed sides.
-    ``seed`` drives the sampler of ``ucd-not-loop``; the other witnesses
-    are fixed."""
-    try:
-        builder = _WITNESSES[name]
-    except KeyError:
-        raise StructuralError(
-            f"unknown witness {name!r}; choose from {WITNESS_NAMES}")
-    return builder(seed) if builder is _witness_ucd_not_loop else builder()
+    ``seed`` drives the sampler of ``SEEDED_WITNESS``; the other
+    witnesses are fixed."""
+    builder = _WITNESSES[_choose("witness", name, WITNESS_NAMES)]
+    return builder(seed) if name == SEEDED_WITNESS else builder()

@@ -287,7 +287,7 @@ class TestIdentityChecks:
     def test_associator_is_not_an_identity_check(self):
         # identity_check returns verdicts; the defect (ab)c - a(bc) is
         # associator()
-        with pytest.raises(StructuralError, match="unknown identity"):
+        with pytest.raises(StructuralError, match="^identity must be one of .*, got 'associator'$"):
             identity_check("associator", e(3, 1), e(3, 2), e(3, 4))
 
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,12 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from loopseries import (
+    COLOOP_FLAVORS,
     DEFAULT_SEED,
+    INVERSE_SIDES,
+    MODES,
+    SERIES_FLAVORS,
+    SIDES,
     StructuralError,
     __version__,
     algebras,
@@ -215,7 +221,6 @@ class TestSeriesCommands:
         assert out.startswith("t + O(t^5)")
 
     def test_series_json_round_trip(self):
-        from fractions import Fraction
         s = TruncatedSeries("diff", 3, [Fraction(1, 2), Fraction(-3)],
                             Fraction(1))
         blob = series_to_json(s, "q")
@@ -397,6 +402,79 @@ def test_parser_constants_match_the_library():
             assert names(side) <= images, (axiom, side)
 
 
+def test_parser_offers_the_package_vocabularies():
+    commands = next(a.choices for a in cli.build_parser()._actions
+                    if a.dest == "command")
+
+    def choices(command: str, dest: str):
+        return next(a.choices for a in commands[command]._actions
+                    if a.dest == dest)
+
+    assert choices("coop", "flavor") is COLOOP_FLAVORS
+    assert choices("verify", "flavor") == COLOOP_FLAVORS + ("both",)
+    assert choices("operators", "mode") is MODES
+    for command in ("divide", "invert"):
+        assert choices(command, "flavor") is SERIES_FLAVORS
+    assert choices("divide", "side") is SIDES
+    assert choices("divide", "mode") is MODES
+    assert choices("invert", "side") is INVERSE_SIDES
+
+
+def _unit_series(flavor: str = "inv") -> TruncatedSeries:
+    return TruncatedSeries(flavor, 2, [Fraction(0)])
+
+
+# Each library refusal of an unknown name: the call, the name it refuses
+# and the names it allows.
+REFUSALS = {
+    "Coloop-flavor": (lambda: coloops.Coloop("diff"), "diff", COLOOP_FLAVORS),
+    "codivision-side": (lambda: coloops.get_coloop("inv").codivision("up", 1),
+                        "up", SIDES),
+    "antipode-side": (lambda: coloops.get_coloop("fdb").antipode("up", 1),
+                      "up", SIDES),
+    "axiom": (lambda: coloops.get_coloop("inv").axiom_check("nope", 1),
+              "nope", tuple(coloops.AXIOMS)),
+    "TruncatedSeries-flavor": (lambda: TruncatedSeries("fdb", 2, [1]),
+                               "fdb", SERIES_FLAVORS),
+    "divide-side": (lambda: seriesloops.divide("up", _unit_series(),
+                                               _unit_series()),
+                    "up", SIDES),
+    "divide-mode": (lambda: seriesloops.divide("left", _unit_series(),
+                                               _unit_series(), "fast"),
+                    "fast", MODES),
+    "series_inverse-side": (lambda: seriesloops.series_inverse(
+        _unit_series("diff"), "up"), "up", INVERSE_SIDES),
+    "convolution_eval-kind": (lambda: seriesloops.convolution_eval(
+        "s_r", _unit_series(), _unit_series(), 1),
+        "s_r", ("delta", "delta_r", "delta_l")),
+    "left_op-mode": (lambda: operators.left_op([], "fast"), "fast", MODES),
+    "right_op-mode": (lambda: operators.right_op([], "fast"), "fast", MODES),
+    "right_op_e-mode": (lambda: operators.right_op_e((), [], "fast"),
+                        "fast", MODES),
+    "ucd_divide-side": (lambda: witnesses.ucd_divide(
+        "both", witnesses.DoubledElement(Fraction(1), Fraction(0)),
+        witnesses.DoubledElement(Fraction(0), Fraction(1))),
+        "both", SIDES),
+    "witness": (lambda: witnesses.witness("nope"), "nope",
+                witnesses.WITNESS_NAMES),
+    "identity": (lambda: algebras.identity_check("associator", 1, 2, 3),
+                 "associator", ("power-assoc-3", "left-alternative",
+                                "right-alternative", "flexible", "moufang-1",
+                                "moufang-2", "moufang-3", "moufang-4")),
+}
+
+
+@pytest.mark.parametrize("call, bad, allowed", REFUSALS.values(),
+                         ids=REFUSALS)
+def test_unknown_name_refusal_lists_the_allowed_names(call, bad, allowed):
+    with pytest.raises(StructuralError) as exc:
+        call()
+    message = str(exc.value)
+    assert re.fullmatch(r"\w+ must be one of \(.*\), got .*", message)
+    assert message.endswith(f"got {bad!r}")
+    assert all(repr(name) in message for name in allowed), message
+
+
 class TestWitnessCommand:
     def test_text_pass(self, capsys):
         code, out, _ = run(capsys, "witness", "diff-power-assoc")
@@ -413,6 +491,27 @@ class TestWitnessCommand:
         assert data["pass"] is True
         assert data["seed"] == DEFAULT_SEED
         assert f"seed {DEFAULT_SEED}" in err
+
+    @pytest.mark.parametrize("name", [
+        name for name in cli.WITNESS_NAMES
+        if name != witnesses.SEEDED_WITNESS])
+    def test_fixed_witness_reports_no_seed(self, capsys, name):
+        code, out, err = run(capsys, "--seed", "5", "--format", "json",
+                             "witness", name)
+        assert code == 0
+        assert validate_envelope(out)["seed"] is None
+        assert "seed" not in err
+
+    def test_seed_line_follows_the_version_line(self, capsys):
+        code, _, err = run(capsys, "--seed", "5", "witness", "ucd-not-loop")
+        assert code == 0
+        assert err.splitlines()[:2] == [f"loopseries {__version__}", "seed 5"]
+        # a refused format runs no witness, so it prints no seed
+        code, _, err = run(capsys, "--format", "csv", "witness",
+                           "ucd-not-loop")
+        assert code == 2
+        assert err.splitlines() == [f"loopseries {__version__}",
+                                    "error: witness has no csv output"]
 
     def test_unknown_witness_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from loopseries import StructuralError, combinatorics
+from loopseries import SERIES_FLAVORS, StructuralError, combinatorics
 from loopseries.combinatorics import (
     all_compositions,
     bit_sequences,
@@ -365,7 +365,7 @@ class TestCodivisionTerms:
             for expansion in operator_expansions(kind, 5).values():
                 assert got == expansion
 
-        for flavor in seriesloops.FLAVORS:
+        for flavor in SERIES_FLAVORS:
             a = seriesloops.TruncatedSeries(
                 flavor, 5, [Fraction(v) for v in (1, -2, 3, 0, 1)])
             b = seriesloops.TruncatedSeries(

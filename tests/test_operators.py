@@ -261,11 +261,12 @@ class TestInputChecks:
     @pytest.mark.parametrize("ell", range(4))
     def test_unknown_mode_raises_for_any_length(self, ell):
         fs = [x(1)] * ell
-        with pytest.raises(StructuralError, match="unknown mode"):
+        refusal = r"^mode must be one of \('recursive', 'closed'\), got 'bogus'$"
+        with pytest.raises(StructuralError, match=refusal):
             left_op(fs, "bogus")
-        with pytest.raises(StructuralError, match="unknown mode"):
+        with pytest.raises(StructuralError, match=refusal):
             right_op(fs, "bogus")
-        with pytest.raises(StructuralError, match="unknown mode"):
+        with pytest.raises(StructuralError, match=refusal):
             right_op_e((1,) * ell, fs, "bogus")
 
     def test_from_factors_rule_ignores_zero_position(self):

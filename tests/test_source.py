@@ -316,3 +316,21 @@ def _unused_imports(path: str) -> list[str]:
 @pytest.mark.parametrize("module", ["__init__"] + MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports(os.path.join(SRC, f"{module}.py")) == []
+
+
+def test_package_root_imports_only_contextlib():
+    # every command compiles and runs the package root, so a module that
+    # it imports at module level is loaded by all of them; ``json`` is
+    # imported inside ``_emit_json``, by the commands that print json
+    with open(os.path.join(SRC, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = [alias.name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert imported == ["contextlib"]
+    emit = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_emit_json")
+    assert [alias.name for node in ast.walk(emit)
+            if isinstance(node, ast.Import)
+            for alias in node.names] == ["json"]
