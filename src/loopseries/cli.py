@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", help="bit sequence for Re, e.g. 1,2,1")
     p.add_argument("--m", help="M-sequence for Rm, e.g. 2,0,1")
     p.add_argument("--mode", choices=MODES,
-                   help="for L, R and Re; recursive when not given")
+                   help=f"for L, R and Re; {MODES[0]} when not given")
 
     p = command("verify", help="run the symbolic axiom battery")
     p.add_argument("--flavor", choices=COLOOP_FLAVORS + ("both",),
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "divide":
             p.add_argument("--b", required=True, help="series JSON")
             p.add_argument("--side", choices=SIDES, required=True)
-            p.add_argument("--mode", choices=MODES, default="recursive")
+            p.add_argument("--mode", choices=MODES, default=MODES[0])
         else:
             p.add_argument("--side", choices=INVERSE_SIDES, default="both")
 

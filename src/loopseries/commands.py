@@ -4,14 +4,17 @@
 (``coeffs``, ``coop``, ``operators``, ``verify``, ``witness``,
 ``trees``), so the series commands never compile it. Each handler takes
 the parsed arguments, imports the library layers it runs and returns the
-output text with the exit status.
+output text with the exit status. Each builds its rows once, for all
+formats: ``coeffs`` lists the ``d`` table as the ``d^e`` table with one
+empty label per composition, and ``verify`` computes its records and
+exit status once. An ``operators --mode`` left out is ``MODES[0]``.
 """
 
 from __future__ import annotations
 
 import sys
 
-from . import COLOOP_FLAVORS, StructuralError, _emit_json, _option
+from . import COLOOP_FLAVORS, MODES, StructuralError, _emit_json, _option
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:
@@ -38,41 +41,36 @@ def cmd_coeffs(args) -> tuple[str, int]:
     )
 
     n = args.n
-    json_out = args.format == "json"
+    labeled = args.kind == "de"
+    name = "d_e" if labeled else "d"
+    header = ["n", "e", "composition", name] if labeled \
+        else ["n", "composition", name]
+    # each length's labels, as (csv fields, json fields): d^e has the bit
+    # sequences E(l), d one empty label per composition
+    labels: dict[int, list] = {}
     rows = []
     data = []
-    if args.kind == "d":
-        header = ["n", "composition", "d"]
-        for comp in all_compositions(n):
-            ns = comp[:-1]
-            value = lagrange_d(ns)
-            rows.append([n, _tuple_text(ns), value])
-            if json_out:
-                data.append({"n": n, "composition": list(ns), "d": value})
-    else:
-        header = ["n", "e", "composition", "d_e"]
-        # E(l) and its text, once per length
-        labels: dict[int, list] = {}
-        for comp in all_compositions(n):
-            ns = comp[:-1]
-            ell = len(ns)
-            if ell not in labels:
-                labels[ell] = [(e, _tuple_text(e))
-                               for e in bit_sequences(ell)]
-            ns_text = _tuple_text(ns)
-            for (e, e_text), value in zip(labels[ell],
-                                          lagrange_d_labeled_row(ns)):
-                rows.append([n, e_text, ns_text, value])
-                if json_out:
-                    data.append({"n": n, "e": list(e),
-                                 "composition": list(ns), "d_e": value})
+    for comp in all_compositions(n):
+        ns = comp[:-1]
+        ell = len(ns)
+        if ell not in labels:
+            labels[ell] = [([_tuple_text(e)], {"e": list(e)})
+                           for e in bit_sequences(ell)] if labeled \
+                else [([], {})]
+        ns_text = _tuple_text(ns)
+        values = lagrange_d_labeled_row(ns) if labeled else [lagrange_d(ns)]
+        for (fields, record), value in zip(labels[ell], values):
+            rows.append([n, *fields, ns_text, value])
+            if args.format == "json":
+                data.append({"n": n, **record, "composition": list(ns),
+                             name: value})
     if args.format == "csv":
         return _emit_csv(header, rows), 0
     if args.format == "json":
         return _emit_json("coeffs", data), 0
-    width = max(len(str(r[-2])) for r in rows)
-    lines = [" ".join([f"{r[-2]:<{width}}", "->", str(r[-1])]) +
-             ("" if args.kind == "d" else f"  e={r[1]}") for r in rows]
+    width = max(len(r[-2]) for r in rows)
+    lines = [f"{r[-2]:<{width}} -> {r[-1]}" +
+             (f"  e={r[1]}" if labeled else "") for r in rows]
     return "\n".join(lines) + "\n", 0
 
 
@@ -112,7 +110,7 @@ def cmd_operators(args) -> tuple[str, int]:
         raise StructuralError(f"--m applies to --op Rm, not {args.op}")
     if args.mode is not None and args.op == "Rm":
         raise StructuralError("--mode applies to --op L, R and Re, not Rm")
-    mode = args.mode or "recursive"
+    mode = args.mode or MODES[0]
     degrees = _parse_int_tuple(args.degrees, "--degrees")
     with _option("--degrees"):
         factors = [NCPolynomial.generator(1, d) for d in degrees]
@@ -142,44 +140,37 @@ def cmd_operators(args) -> tuple[str, int]:
     return str(result) + "\n", 0
 
 
-def _verify_records(flavor: str, max_degree: int) -> list[dict]:
+def cmd_verify(args) -> tuple[str, int]:
     from . import coloops
 
-    table = coloops.get_coloop(flavor)
-    records = []
-    for axiom in coloops.AXIOMS:
-        first_expected = coloops.EXPECTED_FAILURES.get((flavor, axiom))
-        for n in range(1, max_degree + 1):
-            ok, disc = table.axiom_check(axiom, n)
-            expected = first_expected is not None and n >= first_expected
-            records.append({
-                "flavor": flavor,
-                "axiom": axiom,
-                "n": n,
-                "pass": ok,
-                "expected_failure": expected,
-                "discrepancy": None if disc is None else str(disc),
-            })
-    return records
-
-
-def cmd_verify(args) -> tuple[str, int]:
     flavors = COLOOP_FLAVORS if args.flavor == "both" else (args.flavor,)
     records = []
     for flavor in flavors:
-        records.extend(_verify_records(flavor, args.max_degree))
+        table = coloops.get_coloop(flavor)
+        for axiom in coloops.AXIOMS:
+            first_expected = coloops.EXPECTED_FAILURES.get((flavor, axiom))
+            for n in range(1, args.max_degree + 1):
+                ok, disc = table.axiom_check(axiom, n)
+                records.append({
+                    "flavor": flavor,
+                    "axiom": axiom,
+                    "n": n,
+                    "pass": ok,
+                    "expected_failure":
+                        first_expected is not None and n >= first_expected,
+                    "discrepancy": None if disc is None else str(disc),
+                })
     as_expected = all(r["pass"] != r["expected_failure"] for r in records)
+    code = 0 if as_expected else 1
     if args.format == "json":
-        return _emit_json("verify", {"records": records}, passed=as_expected), \
-            0 if as_expected else 1
+        return _emit_json("verify", {"records": records},
+                          passed=as_expected), code
     if args.format == "csv":
         rows = [[r["flavor"], r["axiom"], r["n"], int(r["pass"]),
                  int(r["expected_failure"]), r["discrepancy"] or ""]
                 for r in records]
-        out = _emit_csv(
-            ["flavor", "axiom", "n", "pass", "expected_failure",
-             "discrepancy"], rows)
-        return out, 0 if as_expected else 1
+        return _emit_csv(["flavor", "axiom", "n", "pass", "expected_failure",
+                          "discrepancy"], rows), code
     lines = []
     for r in records:
         status = "ok" if r["pass"] else (
@@ -190,7 +181,7 @@ def cmd_verify(args) -> tuple[str, int]:
         lines.append(line)
     lines.append("verdict: " + ("all as expected" if as_expected
                                 else "UNEXPECTED RESULTS"))
-    return "\n".join(lines) + "\n", 0 if as_expected else 1
+    return "\n".join(lines) + "\n", code
 
 
 def cmd_witness(args) -> tuple[str, int]:

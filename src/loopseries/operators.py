@@ -133,7 +133,7 @@ def _check_factors(factors: Sequence[NCPolynomial]
 
 
 def left_op(factors: Sequence[NCPolynomial],
-            mode: str = "recursive") -> GradedTensorPoly:
+            mode: str = MODES[0]) -> GradedTensorPoly:
     """Left recursive operator ``L_l``.
 
     ``recursive`` evaluates the defining alternating sum
@@ -167,7 +167,7 @@ def left_op(factors: Sequence[NCPolynomial],
 
 
 def right_op(factors: Sequence[NCPolynomial],
-             mode: str = "recursive") -> GradedTensorPoly:
+             mode: str = MODES[0]) -> GradedTensorPoly:
     """Right recursive operator ``R_l``.
 
     The defining sum runs over every composition ``(p_1..p_j)`` of ``l``
@@ -217,7 +217,7 @@ def right_op_m(m: Sequence[int],
 
 
 def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
-               mode: str = "recursive") -> GradedTensorPoly:
+               mode: str = MODES[0]) -> GradedTensorPoly:
     """Labeled right recursive operator ``R_l^e``.
 
     Equals ``right_op`` when ``e = (1,..,1)`` and vanishes when ``e``

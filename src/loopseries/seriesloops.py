@@ -237,7 +237,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def divide(side: str, a: TruncatedSeries, b: TruncatedSeries,
-           mode: str = "recursive") -> TruncatedSeries:
+           mode: str = MODES[0]) -> TruncatedSeries:
     """Division in the series loop: ``right`` solves ``q * b = a`` (``a/b``),
     ``left`` solves ``a * q = b`` (``a\\b``).
 

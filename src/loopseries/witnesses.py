@@ -364,7 +364,7 @@ def _witness_inv_power_assoc() -> dict:
                    {"((aa)a - a(aa))_3": defect}, checks)
 
 
-def _witness_ucd_not_loop(seed: int = DEFAULT_SEED) -> dict:
+def _witness_ucd_not_loop(seed: int) -> dict:
     rng = Random(seed)
     rational = sample_zorn_unitaries(rng, 24)
     ok_zorn = True
@@ -404,7 +404,7 @@ def _witness_ucd_not_loop(seed: int = DEFAULT_SEED) -> dict:
     return _report("ucd-not-loop", {}, computed, checks)
 
 
-_WITNESSES: dict[str, Callable[[], dict]] = {
+_WITNESSES: dict[str, Callable[..., dict]] = {
     "diff-power-assoc": _witness_diff_power_assoc,
     "diff-right-alt": _witness_diff_right_alt,
     "inv-left-right-inverse": _witness_inv_left_right_inverse,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import inspect
 import itertools
@@ -35,7 +36,7 @@ from loopseries import (
 from loopseries.cli import main, series_from_json, series_to_json
 from loopseries.freealg import NCPolynomial
 from loopseries.seriesloops import TruncatedSeries
-from test_cli_grammar import check
+from test_cli_grammar import FORMATS, check, parser_choices
 
 
 def run(capsys, *argv):
@@ -78,6 +79,37 @@ class TestCoeffs:
         assert code == 0
         data = validate_envelope(out)
         assert {"n": 4, "composition": [1, 1, 1], "d": 14} in data["data"]
+
+    @pytest.mark.parametrize("kind", ["d", "de"])
+    def test_formats_list_one_table(self, capsys, kind):
+        # (composition, e, value) in output order; e is None for d
+        def parse(text: str) -> tuple:
+            return tuple(int(x) for x in text.strip("()").split(",") if x)
+
+        for n in range(1, 7):
+            argv = ["coeffs", "--kind", kind, "--n", str(n)]
+            tables = {}
+            _, out, _ = run(capsys, "--format", "csv", *argv)
+            tables["csv"] = [
+                (parse(r["composition"]),
+                 parse(r["e"]) if "e" in r else None,
+                 int(r.get("d_e", r.get("d"))))
+                for r in csv.DictReader(out.splitlines())]
+            _, out, _ = run(capsys, "--format", "json", *argv)
+            tables["json"] = [
+                (tuple(r["composition"]),
+                 tuple(r["e"]) if "e" in r else None,
+                 r.get("d_e", r.get("d")))
+                for r in json.loads(out)["data"]]
+            _, out, _ = run(capsys, *argv)
+            lines = [re.fullmatch(r"(\(.*?\)) +-> (-?\d+)(?:  e=(\(.*\)))?",
+                                  line) for line in out.splitlines()]
+            tables["text"] = [
+                (parse(m[1]), parse(m[3]) if m[3] else None, int(m[2]))
+                for m in lines]
+            assert tables["csv"] == tables["json"] == tables["text"], n
+            # 2^(n-1) compositions; with their labels, 3^(n-1) rows
+            assert len(tables["csv"]) == (2 if kind == "d" else 3) ** (n - 1)
 
 
 class TestCoop:
@@ -158,6 +190,30 @@ class TestVerify:
         "json": "48e0c033b8875c52009b3eff94edc41a3ae089e00f86bedf7c98b961baa1fd5d",
         "csv": "eff43a6ee46aa270724bcc131194d1646e501b81f3873fa6ed52a713f3e338af",
     }
+
+    @pytest.mark.parametrize("expected", ["paper", "none"])
+    def test_formats_agree_on_records_and_exit(self, capsys, monkeypatch,
+                                               expected):
+        # with no failure expected, fdb's coinverse-left failures are
+        # unexpected, and every format exits 1
+        if expected == "none":
+            monkeypatch.setattr(coloops, "EXPECTED_FAILURES", {})
+        argv = ["verify", "--flavor", "both", "--max-degree", "4"]
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        envelope = json.loads(out)
+        records = [{key: str(int(value)) if isinstance(value, bool)
+                    else str(value or "") for key, value in r.items()}
+                   for r in envelope["data"]["records"]]
+        csv_code, out, _ = run(capsys, "--format", "csv", *argv)
+        assert list(csv.DictReader(out.splitlines())) == records
+        text_code, out, _ = run(capsys, *argv)
+        verdict = out.splitlines()[-1]
+        assert len(out.splitlines()) == len(records) + 1
+        assert verdict == ("verdict: all as expected" if expected == "paper"
+                           else "verdict: UNEXPECTED RESULTS")
+        assert code == csv_code == text_code == \
+            (0 if verdict == "verdict: all as expected" else 1)
+        assert envelope["pass"] is (code == 0)
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_degree_9_output_is_pinned(self, capsys, fmt):
@@ -403,21 +459,66 @@ def test_parser_constants_match_the_library():
 
 
 def test_parser_offers_the_package_vocabularies():
-    commands = next(a.choices for a in cli.build_parser()._actions
-                    if a.dest == "command")
+    # each vocabulary's value is pinned here once; the other tests, the
+    # grammar fuzz included, read the tuples
+    assert SIDES == ("left", "right")
+    assert INVERSE_SIDES == SIDES + ("both",)
+    assert MODES == ("recursive", "closed")
+    assert SERIES_FLAVORS == ("inv", "diff")
+    assert COLOOP_FLAVORS == ("inv", "fdb")
+    assert FORMATS == ("text", "json", "csv")
+    assert parser_choices("coeffs", "kind") == ("d", "de")
+    assert parser_choices("operators", "op") == ("L", "R", "Re", "Rm")
 
-    def choices(command: str, dest: str):
-        return next(a.choices for a in commands[command]._actions
-                    if a.dest == dest)
-
-    assert choices("coop", "flavor") is COLOOP_FLAVORS
-    assert choices("verify", "flavor") == COLOOP_FLAVORS + ("both",)
-    assert choices("operators", "mode") is MODES
+    assert parser_choices("coop", "flavor") is COLOOP_FLAVORS
+    assert parser_choices("verify", "flavor") == COLOOP_FLAVORS + ("both",)
+    assert parser_choices("operators", "mode") is MODES
     for command in ("divide", "invert"):
-        assert choices(command, "flavor") is SERIES_FLAVORS
-    assert choices("divide", "side") is SIDES
-    assert choices("divide", "mode") is MODES
-    assert choices("invert", "side") is INVERSE_SIDES
+        assert parser_choices(command, "flavor") is SERIES_FLAVORS
+    assert parser_choices("divide", "side") is SIDES
+    assert parser_choices("divide", "mode") is MODES
+    assert parser_choices("invert", "side") is INVERSE_SIDES
+    # the default mode is the first, at the command line and in the library
+    divide = parser_choices(None, "command")["divide"]
+    assert divide.get_default("mode") == MODES[0]
+    for fn in (seriesloops.divide, operators.left_op, operators.right_op,
+               operators.right_op_e):
+        assert inspect.signature(fn).parameters["mode"].default == MODES[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["operators", "--op", "L", "--degrees", "1,2,1"],
+    ["operators", "--op", "R", "--degrees", "1,2,1"],
+    ["operators", "--op", "Re", "--degrees", "1,2,1", "--bits", "1,2,1"],
+    ["divide", "--flavor", "diff", "--side", "left", "--order", "3",
+     "--algebra", "q", "--a", '["1", "2"]', "--b", '["3"]'],
+], ids=lambda a: a[0] + " " + a[2])
+def test_mode_left_out_is_the_first_mode(capsys, argv):
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert run(capsys, *argv, "--mode", MODES[0]) == default
+
+
+def test_schema_enums_are_the_vocabularies():
+    with open(SCHEMA_PATH) as fh:
+        schema = json.load(fh)
+    # the properties of each object that a command's data is, by command
+    data = {}
+    for branch in schema["allOf"]:
+        command = branch["if"]["properties"]["command"]
+        for name in command.get("enum", [command.get("const")]):
+            data[name] = branch["then"]["properties"]["data"].get(
+                "properties")
+    assert data["coop"]["flavor"]["enum"] == list(COLOOP_FLAVORS)
+    assert data["coop"]["kind"]["enum"] == list(cli.COOP_KINDS)
+    assert data["operators"]["op"]["enum"] == \
+        list(parser_choices("operators", "op"))
+    record = data["verify"]["records"]["items"]["properties"]
+    assert record["flavor"]["enum"] == list(COLOOP_FLAVORS)
+    for command in ("divide", "invert"):
+        assert data[command]["flavor"]["enum"] == list(SERIES_FLAVORS)
+    assert schema["properties"]["command"]["enum"] == \
+        list(parser_choices(None, "command"))
 
 
 def _unit_series(flavor: str = "inv") -> TruncatedSeries:

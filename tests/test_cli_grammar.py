@@ -5,13 +5,14 @@ command and a stray option), each with its valid tokens and the tokens
 the README's input grammar refuses in their place: signs, spaces,
 ``1_0``, ``2e1``, non-ASCII digits, floats, booleans, a sign after
 ``*``, wrong matrix widths, unknown keys, a required option left out, an
-option the command does not take. The commands, kinds, flavors, algebras
-and witnesses are the parser's own constants. A line is valid, or has
-exactly one field refused. A second test draws lines with one value slot,
-an integer option or a series coefficient, so that each refused value is
-met often. ``cli.main`` must exit 2 with one ``error:`` line and no
-traceback exactly on the refused lines, and otherwise exit 0 with the
-same stdout on a second run. ``tests/test_cli.py::BAD_INPUTS`` stays the
+option the command does not take. The commands, formats, kinds,
+operators, algebras and witnesses are the parser's own choices, and the
+sides, modes and flavors the package's vocabularies. A line is valid, or
+has exactly one field refused. A second test draws lines with one value
+slot, an integer option or a series coefficient, so that each refused
+value is met often. ``cli.main`` must exit 2 with one ``error:`` line
+and no traceback exactly on the refused lines, and otherwise exit 0 with
+the same stdout on a second run. ``tests/test_cli.py::BAD_INPUTS`` stays the
 fixed regression list.
 
 The builders below are plain functions of hypothesis's ``draw``; only
@@ -29,12 +30,33 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from loopseries import cli
+from loopseries import (
+    COLOOP_FLAVORS,
+    INVERSE_SIDES,
+    MODES,
+    SERIES_FLAVORS,
+    SIDES,
+    cli,
+)
 from loopseries.combinatorics import m_sequences
 
 FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None,
                          derandomize=True,
                          suppress_health_check=[HealthCheck.too_slow])
+
+PARSER = cli.build_parser()
+
+
+def parser_choices(command: str | None, dest: str):
+    """The choices the parser offers for ``dest``: an option of
+    ``command``, or of the top level when ``command`` is None."""
+    parser = PARSER
+    if command is not None:
+        parser = parser_choices(None, "command")[command]
+    return next(a.choices for a in parser._actions if a.dest == dest)
+
+
+FORMATS = parser_choices(None, "format")
 
 # A field is ``(tokens, refuse)``: its valid argv tokens, drawn already,
 # and a function of ``draw`` that gives tokens the grammar refuses in their
@@ -181,8 +203,9 @@ def series_fields(draw, command: str) -> list:
     level = cli.ALGEBRAS[algebra][1]
     # diff series need an associative carrier: level 3 and up is not
     nonassociative = level is not None and level >= 3
-    flavor = draw(st.sampled_from(("inv",) if nonassociative
-                                  else ("inv", "diff")))
+    flavors = tuple(f for f in SERIES_FLAVORS if f != "diff") \
+        if nonassociative else SERIES_FLAVORS
+    flavor = draw(st.sampled_from(flavors))
     order = draw(st.integers(1, 3))
     fields = [
         option(draw, "--flavor", st.just(flavor),
@@ -195,22 +218,21 @@ def series_fields(draw, command: str) -> list:
     if command == "divide":
         fields += [
             series_option(draw, "--b", flavor, order, algebra),
-            option(draw, "--side", *choices(("left", "right"))),
-            option(draw, "--mode", *choices(("recursive", "closed")),
-                   required=False),
+            option(draw, "--side", *choices(SIDES)),
+            option(draw, "--mode", *choices(MODES), required=False),
         ]
     elif flavor == "inv":
         # the two inv inverses differ: inv needs --side left or right
-        fields.append(option(draw, "--side", st.sampled_from(
-            ("left", "right")), ("both", "bogus")))
+        fields.append(option(draw, "--side", st.sampled_from(SIDES),
+                             ("both", "bogus")))
     else:
-        fields.append(option(draw, "--side", *choices(
-            ("left", "right", "both")), required=False))
+        fields.append(option(draw, "--side", *choices(INVERSE_SIDES),
+                             required=False))
     return fields
 
 
 def operators_fields(draw) -> list:
-    op = draw(st.sampled_from(("L", "R", "Re", "Rm")))
+    op = draw(st.sampled_from(parser_choices("operators", "op")))
     ell = draw(st.integers(1, 3))
     degrees = draw(st.lists(st.integers(1, 3), min_size=ell, max_size=ell))
     fields = [
@@ -233,22 +255,23 @@ def operators_fields(draw) -> list:
                    foreign(["--mode", "closed"])]
     else:
         fields += [foreign(["--m", "1"]),
-                   option(draw, "--mode", *choices(("recursive", "closed")),
-                          required=False)]
+                   option(draw, "--mode", *choices(MODES), required=False)]
     return fields
 
 
 def command_fields(draw, command: str) -> list:
     if command == "coeffs":
-        return [option(draw, "--kind", *choices(("d", "de")), required=False),
+        return [option(draw, "--kind",
+                       *choices(parser_choices("coeffs", "kind")),
+                       required=False),
                 option(draw, "--n", *integer(1, 4))]
     if command == "coop":
-        return [option(draw, "--flavor", *choices(("inv", "fdb"))),
+        return [option(draw, "--flavor", *choices(COLOOP_FLAVORS)),
                 option(draw, "--kind", *choices(cli.COOP_KINDS)),
                 option(draw, "--n", *integer(1, 3))]
     if command == "verify":
-        return [option(draw, "--flavor", *choices(("inv", "fdb", "both")),
-                       required=False),
+        return [option(draw, "--flavor",
+                       *choices(COLOOP_FLAVORS + ("both",)), required=False),
                 option(draw, "--max-degree", *integer(1, 3), required=False)]
     if command == "trees":
         return [option(draw, "--length", *integer(1, 4))]
@@ -275,7 +298,7 @@ def command_lines(draw) -> tuple[list[str], bool]:
     no_csv = command in cli.NO_CSV
     fields = [
         option(draw, "--format", st.sampled_from(
-            ("text", "json") if no_csv else ("text", "json", "csv")),
+            tuple(f for f in FORMATS if f != "csv") if no_csv else FORMATS),
             ("bogus",) + (("csv",) if no_csv else ()), required=False),
         option(draw, "--seed", digits(0, 2 ** 64 - 1),
                NOT_DIGITS + (str(2 ** 64),), required=False),

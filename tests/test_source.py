@@ -16,8 +16,16 @@ import sys
 
 import pytest
 
-from loopseries import cli
+from loopseries import (
+    COLOOP_FLAVORS,
+    INVERSE_SIDES,
+    MODES,
+    SERIES_FLAVORS,
+    SIDES,
+    cli,
+)
 from loopseries.cli import main
+from test_cli_grammar import FORMATS, parser_choices
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "loopseries")
 MODULES = sorted(name[:-3] for name in os.listdir(SRC)
@@ -44,43 +52,46 @@ def test_every_algebra_has_series():
                for a, b in ALGEBRA_SERIES.values())
 
 
+# the letter options of each operator besides --degrees; Rm has one form,
+# so no --mode
+OPERATOR_EXTRAS = {"L": [], "R": [], "Re": ["--bits", "1,2,1"],
+                   "Rm": ["--m", "2,0,1"]}
+
+
 def _commands() -> list[list[str]]:
     """Every command, in every format it has, over every flavor, kind,
-    operator, mode, side, algebra and witness, at small sizes; the kinds,
-    witnesses and algebras are the parser's own lists."""
+    operator, mode, side, algebra and witness, at small sizes; the
+    formats, kinds, operators, witnesses and algebras are the parser's own
+    lists, and the sides, modes and flavors the package's vocabularies."""
     out = []
-    for fmt in ("text", "json", "csv"):
+    for fmt in FORMATS:
         g = ["--format", fmt]
         out += [g + ["coeffs", "--kind", kind, "--n", "4"]
-                for kind in ("d", "de")]
+                for kind in parser_choices("coeffs", "kind")]
         out += [g + ["coop", "--flavor", flavor, "--kind", kind, "--n", "3"]
-                for flavor in ("inv", "fdb") for kind in cli.COOP_KINDS]
+                for flavor in COLOOP_FLAVORS for kind in cli.COOP_KINDS]
         out.append(g + ["verify", "--flavor", "both", "--max-degree", "3"])
         out.append(g + ["trees", "--length", "3"])
-    for fmt in ("text", "json"):
+    for fmt in (f for f in FORMATS if f != "csv"):
         g = ["--format", fmt]
-        for op, extra in (("L", []), ("R", []), ("Re", ["--bits", "1,2,1"])):
+        for op in parser_choices("operators", "op"):
+            modes = [[]] if op == "Rm" else [["--mode", m] for m in MODES]
             out += [g + ["operators", "--op", op, "--degrees", "1,2,1",
-                         "--mode", mode, *extra]
-                    for mode in ("recursive", "closed")]
-        out.append(g + ["operators", "--op", "Rm", "--degrees", "1,2,1",
-                        "--m", "2,0,1"])
+                         *mode, *OPERATOR_EXTRAS[op]] for mode in modes]
         out += [g + ["witness", name] for name in cli.WITNESS_NAMES]
     for algebra in cli.ALGEBRA_NAMES:
         a, b = ALGEBRA_SERIES[algebra]
         # diff series need associative coefficients: level 3 and up is not
         level = cli.ALGEBRAS[algebra][1]
-        flavors = ("inv", "diff") if level is None or level < 3 \
-            else ("inv",)
+        flavors = SERIES_FLAVORS if level is None or level < 3 \
+            else tuple(f for f in SERIES_FLAVORS if f != "diff")
         for flavor in flavors:
             series = ["--flavor", flavor, "--order", "3",
                       "--algebra", algebra, "--a", a]
             out += [["divide", *series, "--b", b, "--side", side,
                      "--mode", mode]
-                    for side in ("left", "right")
-                    for mode in ("recursive", "closed")]
-            sides = ("left", "right") if flavor == "inv" \
-                else ("left", "right", "both")
+                    for side in SIDES for mode in MODES]
+            sides = SIDES if flavor == "inv" else INVERSE_SIDES
             out += [["invert", *series, "--side", side] for side in sides]
         # the json form of each algebra's coefficients
         out.append(["--format", "json", "divide", *series, "--b", b,
@@ -334,3 +345,21 @@ def test_package_root_imports_only_contextlib():
     assert [alias.name for node in ast.walk(emit)
             if isinstance(node, ast.Import)
             for alias in node.names] == ["json"]
+
+
+def test_default_mode_is_only_the_first_of_modes():
+    # a mode left out is MODES[0]: no module spells the default mode as a
+    # string besides the package root's MODES
+    found = []
+    for module in ["__init__"] + MODULES:
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            tree = ast.parse(fh.read())
+        stated = {id(node) for statement in tree.body
+                  if isinstance(statement, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "MODES"
+                          for t in statement.targets)
+                  for node in ast.walk(statement)}
+        found += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and node.value == MODES[0] and id(node) not in stated]
+    assert found == []
