@@ -37,9 +37,11 @@ that check.
 
 The helpers (``conj_of``, ``one_of``, ``zero_of``, ``is_zero``,
 ``known_nonassociative``) read the carrier protocol: every carrier other
-than the rationals has the methods ``conj``, ``unit`` and ``is_zero`` and
-the attribute ``associative``, ``False`` on an algebra known to be
-non-associative.
+than the rationals has the methods ``unit`` and ``is_zero``, and may set
+the attribute ``associative``, which defaults to true and is ``False`` on
+an algebra known to be non-associative; ``conj`` is needed only where
+the doubling reads it. The free algebra ``freealg.NCPolynomial`` is a
+carrier too.
 
 All arithmetic is exact; nothing here ever touches floating point.
 """

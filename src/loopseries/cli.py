@@ -103,15 +103,6 @@ def _encode(c, algebra: str):
     return [str(e) for row in c.entries for e in row]
 
 
-def _unit(algebra: str):
-    """The unit of ``algebra``, read by ``one_of`` off its decoded zero."""
-    from .algebras import one_of
-
-    dim = ALGEBRAS[algebra][0]
-    return one_of(_decode("0" if dim is None else ["0"] * (dim * dim),
-                          algebra))
-
-
 def series_to_json(series: TruncatedSeries, algebra: str) -> dict:
     return {
         "flavor": series.flavor,
@@ -176,7 +167,11 @@ def series_from_json(data, flavor: str, order: int, algebra: str
             decoded.append(_decode(c, algebra))
         except StructuralError as exc:
             raise StructuralError(f"coefficient {n}: {exc}") from None
-    return TruncatedSeries(flavor, order, decoded, _unit(algebra))
+    # padded with the algebra's zero, from which the series reads its unit
+    dim = ALGEBRAS[algebra][0]
+    zero = _decode("0" if dim is None else ["0"] * (dim * dim), algebra)
+    return TruncatedSeries(flavor, order,
+                           decoded + [zero] * (order - len(decoded)))
 
 
 # -- the series commands -------------------------------------------------------

@@ -33,6 +33,11 @@ counit``, the coinverse properties and the two-sided antipode; the
 antipodes, the coassociator and its folds are written in the same
 grammar. A copy relabeling after a morphism is composed into the
 morphism's images, so a composite is one morphism application per tuple.
+
+The tables represent the series loops over every unital carrier: under
+``x_k -> a_k`` and ``y_k -> b_k`` each table's words, nested as
+``Coloop._RIGHT_NESTED`` states, give the law, the divisions and the
+inverses of ``loopseries.seriesloops`` (``freealg.evaluate``).
 """
 
 from __future__ import annotations
@@ -157,6 +162,11 @@ class Coloop:
         "s_r": lambda self, k: self.antipode("right", k),
         "s_l": lambda self, k: self.antipode("left", k),
     }
+    # The tables whose words a coefficient assignment evaluates nested to
+    # the right, ``a_1 (a_2 a_3)``, as the left division does; every other
+    # table nests to the left, as the right division does. The nesting
+    # matters only over a non-associative carrier, so only for ``inv``.
+    _RIGHT_NESTED = ("delta_l", "s_l")
 
     def image(self, spec, n: int) -> NCPolynomial:
         """The image of ``x_n`` under the map ``spec``: a name of

@@ -12,6 +12,13 @@ Maps out of these algebras are always algebra homomorphisms, so they are
 represented by their generator tables (``MultiMorphism``); a copy
 relabeling (``fold``) is the ``MultiMorphism`` of its label map.
 
+``NCPolynomial`` is also a coefficient carrier: it has ``unit()`` and
+``is_zero()`` and is associative, so a series whose coefficients are the
+generators of one copy is the generic point of either series loop. A
+scalar ``c`` is ``NCPolynomial.unit() * c``. ``evaluate`` sends the
+generators into a concrete unital algebra, each word's product nested
+to the left or to the right.
+
 ``TensorPoly`` is the image of the canonical projection ``pi`` onto the
 componentwise tensor product: keys are tuples of copy-free words.
 
@@ -184,7 +191,7 @@ class NCPolynomial(Sparse):
         return cls()
 
     @classmethod
-    def one(cls) -> "NCPolynomial":
+    def unit(cls) -> "NCPolynomial":
         return cls({(): 1})
 
     @classmethod
@@ -333,20 +340,22 @@ def project_pi(p: NCPolynomial, arity: int) -> TensorPoly:
     return TensorPoly(arity, out)
 
 
-def evaluate(p: NCPolynomial, assignment: Callable[[int, int], object], one):
+def evaluate(p: NCPolynomial, assignment: Callable[[int, int], object], one,
+             right_nested: bool = False):
     """Evaluate under an algebra map sending each generator to an element
-    of an associative algebra.
+    of a unital algebra.
 
     ``assignment(copy, index)`` gives the image of a generator; words go
-    to ordered products, the empty word to ``one``.
+    to ordered products, the empty word to ``one``. A word's product is
+    nested to the left, ``(a_1 a_2) a_3``, or with ``right_nested`` to
+    the right, ``a_1 (a_2 a_3)``; the two agree over an associative
+    algebra.
     """
-    total = None
-    for w, c in p.sorted_terms():
+    total = one * 0
+    for w, c in p.terms.items():
         value = one
-        for cp, idx in w:
-            value = value * assignment(cp, idx)
-        value = value * c
-        total = value if total is None else total + value
-    if total is None:
-        return one * 0
+        for cp, idx in reversed(w) if right_nested else w:
+            factor = assignment(cp, idx)
+            value = factor * value if right_nested else value * factor
+        total = total + value * c
     return total

@@ -260,7 +260,7 @@ def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
     if got is not None:
         return got
     lead = _tensor_monomial(letters[:1])
-    product = NCPolynomial.one()
+    product = NCPolynomial.unit()
     blocks = []
     for p in range(1, ell + 1):
         if closed:

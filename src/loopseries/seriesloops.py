@@ -4,7 +4,9 @@
 ``a_0 = 1`` implicit, either of flavor ``inv`` (invertible series,
 ``sum a_n t^n``, pointwise product) or ``diff`` (formal diffeomorphisms,
 ``sum a_n t^(n+1)``, composition). Coefficients live in any exact algebra
-with ``+``, ``-``, ``*`` and integer scaling; the ``inv`` operations use
+with ``+``, ``-``, ``*``, integer scaling and a ``unit()`` (see
+``algebras.one_of``), the free algebra ``NCPolynomial`` included; the
+unit is read off the first coefficient. The ``inv`` operations use
 only binary coefficient products, so non-associative coefficient algebras
 (sedenions, matrices over them) are supported there. The ``diff``
 operations multiply chains of coefficients, whose value over a
@@ -37,7 +39,8 @@ sides and flavors: it multiplies out the terms of
 outward from the difference ``(a-b)_k``; it alone loads
 :mod:`loopseries.combinatorics`. ``convolution_eval`` evaluates the
 generator tables of :mod:`loopseries.coloops` under the coefficient
-assignment, over associative carriers. Each call computes one route
+assignment, each word nested as its table says (``delta_l`` to the
+right), so over every carrier a series admits. Each call computes one route
 only; the tests check that all three agree, and keep the
 weak-composition sum over coefficient chains as the oracle of the
 ``diff`` law. The ``diff``
@@ -65,6 +68,9 @@ from .algebras import is_zero, known_nonassociative, one_of, zero_of
 class TruncatedSeries:
     """Order-``N`` series with unit constant term, coefficients in ``A``.
 
+    The unit is that of the first coefficient's algebra (``one_of``), so
+    a series has at least one coefficient; missing ones are zero.
+
     Operations are exact modulo degree ``N`` and never extend the order
     silently; combining series of different flavors or orders is a
     structural error. A ``diff`` series over a carrier known to be
@@ -73,17 +79,16 @@ class TruncatedSeries:
 
     __slots__ = ("flavor", "order", "coeffs", "one")
 
-    def __init__(self, flavor: str, order: int, coeffs: Sequence, one=None):
+    def __init__(self, flavor: str, order: int, coeffs: Sequence):
         self.flavor = _choose("flavor", flavor, SERIES_FLAVORS)
         if order < 1:
             raise StructuralError("order must be >= 1")
         coeffs = list(coeffs)
         if len(coeffs) > order:
             raise StructuralError(f"{len(coeffs)} coefficients exceed order {order}")
-        if one is None:
-            if not coeffs:
-                raise StructuralError("cannot infer the unit from no coefficients")
-            one = one_of(coeffs[0])
+        if not coeffs:
+            raise StructuralError("cannot infer the unit from no coefficients")
+        one = one_of(coeffs[0])
         if flavor == "diff" and known_nonassociative(one):
             raise StructuralError(
                 "diff series need an associative coefficient algebra")
@@ -135,7 +140,7 @@ class TruncatedSeries:
 
 
 def unit_series(flavor: str, order: int, one) -> TruncatedSeries:
-    return TruncatedSeries(flavor, order, [zero_of(one)] * order, one)
+    return TruncatedSeries(flavor, order, [zero_of(one)])
 
 
 class _Powers:
@@ -203,7 +208,7 @@ def _indexed(s: TruncatedSeries) -> tuple:
 def _law(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     ia, powers = _indexed(a), _Powers(_indexed(b))
     out = [_law_coeff(a.flavor, ia, powers, n) for n in range(1, a.order + 1)]
-    return TruncatedSeries(a.flavor, a.order, out, a.one)
+    return TruncatedSeries(a.flavor, a.order, out)
 
 
 def inv_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -253,7 +258,7 @@ def divide(side: str, a: TruncatedSeries, b: TruncatedSeries,
     _choose("mode", mode, MODES)
     if mode == "closed":
         out = [_closed(side, a, b, n) for n in range(1, a.order + 1)]
-        return TruncatedSeries(a.flavor, a.order, out, a.one)
+        return TruncatedSeries(a.flavor, a.order, out)
     if side == "right":
         return _solve(a.flavor, side, a, _indexed(b))
     return _solve(a.flavor, side, b, _indexed(a))
@@ -280,7 +285,7 @@ def _solve(flavor: str, side: str, target: TruncatedSeries,
     for n in range(1, target.order + 1):
         x.append(zero)
         x[n] = target.coeff(n) - _law_coeff(flavor, lhs, powers, n)
-    return TruncatedSeries(flavor, target.order, x[1:], target.one)
+    return TruncatedSeries(flavor, target.order, x[1:])
 
 
 def _closed(side: str, a: TruncatedSeries, b: TruncatedSeries, n: int):
@@ -330,10 +335,10 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
     With ``kind`` one of ``delta``, ``delta_r``, ``delta_l`` this realizes
     the convolution formulas: the coproduct gives the loop law, the
     codivisions give the divisions, degree by degree. This is the
-    representability statement made executable, over associative
-    coefficients: ``evaluate`` nests every word to the left, the left
-    division to the right, so a carrier known to be non-associative is
-    refused with a ``StructuralError``.
+    representability statement made executable, over every carrier a
+    series admits: each word is evaluated with its table's nesting
+    (``coloops.Coloop._RIGHT_NESTED``), so over a non-associative carrier
+    the ``inv`` tables give the divisions that ``divide`` computes.
     """
     from . import coloops
     from .freealg import evaluate
@@ -342,13 +347,10 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
     if not 1 <= n <= a.order:
         raise StructuralError(f"degree {n} outside order {a.order}")
     _choose("kind", kind, ("delta", "delta_r", "delta_l"))
-    if known_nonassociative(a.one):
-        raise StructuralError(
-            "convolution_eval needs an associative coefficient algebra")
     flavor = "inv" if a.flavor == "inv" else "fdb"
     poly = coloops.get_coloop(flavor).image(kind, n)
 
     def assign(cp: int, idx: int):
         return a.coeff(idx) if cp == 1 else b.coeff(idx)
 
-    return evaluate(poly, assign, a.one)
+    return evaluate(poly, assign, a.one, kind in coloops.Coloop._RIGHT_NESTED)

@@ -7,9 +7,10 @@ recurrences, the filtered index set ``M(l)^e`` behind ``d^e``, the tuple
 form of the tree bijection, the operator identities, the fdb tables
 rebuilt from the recursive operators, the nested-item parse of ``R_m``,
 tensor coassociativity and the tuple-sum form of the non-commutative Faa
-di Bruno coproduct over weak compositions, and the seeded samplers of
-random coefficients. So do the test-only structures: the octonion loops
-of invertible and of norm-one elements, divided through the conjugate,
+di Bruno coproduct over weak compositions, the seeded samplers of
+random coefficients and the generic series over the free algebra. So do
+the test-only structures: the octonion loops of invertible and of
+norm-one elements, divided through the conjugate,
 the eight-element hyperbolic-quaternion loop with its table-derived
 division and loop axioms, the checked tensor constructors, the text
 parser of the free algebra (the inverse of its text form), the linear
@@ -273,6 +274,13 @@ def random_unit_octonion(rng: Random) -> CDElement:
 
 # -- series laws --------------------------------------------------------------
 
+def generic_series(flavor: str, order: int, copy: int) -> TruncatedSeries:
+    """The generic series of copy ``copy``: its coefficient ``a_n`` is the
+    generator of degree ``n`` of that copy, over the free algebra."""
+    return TruncatedSeries(flavor, order, [NCPolynomial.generator(copy, n)
+                                           for n in range(1, order + 1)])
+
+
 def inv_convolution(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """The product of invertible series as the plain binary convolution
     ``(ab)_n = sum_{m=0}^{n} a_m b_{n-m}``, unit factors multiplied too:
@@ -283,7 +291,7 @@ def inv_convolution(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         for m in range(1, n + 1):
             acc = acc + a.coeff(m) * b.coeff(n - m)
         coeffs.append(acc)
-    return TruncatedSeries("inv", a.order, coeffs, a.one)
+    return TruncatedSeries("inv", a.order, coeffs)
 
 
 # -- Lagrange coefficients and trees ------------------------------------------
@@ -572,7 +580,7 @@ def operator_identity_check(identity: str, ell: int,
     if identity == "R1":
         for degs in _degree_tuples(ell + 1, degree_bound):
             a = _letters(degs)
-            product = NCPolynomial.one()
+            product = NCPolynomial.unit()
             for f in a:
                 product = product * f
             for m in m_sequences(ell):

@@ -29,6 +29,7 @@ from oracles import (
     catalan,
     compare_nc_hopf,
     d_recurrence_check,
+    generic_series,
     hq_loop_axioms,
     include_iota,
     operator_identity_check,
@@ -212,15 +213,8 @@ def test_criterion_03_antipode():
 @criterion(4, "closed/recursive/convolution oracle equivalence", 60.0)
 def test_criterion_04_oracle_equivalence():
     # symbolic, order 7: generic coefficients are the generators themselves
-    sym = {}
     for flavor in ("inv", "diff"):
-        one = NCPolynomial.one()
-        sym[flavor] = (
-            TruncatedSeries(flavor, 7, [x(n) for n in range(1, 8)], one),
-            TruncatedSeries(flavor, 7, [y(n) for n in range(1, 8)], one),
-        )
-    for flavor in ("inv", "diff"):
-        a, b = sym[flavor]
+        a, b = generic_series(flavor, 7, 1), generic_series(flavor, 7, 2)
         for side, kind in (("right", "delta_r"), ("left", "delta_l")):
             rec = divide(side, a, b)
             assert rec == divide(side, a, b, "closed"), (flavor, side)

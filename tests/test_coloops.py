@@ -60,7 +60,7 @@ def product_chain_table(flavor, kind, n):
         else:
             for ell in range(1, n):
                 for comp in compositions(n, ell + 1):
-                    word = NCPolynomial.one() * math.comb(comp[0] + 1, ell) \
+                    word = NCPolynomial.unit() * math.comb(comp[0] + 1, ell) \
                         * x(comp[0])
                     for k in comp[1:]:
                         word = word * y(k)
@@ -70,7 +70,7 @@ def product_chain_table(flavor, kind, n):
             sign = -1 if ell % 2 else 1
             for comp in compositions(n, ell + 1):
                 coeff = 1 if flavor == "inv" else lagrange_d(comp[:ell])
-                word = NCPolynomial.one() * (sign * coeff) * u(comp[0])
+                word = NCPolynomial.unit() * (sign * coeff) * u(comp[0])
                 for k in comp[1:]:
                     word = word * y(k)
                 terms.append(word)
@@ -83,7 +83,7 @@ def product_chain_table(flavor, kind, n):
                 for e in labels:
                     coeff = 1 if flavor == "inv" \
                         else bit_sign(e) * lagrange_d_labeled(e, comp[:ell])
-                    word = NCPolynomial.one() * (sign * coeff)
+                    word = NCPolynomial.unit() * (sign * coeff)
                     for bit, k in zip(e, comp[:ell]):
                         word = word * (x(k) if bit == 1 else y(k))
                     terms.append(word * v(comp[ell]))
@@ -523,7 +523,7 @@ def test_seeded_product_sanity_layer():
     delta = MultiMorphism(image_fn=lambda cp, n: table.coproduct(n))
     for _ in range(5):
         word = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
-        p = NCPolynomial.one()
+        p = NCPolynomial.unit()
         for n in word:
             p = p * x(n)
         step = delta_r(delta(p))

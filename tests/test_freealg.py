@@ -72,7 +72,7 @@ class TestRingStructure:
 
     def test_associative_unital(self):
         rng = Random(12)
-        one = NCPolynomial.one()
+        one = NCPolynomial.unit()
         for _ in range(40):
             p, q, r = (random_poly(rng) for _ in range(3))
             assert (p * q) * r == p * (q * r)
@@ -83,7 +83,7 @@ class TestRingStructure:
         assert not (x(1) - x(1))
 
     def test_canonical_term_order(self):
-        p = x(2) + x(1) * x(1) + x(1) + NCPolynomial.one() * 7
+        p = x(2) + x(1) * x(1) + x(1) + NCPolynomial.unit() * 7
         words = [w for w, _ in p.sorted_terms()]
         assert words == [(), ((1, 1),), ((1, 2),), ((1, 1), (1, 1))]
 
@@ -98,7 +98,7 @@ class TestMorphisms:
     def test_counit_kills_generators(self):
         eps = MultiMorphism(image_fn=lambda cp, n: NCPolynomial.zero())
         assert eps(x(3)).is_zero()
-        assert eps(NCPolynomial.one() * 5) == NCPolynomial.one() * 5
+        assert eps(NCPolynomial.unit() * 5) == NCPolynomial.unit() * 5
 
     def test_relabel_composition(self):
         rng = Random(13)
@@ -115,7 +115,7 @@ def apply_by_sums(images, p):
     oracle for the one-dict accumulation of ``MultiMorphism``."""
     out = NCPolynomial.zero()
     for w, c in p.terms.items():
-        prod = NCPolynomial.one() * c
+        prod = NCPolynomial.unit() * c
         for gen in w:
             prod = prod * images[gen]
             if prod.is_zero():
@@ -152,7 +152,7 @@ def morphism_cases(draw):
 CANCELLING = ({(1, 1): y(1), (1, 2): y(1)},
               x(1) * x(2) - x(2) * x(1) + 3 * x(1))
 KILLING = ({(1, 1): NCPolynomial.zero(), (2, 1): y(1) + y(2)},
-           2 * x(1) * y(1) + y(1) * y(1) - NCPolynomial.one() * 4)
+           2 * x(1) * y(1) + y(1) * y(1) - NCPolynomial.unit() * 4)
 
 
 class TestLinearAccumulation:
@@ -169,12 +169,12 @@ class TestLinearAccumulation:
     EDGE_CASES = {
         "scalar-argument-term": (
             {(1, 1): y(1) + y(2), (1, 2): y(1)},
-            NCPolynomial.one() * 3 + x(1) * x(2),
-            NCPolynomial.one() * 3 + y(1) * y(1) + y(2) * y(1)),
+            NCPolynomial.unit() * 3 + x(1) * x(2),
+            NCPolynomial.unit() * 3 + y(1) * y(1) + y(2) * y(1)),
         "scalar-image-term": (
-            {(1, 1): NCPolynomial.one() * 2 + y(1)},
+            {(1, 1): NCPolynomial.unit() * 2 + y(1)},
             x(1) * x(1) - x(1),
-            NCPolynomial.one() * 2 + 3 * y(1) + y(1) * y(1)),
+            NCPolynomial.unit() * 2 + 3 * y(1) + y(1) * y(1)),
         "zero-image-kills-word": (
             {(1, 1): NCPolynomial.zero(), (1, 2): y(2)},
             x(2) * x(1) * x(2) + 5 * x(2),
@@ -199,7 +199,7 @@ class TestLinearAccumulation:
     def test_morphism_cancelling_and_killing_examples(self):
         assert morphism(CANCELLING[0])(CANCELLING[1]) == 3 * y(1)
         assert morphism(KILLING[0])(KILLING[1]) == \
-            (y(1) + y(2)) * (y(1) + y(2)) - NCPolynomial.one() * 4
+            (y(1) + y(2)) * (y(1) + y(2)) - NCPolynomial.unit() * 4
 
     @ACCUMULATION_SETTINGS
     @given(st.lists(polys((1, 2, 3)), max_size=6))
@@ -337,7 +337,7 @@ class TestTextAndJson:
         p = x(2) - y(2) - 2 * (x(1) * y(1)) + 2 * (y(1) * y(1))
         assert str(p) == "x2 - y2 - 2*x1*y1 + 2*y1*y1"
         assert str(NCPolynomial.zero()) == "0"
-        assert str(NCPolynomial.one() * -3) == "-3"
+        assert str(NCPolynomial.unit() * -3) == "-3"
 
     def test_tensor_text_and_equality(self):
         from loopseries.operators import GradedTensorPoly as G

@@ -36,6 +36,7 @@ from loopseries.combinatorics import (
     lagrange_d_labeled,
     lagrange_d_labeled_row,
 )
+from loopseries.freealg import NCPolynomial
 from loopseries.witnesses import DoubledElement, SplitQuaternionMatrix
 from oracles import (
     HQUnit,
@@ -302,6 +303,8 @@ def carriers():
                 DoubledElement(q(1), q(0)), True))
     out.append((zorn((q(1), q(2), q(0), q(1, 3)), (q(1, 4), 0, 5, 1)),
                 zorn((1, 0, 0, 1), (0, 0, 0, 0)), True))
+    free = NCPolynomial.generator(1, 1) + NCPolynomial.generator(2, 2) * 2
+    out.append((free, NCPolynomial.unit(), False))
     return out
 
 

@@ -95,7 +95,7 @@ class TestLeftOperator:
         with pytest.raises(StructuralError):
             left_op([x(1) + x(2)])
         with pytest.raises(StructuralError):
-            left_op([NCPolynomial.one()])
+            left_op([NCPolynomial.unit()])
 
 
 class TestRightOperator:
@@ -272,7 +272,7 @@ class TestInputChecks:
     def test_from_factors_rule_ignores_zero_position(self):
         zero, bad = NCPolynomial.zero(), x(1) + x(2)
         for factors in ([bad, zero], [zero, bad], [x(1), zero, bad],
-                        [zero, NCPolynomial.one()], [zero, 3]):
+                        [zero, NCPolynomial.unit()], [zero, 3]):
             with pytest.raises(StructuralError, match="homogeneous"):
                 from_factors(factors)
         for factors in ([x(1), zero], [zero, x(2)], [zero]):
@@ -281,7 +281,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("mode", ["closed", "recursive"])
     def test_right_ops_reject_bad_letters(self, mode):
-        for bad in (x(1) + x(2), NCPolynomial.one(), NCPolynomial.zero()):
+        for bad in (x(1) + x(2), NCPolynomial.unit(), NCPolynomial.zero()):
             with pytest.raises(StructuralError):
                 right_op([x(1), bad], mode)
             with pytest.raises(StructuralError):
@@ -291,7 +291,7 @@ class TestInputChecks:
         with pytest.raises(StructuralError, match="homogeneous"):
             right_op_m((2, 0), [x(1), x(1) + x(2)])
         with pytest.raises(StructuralError, match="homogeneous"):
-            right_op_m((1,), [NCPolynomial.one()])
+            right_op_m((1,), [NCPolynomial.unit()])
         with pytest.raises(StructuralError, match="homogeneous"):
             right_op_m((1,), [NCPolynomial.zero()])
         with pytest.raises(StructuralError, match="M-sequence"):

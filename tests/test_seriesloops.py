@@ -33,8 +33,10 @@ from loopseries.witnesses import (
 )
 from oracles import (
     cd_norm,
+    generic_series,
     inv_convolution,
     octonion_loop_div,
+    random_cd,
     random_matrix,
     random_unit_octonion,
     weak_compositions,
@@ -43,12 +45,6 @@ from oracles import (
 q = Fraction
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
 y = lambda n: NCPolynomial.generator(2, n)  # noqa: E731
-
-
-def symbolic_series(flavor, order, copy):
-    gen = x if copy == 1 else y
-    return TruncatedSeries(flavor, order, [gen(n) for n in range(1, order + 1)],
-                           NCPolynomial.one())
 
 
 def random_series(rng, flavor, order, dim=2):
@@ -62,7 +58,7 @@ def antipode_inverse(a):
     return TruncatedSeries("diff", a.order, [
         evaluate(coloops.get_coloop("fdb").antipode("right", n),
                  lambda cp, idx: a.coeff(idx), a.one)
-        for n in range(1, a.order + 1)], a.one)
+        for n in range(1, a.order + 1)])
 
 
 def chain_law_coeff(a, b, n):
@@ -85,13 +81,13 @@ def chain_law_coeff(a, b, n):
 def chain_compose(a, b):
     ia, ib = (a.one,) + a.coeffs, (b.one,) + b.coeffs
     return TruncatedSeries("diff", a.order, [
-        chain_law_coeff(ia, ib, n) for n in range(1, a.order + 1)], a.one)
+        chain_law_coeff(ia, ib, n) for n in range(1, a.order + 1)])
 
 
 class TestLoopLaws:
     def test_diff_compose_display(self):
-        a = symbolic_series("diff", 3, 1)
-        b = symbolic_series("diff", 3, 2)
+        a = generic_series("diff", 3, 1)
+        b = generic_series("diff", 3, 2)
         c = diff_compose(a, b)
         assert c.coeff(1) == x(1) + y(1)
         assert c.coeff(2) == x(2) + 2 * (x(1) * y(1)) + y(2)
@@ -99,8 +95,8 @@ class TestLoopLaws:
             + x(1) * (2 * y(2) + y(1) * y(1)) + y(3)
 
     def test_inv_mul_display(self):
-        a = symbolic_series("inv", 2, 1)
-        b = symbolic_series("inv", 2, 2)
+        a = generic_series("inv", 2, 1)
+        b = generic_series("inv", 2, 2)
         c = inv_mul(a, b)
         assert c.coeff(2) == x(2) + x(1) * y(1) + y(2)
 
@@ -113,15 +109,15 @@ class TestLoopLaws:
             assert mul(e, a) == a
 
     def test_flavor_guards(self):
-        a = symbolic_series("diff", 2, 1)
-        b = symbolic_series("inv", 2, 2)
+        a = generic_series("diff", 2, 1)
+        b = generic_series("inv", 2, 2)
         with pytest.raises(StructuralError):
             mul(a, b)
         with pytest.raises(StructuralError):
             inv_mul(a, a)
 
     def test_order_never_extends(self):
-        a = symbolic_series("diff", 3, 1)
+        a = generic_series("diff", 3, 1)
         with pytest.raises(StructuralError):
             a.coeff(4)
         with pytest.raises(StructuralError):
@@ -130,8 +126,8 @@ class TestLoopLaws:
 
 class TestDivisions:
     def test_diff_right_closed_display(self):
-        a = symbolic_series("diff", 3, 1)
-        b = symbolic_series("diff", 3, 2)
+        a = generic_series("diff", 3, 1)
+        b = generic_series("diff", 3, 2)
         got = divide("right", a, b, "closed")
         want3 = x(3) - (2 * (x(1) * y(2)) + 3 * (x(2) * y(1))) \
             + 5 * (x(1) * y(1) * y(1)) \
@@ -140,8 +136,8 @@ class TestDivisions:
         assert got.coeff(3) == want3
 
     def test_diff_left_closed_display(self):
-        a = symbolic_series("diff", 3, 1)
-        b = symbolic_series("diff", 3, 2)
+        a = generic_series("diff", 3, 1)
+        b = generic_series("diff", 3, 2)
         got = divide("left", a, b, "closed")
         want3 = y(3) - (2 * (x(1) * y(2)) + 3 * (x(2) * y(1))) \
             + (5 * (x(1) * x(1) * y(1)) + x(1) * y(1) * x(1)
@@ -151,14 +147,14 @@ class TestDivisions:
         assert got.coeff(3) == want3
 
     def test_inv_left_closed_display(self):
-        a = symbolic_series("inv", 2, 1)
-        b = symbolic_series("inv", 2, 2)
+        a = generic_series("inv", 2, 1)
+        b = generic_series("inv", 2, 2)
         got = divide("left", a, b, "closed")
         assert got.coeff(2) == y(2) - x(1) * y(1) - x(2) + x(1) * x(1)
 
     def test_inv_right_closed_display(self):
-        a = symbolic_series("inv", 3, 1)
-        b = symbolic_series("inv", 3, 2)
+        a = generic_series("inv", 3, 1)
+        b = generic_series("inv", 3, 2)
         got = divide("right", a, b, "closed")
         want3 = x(3) - (x(1) * y(2) + x(2) * y(1)) + x(1) * y(1) * y(1) \
             - y(3) + (y(1) * y(2) + y(2) * y(1)) - y(1) * y(1) * y(1)
@@ -168,8 +164,8 @@ class TestDivisions:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_recursive_equals_closed_symbolic(self, flavor, side):
         order = 7
-        a = symbolic_series(flavor, order, 1)
-        b = symbolic_series(flavor, order, 2)
+        a = generic_series(flavor, order, 1)
+        b = generic_series(flavor, order, 2)
         assert divide(side, a, b) == divide(side, a, b, "closed")
 
     @pytest.mark.parametrize("flavor", ["inv", "diff"])
@@ -211,8 +207,8 @@ class TestDivisions:
     @pytest.mark.parametrize("flavor", ["inv", "diff"])
     def test_cancellation_laws_symbolic(self, flavor):
         order = 6
-        a = symbolic_series(flavor, order, 1)
-        b = symbolic_series(flavor, order, 2)
+        a = generic_series(flavor, order, 1)
+        b = generic_series(flavor, order, 2)
         e = unit_series(flavor, order, a.one)
         assert mul(divide("right", a, b), b) == a
         assert divide("right", mul(a, b), b) == a
@@ -339,7 +335,7 @@ def lagrange_inverse(a):
     for n in range(1, order + 1):
         power = times(power, h)  # h^(n+1)
         out.append(power[n] * Fraction(1, n + 1))
-    return TruncatedSeries("diff", order, out, a.one)
+    return TruncatedSeries("diff", order, out)
 
 
 class TestClassicalLagrangeInversion:
@@ -389,8 +385,8 @@ class TestChainOracle:
 
     @pytest.mark.parametrize("order", range(1, 6))
     def test_compose_matches_chain_sum_symbolic(self, order):
-        a = symbolic_series("diff", order, 1)
-        b = symbolic_series("diff", order, 2)
+        a = generic_series("diff", order, 1)
+        b = generic_series("diff", order, 2)
         assert diff_compose(a, b) == chain_compose(a, b)
         assert chain_compose(divide("right", a, b), b) == a
         assert chain_compose(a, divide("left", a, b)) == b
@@ -424,8 +420,7 @@ class TestInverse:
     def test_diff_inverse_symbolic_single_generator(self):
         # a = t + a1 t^2 with a1 = x1: inverse coefficients follow the
         # signed Lagrange/Catalan pattern -x1, 2 x1^2, -5 x1^3, 14 x1^4
-        one = NCPolynomial.one()
-        a = TruncatedSeries("diff", 4, [x(1)], one)
+        a = TruncatedSeries("diff", 4, [x(1)])
         inv = series_inverse(a)
         x1 = x(1)
         assert inv.coeff(1) == -1 * x1
@@ -456,7 +451,7 @@ class TestInverse:
         assert left.coeff(3) == -(E * (E * E))
 
     def test_inv_requires_side(self):
-        a = symbolic_series("inv", 2, 1)
+        a = generic_series("inv", 2, 1)
         with pytest.raises(StructuralError):
             series_inverse(a)
 
@@ -533,10 +528,9 @@ class TestConvolution:
                 assert convolution_eval("delta_r", a, b, n) == right.coeff(n)
                 assert convolution_eval("delta_l", a, b, n) == left.coeff(n)
 
-    def test_nonassociative_carrier_refused(self):
-        # evaluate nests every word to the left, but the left codivision's
-        # words nest to the right, so over sedenions the table would give
-        # a wrong left division: 2*e1 - 2*e5 + 2*e10 - 2*e14 here
+    def test_nonassociative_carrier_keeps_nesting(self):
+        # the left codivision's words nest to the right: nested to the
+        # left, its table would give 2*e1 - 2*e5 + 2*e10 - 2*e14 here
         def sed(*units):
             return CDElement(4, [int(i in units) for i in range(16)])
 
@@ -545,9 +539,42 @@ class TestConvolution:
         left = divide("left", a, b)
         assert left == divide("left", a, b, "closed")
         assert str(left.coeff(3)) == "2*e1 + 2*e10"
-        for kind in ("delta", "delta_r", "delta_l"):
-            with pytest.raises(StructuralError, match="associative"):
-                convolution_eval(kind, a, b, 3)
+        assert convolution_eval("delta_l", a, b, 3) == left.coeff(3)
+        assert convolution_eval("delta", a, b, 3) == inv_mul(a, b).coeff(3)
+        assert convolution_eval("delta_r", a, b, 3) == \
+            divide("right", a, b).coeff(3)
+
+    @pytest.mark.parametrize("algebra", ["sed", "o", "m2sed"])
+    def test_inv_tables_represent_inv_over_nonassociative_carriers(
+            self, algebra):
+        # Inv(A) is a loop over every unital A: each inv table, its words
+        # nested as the coloop states, gives the division or the inverse
+        rng = Random(63)
+        order = 8
+
+        def coeff():
+            if algebra == "m2sed":
+                return MatrixElement([[random_cd(rng, 4) for _ in range(2)]
+                                      for _ in range(2)])
+            return random_cd(rng, 4 if algebra == "sed" else 3)
+
+        a, b = (TruncatedSeries("inv", order, [coeff() for _ in range(order)])
+                for _ in range(2))
+        tables = coloops.get_coloop("inv")
+        want = {"delta_r": divide("right", a, b),
+                "delta_l": divide("left", a, b),
+                "s_r": series_inverse(a, "right"),
+                "s_l": series_inverse(a, "left")}
+
+        def assign(cp, k):
+            return a.coeff(k) if cp == 1 else b.coeff(k)
+
+        for kind, series in want.items():
+            right_nested = kind in coloops.Coloop._RIGHT_NESTED
+            for n in range(1, order + 1):
+                got = evaluate(tables.image(kind, n), assign, a.one,
+                               right_nested)
+                assert got == series.coeff(n), (kind, n)
 
     def test_degree_guard(self):
         rng = Random(62)
