@@ -15,14 +15,12 @@ for ``Diff(A)``), the flavors of the coloops representing them
 ``SIDES`` (``INVERSE_SIDES`` adds ``both``) and ``MODES`` (the
 ``recursive`` existence proof or the ``closed`` formulas). ``_choose``
 refuses any other name with one message that lists the allowed ones.
+No command reads a seed: each output is fixed by its arguments.
 """
 
 import contextlib
 
 __version__ = "0.1.0"
-
-# seed of the randomized witness sampler when none is given
-DEFAULT_SEED = 0x123456789ABCDEF0
 
 # the vocabularies that the parser offers and the library checks
 SIDES = ("left", "right")
@@ -83,19 +81,19 @@ def _sum_text(terms) -> str:
     return " ".join(chunks) or "0"
 
 
-def _emit_json(command: str, data, seed=None, passed=None) -> str:
-    """The JSON envelope of every command's output, keys sorted."""
+def _emit_json(command: str, data, passed=None) -> str:
+    """The JSON envelope of every command's output, keys sorted. No command
+    reads a seed, so ``seed`` is always null."""
     import json
     envelope = {
         "version": __version__,
         "command": command,
-        "seed": seed,
+        "seed": None,
         "pass": passed,
         "data": data,
     }
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
-__all__ = ["COLOOP_FLAVORS", "DEFAULT_SEED", "DomainError", "INVERSE_SIDES",
-           "MODES", "SERIES_FLAVORS", "SIDES", "StructuralError",
-           "__version__"]
+__all__ = ["COLOOP_FLAVORS", "DomainError", "INVERSE_SIDES", "MODES",
+           "SERIES_FLAVORS", "SIDES", "StructuralError", "__version__"]

@@ -15,11 +15,11 @@ loads only the modules it needs (``trees`` and ``coeffs`` load just the
 combinatorics, a recursive ``divide`` just the algebras and the series
 loops).
 
-Output is byte-deterministic for fixed arguments and seed. The library
-version (and the seed, for randomized runs) is reported on stderr so that
-stdout carries only the text/json/csv payload. Exit status: 0 on success
-or fully expected verification results, 1 on any unexpected failure,
-2 on usage errors, malformed input and input too large to compute (a
+Output is byte-deterministic for fixed arguments: no command reads a
+seed. The library version is reported on stderr so that stdout carries
+only the text/json/csv payload. Exit status: 0 on success or fully
+expected verification results, 1 on any unexpected failure, 2 on usage
+errors, malformed input and input too large to compute (a
 ``RecursionError`` or ``MemoryError``), each reported as one ``error:``
 line.
 """
@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 
 from . import (
     COLOOP_FLAVORS,
-    DEFAULT_SEED,
     INVERSE_SIDES,
     MODES,
     SERIES_FLAVORS,
@@ -212,13 +211,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit() and int(text) < 1 << 64):
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in [0, 2^64), got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # abbreviations off: each option has one spelling
     parser = argparse.ArgumentParser(
@@ -226,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact loops of formal series and their coloop bialgebras")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
-                        help="64-bit seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
     command = functools.partial(sub.add_parser, allow_abbrev=False)
 

@@ -262,7 +262,7 @@ AXIOMS: dict[str, tuple] = {
 # keyed by (flavor, axiom) with the degree of first failure. In the
 # associative symbolic ring the invertible flavor is a cogroup, so its
 # coinverse checks hold; its genuinely non-associative failures are
-# reproduced over Cayley-Dickson coefficients in loopseries.seriesloops.
+# reproduced over Cayley-Dickson coefficients in loopseries.witnesses.
 EXPECTED_FAILURES: dict[tuple[str, str], int] = {
     ("fdb", "coinverse-left"): 3,
 }

@@ -12,8 +12,6 @@ exit status once. An ``operators --mode`` left out is ``MODES[0]``.
 
 from __future__ import annotations
 
-import sys
-
 from . import COLOOP_FLAVORS, MODES, StructuralError, _emit_json, _option
 
 
@@ -185,17 +183,12 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_witness(args) -> tuple[str, int]:
-    from .witnesses import SEEDED_WITNESS, witness
+    from .witnesses import witness
 
-    # only the seeded witness reports its seed, on stderr and in json
-    seed = args.seed if args.name == SEEDED_WITNESS else None
-    if seed is not None:
-        print(f"seed {seed}", file=sys.stderr)
-    report = witness(args.name, args.seed)
+    report = witness(args.name)
     code = 0 if report["pass"] else 1
     if args.format == "json":
-        return _emit_json("witness", report, seed=seed,
-                          passed=report["pass"]), code
+        return _emit_json("witness", report, passed=report["pass"]), code
     lines = [f"witness {report['name']}: "
              + ("PASS" if report["pass"] else "FAIL")]
     for key in sorted(report["inputs"]):

@@ -39,9 +39,9 @@ sides and flavors: it multiplies out the terms of
 outward from the difference ``(a-b)_k``; it alone loads
 :mod:`loopseries.combinatorics`. ``convolution_eval`` evaluates the
 generator tables of :mod:`loopseries.coloops` under the coefficient
-assignment, each word nested as its table says (``delta_l`` to the
-right), so over every carrier a series admits. Each call computes one route
-only; the tests check that all three agree, and keep the
+assignment, each word nested as its table says (``delta_l`` and ``s_l``
+to the right), so over every carrier a series admits. Each call computes
+one route only; the tests check that all three agree, and keep the
 weak-composition sum over coefficient chains as the oracle of the
 ``diff`` law. The ``diff``
 inverse is the recursive left division of the unit series, so the module
@@ -332,13 +332,16 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
                      n: int):
     """Evaluate a co-operation table under ``x_i -> a_i, y_i -> b_i``.
 
-    With ``kind`` one of ``delta``, ``delta_r``, ``delta_l`` this realizes
-    the convolution formulas: the coproduct gives the loop law, the
-    codivisions give the divisions, degree by degree. This is the
+    With ``kind`` one of ``delta``, ``delta_r``, ``delta_l``, ``s_r``,
+    ``s_l`` this realizes the convolution formulas: the coproduct gives
+    the loop law, the codivisions give the divisions and the antipodes the
+    inverses of ``a``, degree by degree. The antipodes read copy 1 only,
+    so for them ``b`` just matches ``a``'s flavor and order. This is the
     representability statement made executable, over every carrier a
     series admits: each word is evaluated with its table's nesting
     (``coloops.Coloop._RIGHT_NESTED``), so over a non-associative carrier
-    the ``inv`` tables give the divisions that ``divide`` computes.
+    the ``inv`` tables give what ``divide`` and ``series_inverse``
+    compute.
     """
     from . import coloops
     from .freealg import evaluate
@@ -346,7 +349,7 @@ def convolution_eval(kind: str, a: TruncatedSeries, b: TruncatedSeries,
     a._check(b)
     if not 1 <= n <= a.order:
         raise StructuralError(f"degree {n} outside order {a.order}")
-    _choose("kind", kind, ("delta", "delta_r", "delta_l"))
+    _choose("kind", kind, ("delta", "delta_r", "delta_l", "s_r", "s_l"))
     flavor = "inv" if a.flavor == "inv" else "fdb"
     poly = coloops.get_coloop(flavor).image(kind, n)
 

@@ -19,7 +19,6 @@ except ImportError:  # pragma: no cover
 
 from loopseries import (
     COLOOP_FLAVORS,
-    DEFAULT_SEED,
     INVERSE_SIDES,
     MODES,
     SERIES_FLAVORS,
@@ -438,9 +437,6 @@ def test_parser_constants_match_the_library():
         assert getattr(one, "dim", None) == dim
         assert getattr(one, "level", None) == level
     assert cli.WITNESS_NAMES == witnesses.WITNESS_NAMES
-    seed = inspect.signature(witnesses.witness).parameters["seed"]
-    assert cli.DEFAULT_SEED == seed.default == DEFAULT_SEED
-    assert 0 <= DEFAULT_SEED < 2 ** 64
     # coop prints images, and the axiom table writes its sides as image
     # specs: every name in a spec, at any depth, is an image name
     images = set(coloops.Coloop._IMAGES)
@@ -545,8 +541,8 @@ REFUSALS = {
     "series_inverse-side": (lambda: seriesloops.series_inverse(
         _unit_series("diff"), "up"), "up", INVERSE_SIDES),
     "convolution_eval-kind": (lambda: seriesloops.convolution_eval(
-        "s_r", _unit_series(), _unit_series(), 1),
-        "s_r", ("delta", "delta_r", "delta_l")),
+        "counit", _unit_series(), _unit_series(), 1),
+        "counit", ("delta", "delta_r", "delta_l", "s_r", "s_l")),
     "left_op-mode": (lambda: operators.left_op([], "fast"), "fast", MODES),
     "right_op-mode": (lambda: operators.right_op([], "fast"), "fast", MODES),
     "right_op_e-mode": (lambda: operators.right_op_e((), [], "fast"),
@@ -583,32 +579,16 @@ class TestWitnessCommand:
         assert "[[2, 4], [1, 2]]" in out
         assert "[[3, 3], [1, 1]]" in out
 
-    def test_json_schema_and_seed(self, capsys):
-        code, out, err = run(capsys, "--format", "json",
-                             "witness", "ucd-not-loop")
+    @pytest.mark.parametrize("name", cli.WITNESS_NAMES)
+    def test_witness_reads_no_seed(self, capsys, name):
+        # every witness is fixed: a null seed, and stderr is the version
+        code, out, err = run(capsys, "--format", "json", "witness", name)
         assert code == 0
         data = validate_envelope(out)
         assert data["pass"] is True
-        assert data["seed"] == DEFAULT_SEED
-        assert f"seed {DEFAULT_SEED}" in err
-
-    @pytest.mark.parametrize("name", [
-        name for name in cli.WITNESS_NAMES
-        if name != witnesses.SEEDED_WITNESS])
-    def test_fixed_witness_reports_no_seed(self, capsys, name):
-        code, out, err = run(capsys, "--seed", "5", "--format", "json",
-                             "witness", name)
-        assert code == 0
-        assert validate_envelope(out)["seed"] is None
-        assert "seed" not in err
-
-    def test_seed_line_follows_the_version_line(self, capsys):
-        code, _, err = run(capsys, "--seed", "5", "witness", "ucd-not-loop")
-        assert code == 0
-        assert err.splitlines()[:2] == [f"loopseries {__version__}", "seed 5"]
-        # a refused format runs no witness, so it prints no seed
-        code, _, err = run(capsys, "--format", "csv", "witness",
-                           "ucd-not-loop")
+        assert data["seed"] is None
+        assert err.splitlines() == [f"loopseries {__version__}"]
+        code, _, err = run(capsys, "--format", "csv", "witness", name)
         assert code == 2
         assert err.splitlines() == [f"loopseries {__version__}",
                                     "error: witness has no csv output"]
@@ -748,10 +728,8 @@ BAD_INPUTS = [
     ["trees", "--length", " 3"],
     ["coeffs", "--n", "\uff13"],
     ["verify", "--max-degree", "0_3"],
-    # seeds are 64-bit, and Random would read -5 as 5
-    ["--seed", "-5", "witness", "ucd-not-loop"],
-    ["--seed", "18446744073709551616", "witness", "ucd-not-loop"],
-    ["--seed", "1_0", "witness", "ucd-not-loop"],
+    # no command reads a seed, so --seed is an unknown option
+    ["--seed", "5", "witness", "ucd-not-loop"],
     # more coefficients than the order, in either series option
     ["divide", "--flavor", "inv", "--order", "1", "--side", "right",
      "--algebra", "q", "--a", '["1", "2"]', "--b", '["1"]'],

@@ -12,8 +12,8 @@ from loopseries.algebras import (
     is_zero,
     zero_of,
 )
-from loopseries import DEFAULT_SEED, DomainError, StructuralError, coloops
-from loopseries.freealg import NCPolynomial, evaluate
+from loopseries import DomainError, StructuralError
+from loopseries.freealg import NCPolynomial
 from loopseries.seriesloops import (
     TruncatedSeries,
     convolution_eval,
@@ -25,6 +25,7 @@ from loopseries.seriesloops import (
     unit_series,
 )
 from loopseries.witnesses import (
+    _UCD_SAMPLE_SEED,
     DoubledElement,
     sample_ucd_unitaries,
     sample_zorn_unitaries,
@@ -56,9 +57,7 @@ def antipode_inverse(a):
     """The diff inverse by the representability route: the right antipode
     of the fdb tables evaluated on the coefficients of ``a``."""
     return TruncatedSeries("diff", a.order, [
-        evaluate(coloops.get_coloop("fdb").antipode("right", n),
-                 lambda cp, idx: a.coeff(idx), a.one)
-        for n in range(1, a.order + 1)])
+        convolution_eval("s_r", a, a, n) for n in range(1, a.order + 1)])
 
 
 def chain_law_coeff(a, b, n):
@@ -523,10 +522,14 @@ class TestConvolution:
             right = divide("right", a, b)
             left = divide("left", a, b)
             prod = law(a, b)
+            s_r = series_inverse(a, "right")
+            s_l = series_inverse(a, "left")
             for n in range(1, 7):
                 assert convolution_eval("delta", a, b, n) == prod.coeff(n)
                 assert convolution_eval("delta_r", a, b, n) == right.coeff(n)
                 assert convolution_eval("delta_l", a, b, n) == left.coeff(n)
+                assert convolution_eval("s_r", a, b, n) == s_r.coeff(n)
+                assert convolution_eval("s_l", a, b, n) == s_l.coeff(n)
 
     def test_nonassociative_carrier_keeps_nesting(self):
         # the left codivision's words nest to the right: nested to the
@@ -560,21 +563,14 @@ class TestConvolution:
 
         a, b = (TruncatedSeries("inv", order, [coeff() for _ in range(order)])
                 for _ in range(2))
-        tables = coloops.get_coloop("inv")
         want = {"delta_r": divide("right", a, b),
                 "delta_l": divide("left", a, b),
                 "s_r": series_inverse(a, "right"),
                 "s_l": series_inverse(a, "left")}
-
-        def assign(cp, k):
-            return a.coeff(k) if cp == 1 else b.coeff(k)
-
         for kind, series in want.items():
-            right_nested = kind in coloops.Coloop._RIGHT_NESTED
             for n in range(1, order + 1):
-                got = evaluate(tables.image(kind, n), assign, a.one,
-                               right_nested)
-                assert got == series.coeff(n), (kind, n)
+                assert convolution_eval(kind, a, b, n) == series.coeff(n), \
+                    (kind, n)
 
     def test_degree_guard(self):
         rng = Random(62)
@@ -654,11 +650,11 @@ class TestWitnesses:
         with pytest.raises(StructuralError):
             witness("nope")
 
-    def test_ucd_witness_is_seeded_and_deterministic(self):
+    def test_ucd_witness_is_one_fixed_sample(self):
         a = witness("ucd-not-loop")
         b = witness("ucd-not-loop")
         assert a == b
-        assert a["computed"]["seed"] == str(DEFAULT_SEED)
+        assert a["computed"]["seed"] == str(_UCD_SAMPLE_SEED)
 
 
 def test_quaternionic_samples_exist():
@@ -667,10 +663,10 @@ def test_quaternionic_samples_exist():
     assert all(is_zero(s.unitary_defect()) for s in xs)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, DEFAULT_SEED])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, _UCD_SAMPLE_SEED])
 def test_samplers_draw_unitary_elements(seed):
     # the samplers do not check their own output; this checks it, at the
-    # witness's default seed among others
+    # witness's constant seed among others
     for sampler in (sample_zorn_unitaries, sample_ucd_unitaries):
         xs = sampler(Random(seed), 40)
         assert len(xs) == 40

@@ -97,7 +97,6 @@ def _commands() -> list[list[str]]:
         out.append(["--format", "json", "divide", *series, "--b", b,
                     "--side", "right"])
         out.append(["--format", "json", "invert", *series, "--side", "right"])
-    out.append(["--seed", "7", "witness", "ucd-not-loop"])
     return out
 
 
@@ -124,14 +123,17 @@ def test_schema_types_the_data_of_every_command():
     assert {envelope["command"] for envelope in outputs} == set(covered)
     for envelope in outputs:
         jsonschema.validate(envelope, schema)
-    # a mutated output is refused: an integer coefficient in coop
+    # a mutated output is refused: an integer coefficient in coop, or an
+    # envelope with a seed
     coop = next(envelope for envelope in outputs
                 if envelope["command"] == "coop"
                 and envelope["data"]["polynomial"]["terms"])
     bad = json.loads(json.dumps(coop))
     bad["data"]["polynomial"]["terms"][0]["coeff"] = 1
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad, schema)
+    seeded = dict(coop, seed=5)
+    for mutated in (bad, seeded):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(mutated, schema)
 
 
 # Public names and methods that no command enters, each with the reason
