@@ -728,8 +728,13 @@ BAD_INPUTS = [
     ["trees", "--length", " 3"],
     ["coeffs", "--n", "\uff13"],
     ["verify", "--max-degree", "0_3"],
-    # no command reads a seed, so --seed is an unknown option
+    # no command reads a seed, so --seed is an unknown option wherever it
+    # stands and in either spelling, also before a command that once ran
+    # with it
     ["--seed", "5", "witness", "ucd-not-loop"],
+    ["--seed=5", "witness", "ucd-not-loop"],
+    ["witness", "ucd-not-loop", "--seed", "5"],
+    ["--seed", "5", "trees", "--length", "1"],
     # more coefficients than the order, in either series option
     ["divide", "--flavor", "inv", "--order", "1", "--side", "right",
      "--algebra", "q", "--a", '["1", "2"]', "--b", '["1"]'],
