@@ -281,6 +281,18 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse would read the value of an unknown option before the
+    # command as the command; name the option instead
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-") or token == "--":
+            break
+        action = parser._option_string_actions.get(token.partition("=")[0])
+        if action is None:
+            parser.error(f"unrecognized arguments: {token}")
+        if action.nargs is None and "=" not in token:
+            next(tokens, None)
     args = parser.parse_args(argv)
     print(f"loopseries {__version__}", file=sys.stderr)
     try:

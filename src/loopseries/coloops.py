@@ -210,7 +210,9 @@ class Coloop:
         return self._hom("x", "x", "x")(self.coassociator(n))
 
     def projected_coproduct(self, n: int) -> TensorPoly:
-        """``Delta^(x) = pi . Delta``: the induced tensor comultiplication."""
+        """``Delta^(x) = pi . Delta``: the induced tensor comultiplication,
+        a ``TensorPoly`` of pairs of copy-1 words, the coproduct of the
+        non-commutative Faa di Bruno Hopf algebra for ``fdb``."""
         return project_pi(self.coproduct(n), 2)
 
     # -- axioms ----------------------------------------------------------------

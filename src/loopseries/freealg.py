@@ -19,20 +19,22 @@ scalar ``c`` is ``NCPolynomial.unit() * c``. ``evaluate`` sends the
 generators into a concrete unital algebra, each word's product nested
 to the left or to the right.
 
-``TensorPoly`` is the image of the canonical projection ``pi`` onto the
-componentwise tensor product: keys are tuples of copy-free words.
+``TensorPoly`` holds tensors over the free algebra: its keys are tuples
+of words, and the empty tuple is the scalar. Its ``tensor`` concatenates
+tuples, the product of the tensor algebra ``T(A)`` of
+:mod:`loopseries.operators`; its ``*`` multiplies tuples of one length
+word by word, the product of ``H x ... x H`` that the canonical
+projection ``project_pi`` lands in.
 
-Both, and ``operators.GradedTensorPoly``, are ``Sparse`` linear
-combinations: the base holds the terms and implements the linear
-structure (linear-time ``sum``, ``+``, ``-``, integer scaling), equality,
-hashing and the signed text form once (the package's ``_sum_text``, which
-Cayley-Dickson elements share); each subclass adds its key order, the
-text of one monomial and its product. A word has one text form
-(``_word_text``, ``x1*y2``) and one JSON form (``_word_json``); the csv
-of ``coop`` writes a third, its ``copy:index`` pairs (``1:1 2:2``, in
-``commands.cmd_coop``). The
-polynomial product and the tensor product of ``operators`` are one
-concatenation loop (``_concat``).
+Both are ``Sparse`` linear combinations: the base holds the terms and
+implements the linear structure (linear-time ``sum``, ``+``, ``-``,
+integer scaling), equality, hashing and the signed text form once (the
+package's ``_sum_text``, which Cayley-Dickson elements share); each
+subclass adds its key order, the text of one monomial and its products.
+A word has one text form (``_word_text``, ``x1*y2``) and one JSON form
+(``_word_json``); the csv of ``coop`` writes a third, its ``copy:index``
+pairs (``1:1 2:2``, in ``commands.cmd_coop``). The polynomial product and
+``TensorPoly.tensor`` are one concatenation loop (``_concat``).
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class Sparse:
     The module's polynomials and tensors share everything but their keys:
     a subclass gives the canonical key order (``_sort_key``), the text of
     one monomial (``_key_text``, empty for the scalar key) and its product.
-    ``_shape`` lists the constructor arguments that precede the terms;
-    values of one class with different shapes never compare equal and
-    cannot be added.
     """
 
     __slots__ = ("terms",)
@@ -110,29 +109,21 @@ class Sparse:
     def __init__(self, terms: Mapping | None = None):
         self.terms: dict = {k: c for k, c in (terms or {}).items() if c != 0}
 
-    def _shape(self) -> tuple:
-        return ()
-
     def _like(self, terms: Mapping) -> "Sparse":
-        return type(self)(*self._shape(), terms)
+        return type(self)(terms)
 
     @classmethod
-    def sum(cls, items: Iterable["Sparse"], *shape):
+    def sum(cls, items: Iterable["Sparse"]):
         """Sum of ``items`` in time linear in their terms: every term goes
-        into one dict and zeros are dropped once, at the end. ``shape``
-        is the shape of the result (the arity of a ``TensorPoly``)."""
+        into one dict and zeros are dropped once, at the end."""
         out: dict = {}
         for p in items:
             _add_terms(out, p.terms)
-        return cls(*shape, out)
+        return cls(out)
 
     def _combine(self, other: "Sparse", scale: int):
         if type(other) is not type(self):
             return NotImplemented
-        if other._shape() != self._shape():
-            raise StructuralError(
-                f"{type(self).__name__} shape mismatch: "
-                f"{self._shape()} and {other._shape()}")
         out = dict(self.terms)
         _add_terms(out, other.terms, scale)
         return self._like(out)
@@ -154,11 +145,10 @@ class Sparse:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self.terms == other.terms
-                and self._shape() == other._shape())
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self._shape(), tuple(sorted(self.terms.items()))))
+        return hash(tuple(sorted(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -175,8 +165,7 @@ class Sparse:
         return _sum_text((c, self._key_text(k)) for k, c in self.sorted_terms())
 
     def __repr__(self) -> str:
-        args = [str(a) for a in self._shape()] + [str(self)]
-        return f"{type(self).__name__}({', '.join(args)})"
+        return f"{type(self).__name__}({self})"
 
 
 class NCPolynomial(Sparse):
@@ -277,67 +266,66 @@ def fold(labelmap: Mapping[int, int], p: NCPolynomial) -> NCPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Canonical projection onto the tensor product.
+# Tensors and the canonical projection.
 # ---------------------------------------------------------------------------
 
-PlainWord = tuple[int, ...]
+TensorKey = tuple[Word, ...]
 
 
 class TensorPoly(Sparse):
-    """Element of the componentwise tensor product ``H x ... x H``:
-    integer combination of ``arity``-tuples of copy-free words."""
+    """Integer combination of tuples of words, with an explicit scalar
+    (length-0) component."""
 
-    __slots__ = ("arity",)
-
-    def __init__(self, arity: int,
-                 terms: Mapping[tuple[PlainWord, ...], int] | None = None):
-        for key in terms or {}:
-            if len(key) != arity:
-                raise StructuralError(f"tensor key {key} has arity != {arity}")
-        self.arity = arity
-        super().__init__(terms)
+    __slots__ = ()
 
     @classmethod
-    def one(cls, arity: int) -> "TensorPoly":
-        return cls(arity, {((),) * arity: 1})
+    def zero(cls) -> "TensorPoly":
+        return cls()
 
-    def _shape(self) -> tuple:
-        return (self.arity,)
+    @classmethod
+    def unit(cls) -> "TensorPoly":
+        return cls({(): 1})
+
+    def tensor(self, other: "TensorPoly") -> "TensorPoly":
+        """The product of ``T(A)``: tuples concatenated."""
+        return TensorPoly(_concat(self.terms, other.terms))
 
     def __mul__(self, other):
+        """The product of ``H x ... x H``: tuples of one length multiplied
+        word by word."""
         if not isinstance(other, TensorPoly):
             return super().__mul__(other)
-        if self.arity != other.arity:
-            raise StructuralError("tensor arity mismatch")
-        out: dict[tuple[PlainWord, ...], int] = {}
+        out: dict[TensorKey, int] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
+                if len(k1) != len(k2):
+                    raise StructuralError("tensor arity mismatch")
                 k = tuple(a + b for a, b in zip(k1, k2))
                 out[k] = out.get(k, 0) + c1 * c2
-        return TensorPoly(self.arity, out)
+        return TensorPoly(out)
 
     @staticmethod
-    def _sort_key(k: tuple[PlainWord, ...]) -> tuple:
-        return tuple((sum(w), len(w), w) for w in k)
+    def _sort_key(k: TensorKey) -> tuple:
+        return (len(k), tuple(map(_term_key, k)))
 
-    def _key_text(self, k: tuple[PlainWord, ...]) -> str:
-        return " (x) ".join("*".join(f"x{idx}" for idx in w) if w else "1"
-                            for w in k)
+    def _key_text(self, k: TensorKey) -> str:
+        return " | ".join(_word_text(w) or "1" for w in k)
 
 
 def project_pi(p: NCPolynomial, arity: int) -> TensorPoly:
     """Canonical projection: stably extract the subword of each copy and
-    multiply within the copy, e.g. ``a1 b2 c1 d2 -> (ac) (x) (bd)``."""
-    out: dict[tuple[PlainWord, ...], int] = {}
+    multiply within the copy, e.g. ``a1 b2 c1 d2 -> (ac) | (bd)``; each
+    subword is written in copy-1 letters."""
+    out: dict[TensorKey, int] = {}
     for w, c in p.terms.items():
-        slots: list[list[int]] = [[] for _ in range(arity)]
+        slots: list[list[Letter]] = [[] for _ in range(arity)]
         for cp, idx in w:
             if not 1 <= cp <= arity:
                 raise StructuralError(f"copy {cp} outside arity {arity}")
-            slots[cp - 1].append(idx)
-        key = tuple(tuple(s) for s in slots)
+            slots[cp - 1].append((1, idx))
+        key = tuple(map(tuple, slots))
         out[key] = out.get(key, 0) + c
-    return TensorPoly(arity, out)
+    return TensorPoly(out)
 
 
 def evaluate(p: NCPolynomial, assignment: Callable[[int, int], object], one,

@@ -1,9 +1,10 @@
 """The graded operation ``|>`` and the recursive operators on ``T(A)``.
 
 ``A`` is the positive part of the labeled free algebra of
-:mod:`loopseries.freealg`; a tensor element is held fully expanded, as an
-integer combination of tuples of words (the scalar component is the empty
-tuple). On monomials the graded operation is
+:mod:`loopseries.freealg`; a tensor element is a ``freealg.TensorPoly``,
+held fully expanded as an integer combination of tuples of words (the
+scalar component is the empty tuple), and ``TensorPoly.tensor`` is the
+product of ``T(A)``. On monomials the graded operation is
 
     a |> (b_1 (x) ... (x) b_l)            = binom(|a|+1, l) a b_1 ... b_l
     (a_1 (x)...(x) a_p) |> (b_1 (x)...(x) b_q)
@@ -33,11 +34,6 @@ the recursions below trust the letters, the bits and everything they
 build from them, so the closed first blocks read the unchecked DP fold.
 Every tensor monomial is built by one constructor, ``_tensor_monomial``,
 from checked letters.
-
-``GradedTensorPoly`` is a ``freealg.Sparse`` combination: it inherits the
-linear structure and text form and adds its key order and ``tensor``,
-the concatenation product ``freealg._concat`` that ``NCPolynomial``
-multiplies by too.
 """
 
 from __future__ import annotations
@@ -50,53 +46,25 @@ from . import MODES, StructuralError, _choose
 from .combinatorics import _d_fold, check_lagrange_args, is_m_sequence
 from .freealg import (
     NCPolynomial,
-    Sparse,
-    Word,
+    TensorKey,
+    TensorPoly,
     _concat,
-    _word_text,
     word_degree,
 )
 
-TensorKey = tuple[Word, ...]
-
-
-class GradedTensorPoly(Sparse):
-    """Integer combination of tensor monomials over the free algebra,
-    with an explicit scalar (length-0) component."""
-
-    __slots__ = ()
-
-    @classmethod
-    def zero(cls) -> "GradedTensorPoly":
-        return cls()
-
-    @classmethod
-    def unit(cls) -> "GradedTensorPoly":
-        return cls({(): 1})
-
-    def tensor(self, other: "GradedTensorPoly") -> "GradedTensorPoly":
-        return GradedTensorPoly(_concat(self.terms, other.terms))
-
-    @staticmethod
-    def _sort_key(k: TensorKey) -> tuple:
-        return (len(k), tuple((word_degree(w), len(w), w) for w in k))
-
-    def _key_text(self, k: TensorKey) -> str:
-        return " | ".join(map(_word_text, k))
-
 
 def _tensor_monomial(letters: Sequence[NCPolynomial],
-                     coeff: int = 1) -> GradedTensorPoly:
+                     coeff: int = 1) -> TensorPoly:
     """The tensor monomial ``coeff * f_1 (x) ... (x) f_l``, expanded
     bilinearly, for checked letters and what is built from them; a zero
     factor gives zero."""
     out: dict[TensorKey, int] = {(): coeff}
     for f in letters:
         out = _concat(out, {(w,): c for w, c in f.terms.items()})
-    return GradedTensorPoly(out)
+    return TensorPoly(out)
 
 
-def triangle(lhs: GradedTensorPoly, rhs: GradedTensorPoly) -> GradedTensorPoly:
+def triangle(lhs: TensorPoly, rhs: TensorPoly) -> TensorPoly:
     """The graded operation ``lhs |> rhs``, extended bilinearly."""
     out: dict[TensorKey, int] = {}
     for lk, lc in lhs.terms.items():
@@ -113,7 +81,7 @@ def triangle(lhs: GradedTensorPoly, rhs: GradedTensorPoly) -> GradedTensorPoly:
             if coeff:
                 key = (head + tuple(itertools.chain.from_iterable(rk)),)
                 out[key] = out.get(key, 0) + lc * rc * coeff
-    return GradedTensorPoly(out)
+    return TensorPoly(out)
 
 
 def _check_factors(factors: Sequence[NCPolynomial]
@@ -133,7 +101,7 @@ def _check_factors(factors: Sequence[NCPolynomial]
 
 
 def left_op(factors: Sequence[NCPolynomial],
-            mode: str = MODES[0]) -> GradedTensorPoly:
+            mode: str = MODES[0]) -> TensorPoly:
     """Left recursive operator ``L_l``.
 
     ``recursive`` evaluates the defining alternating sum
@@ -149,16 +117,16 @@ def left_op(factors: Sequence[NCPolynomial],
     letters, _ = _check_factors(factors)
     ell = len(letters)
     if ell == 0:
-        return GradedTensorPoly.unit()
+        return TensorPoly.unit()
     single = [_tensor_monomial([f]) for f in letters]
     if mode == "closed":
         acc = single[0]
         for e in single[1:]:
             acc = triangle(acc, e) - acc.tensor(e)
         return acc
-    memo: list[GradedTensorPoly] = [GradedTensorPoly.unit()]
+    memo: list[TensorPoly] = [TensorPoly.unit()]
     for i in range(1, ell + 1):
-        memo.append(GradedTensorPoly.sum(
+        memo.append(TensorPoly.sum(
             (-1) ** (i - 1 - j)
             * triangle(memo[j], single[j]).tensor(
                 _tensor_monomial(letters[j + 1: i]))
@@ -167,7 +135,7 @@ def left_op(factors: Sequence[NCPolynomial],
 
 
 def right_op(factors: Sequence[NCPolynomial],
-             mode: str = MODES[0]) -> GradedTensorPoly:
+             mode: str = MODES[0]) -> TensorPoly:
     """Right recursive operator ``R_l``.
 
     The defining sum runs over every composition ``(p_1..p_j)`` of ``l``
@@ -187,7 +155,7 @@ def right_op(factors: Sequence[NCPolynomial],
 
 
 def right_op_m(m: Sequence[int],
-               factors: Sequence[NCPolynomial]) -> GradedTensorPoly:
+               factors: Sequence[NCPolynomial]) -> TensorPoly:
     """Single-structure operator ``R_m`` for an M-sequence ``m``.
 
     ``m`` is the preorder reading of a planar forest on the letters:
@@ -217,7 +185,7 @@ def right_op_m(m: Sequence[int],
 
 
 def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
-               mode: str = MODES[0]) -> GradedTensorPoly:
+               mode: str = MODES[0]) -> TensorPoly:
     """Labeled right recursive operator ``R_l^e``.
 
     Equals ``right_op`` when ``e = (1,..,1)`` and vanishes when ``e``
@@ -244,16 +212,16 @@ def right_op_e(e: Sequence[int], factors: Sequence[NCPolynomial],
 
 def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
                    degrees: tuple[int, ...], closed: bool,
-                   memo: dict) -> GradedTensorPoly:
+                   memo: dict) -> TensorPoly:
     """``R_l^e`` on checked ``letters`` of the given ``degrees`` by its
     first-block factorization, the first blocks by ``R1`` when ``closed``;
     ``memo`` maps ``(e, letters)`` to the result and lives for one
     top-level call."""
     ell = len(letters)
     if ell == 0:
-        return GradedTensorPoly.unit()
+        return TensorPoly.unit()
     if e[0] == 2:
-        return GradedTensorPoly.zero()
+        return TensorPoly.zero()
     if ell == 1:
         return _tensor_monomial(letters)
     got = memo.get((e, letters))
@@ -274,5 +242,5 @@ def _right_labeled(e: tuple[int, ...], letters: tuple[NCPolynomial, ...],
             block = block.tensor(_right_labeled(
                 (1,) + e[p + 1:], letters[p:], degrees[p:], closed, memo))
         blocks.append(block)
-    got = memo[(e, letters)] = GradedTensorPoly.sum(blocks)
+    got = memo[(e, letters)] = TensorPoly.sum(blocks)
     return got

@@ -48,7 +48,6 @@ from loopseries.freealg import (
     letter,
 )
 from loopseries.operators import (
-    GradedTensorPoly,
     _check_factors,
     _tensor_monomial,
     left_op,
@@ -426,7 +425,7 @@ def d_recurrence_check(variant: str, ns: Sequence[int]) -> bool:
 # -- checked tensor constructors ----------------------------------------------
 
 def from_factors(factors: Sequence[NCPolynomial],
-                 coeff: int = 1) -> GradedTensorPoly:
+                 coeff: int = 1) -> TensorPoly:
     """Tensor monomial with polynomial entries, expanded bilinearly.
 
     Every nonzero factor must be a letter in the sense of
@@ -439,16 +438,16 @@ def from_factors(factors: Sequence[NCPolynomial],
         [f for f in factors
          if not (isinstance(f, NCPolynomial) and f.is_zero())])
     if len(letters) < len(factors):
-        return GradedTensorPoly.zero()
+        return TensorPoly.zero()
     return _tensor_monomial(letters, coeff)
 
 
-def element(p: NCPolynomial) -> GradedTensorPoly:
+def element(p: NCPolynomial) -> TensorPoly:
     """A single homogeneous algebra element as a length-1 tensor."""
     return from_factors([p])
 
 
-def scalar_length_polynomial(t: GradedTensorPoly) -> NCPolynomial:
+def scalar_length_polynomial(t: TensorPoly) -> NCPolynomial:
     """The length-1 component of ``t`` as a plain polynomial (plus nothing
     of the scalar component)."""
     return NCPolynomial({k[0]: c for k, c in t.terms.items() if len(k) == 1})
@@ -457,7 +456,7 @@ def scalar_length_polynomial(t: GradedTensorPoly) -> NCPolynomial:
 # -- the single-structure operator by its nested items ------------------------
 
 def right_op_m_nested(m: Sequence[int],
-                      factors: Sequence[NCPolynomial]) -> GradedTensorPoly:
+                      factors: Sequence[NCPolynomial]) -> TensorPoly:
     """``R_m`` by parsing ``m`` into nested items: the ``m_1`` tensor
     factors are items, and item ``a_i`` is ``binom(|a_i|+1, m_{i+1}) a_i``
     times the next ``m_{i+1}`` items (trailing entry read as 0). The
@@ -467,7 +466,7 @@ def right_op_m_nested(m: Sequence[int],
     if not is_m_sequence(m) or len(m) != len(letters):
         raise StructuralError(f"{m} is not an M-sequence matching the input")
     if not m:
-        return GradedTensorPoly.unit()
+        return TensorPoly.unit()
 
     def build_item(i: int) -> tuple[NCPolynomial, int]:
         a = letters[i]
@@ -527,7 +526,7 @@ def operator_identity_check(identity: str, ell: int,
         for degs in _degree_tuples(ell + 1, degree_bound):
             a = _letters(degs)
             lhs = triangle(element(a[0]), right_op(a[1:]))
-            rhs = GradedTensorPoly.sum(
+            rhs = TensorPoly.sum(
                 (-1) ** (ell - 1 - i) * triangle(
                     triangle(element(a[0]), right_op(a[1: i + 1])),
                     from_factors(a[i + 1:]))
@@ -539,7 +538,7 @@ def operator_identity_check(identity: str, ell: int,
         for degs in _degree_tuples(ell + 1, degree_bound):
             a = _letters(degs)
             lhs = triangle(element(a[0]), right_op(a[1:]))
-            rhs = GradedTensorPoly.sum(
+            rhs = TensorPoly.sum(
                 (-1) ** (i - 1) * triangle(
                     triangle(element(a[0]),
                              from_factors(a[1: i + 1])),
@@ -558,7 +557,7 @@ def operator_identity_check(identity: str, ell: int,
                                 from_factors(a[1: i + 1]))
                 first = scalar_length_polynomial(head)
                 parts.append((-1) ** (i - 1) * left_op([first] + a[i + 1:]))
-            if lhs != GradedTensorPoly.sum(parts):
+            if lhs != TensorPoly.sum(parts):
                 return False
         return True
     if identity == "Re1":
@@ -574,7 +573,7 @@ def operator_identity_check(identity: str, ell: int,
                     tail = triangle(element(a[i]),
                                     right_op_e(e[i + 1:], a[i + 1:]))
                     parts.append(right_op_e(e[:i], a[:i]).tensor(tail))
-                if lhs != GradedTensorPoly.sum(parts):
+                if lhs != TensorPoly.sum(parts):
                     return False
         return True
     if identity == "R1":
@@ -598,7 +597,7 @@ def operator_identity_check(identity: str, ell: int,
                 got = triangle(element(a[0]), right_op_e(e, a[1:]))
                 de = lagrange_d_labeled(e, degs[:ell])
                 want = (from_factors([product], de)
-                        if de else GradedTensorPoly.zero())
+                        if de else TensorPoly.zero())
                 if got != want:
                     return False
         return True
@@ -706,25 +705,31 @@ def _parse_monomial(signed: str, text: str) -> NCPolynomial:
 
 # -- the tensor Hopf algebra ---------------------------------------------------
 
+def plain(key: Sequence[Sequence[int]]) -> tuple[Word, ...]:
+    """A tensor key from its words' plain indices, in copy-1 letters as
+    ``project_pi`` writes them: ``((1, 3), ())`` is ``x1*x3 | 1``."""
+    return tuple(tuple((1, idx) for idx in w) for w in key)
+
+
 def include_iota(t: TensorPoly) -> NCPolynomial:
     """Linear section of ``project_pi`` induced by the multiplication:
-    ``a (x) b -> a^(1) b^(2)``."""
+    ``a | b -> a^(1) b^(2)``."""
     out: dict[Word, int] = {}
     for key, c in t.terms.items():
         w: list[Letter] = []
-        for cp0, plain in enumerate(key, start=1):
-            w.extend((cp0, idx) for idx in plain)
+        for cp0, word in enumerate(key, start=1):
+            w.extend((cp0, idx) for _, idx in word)
         out[tuple(w)] = out.get(tuple(w), 0) + c
     return NCPolynomial(out)
 
 
 def _tensor_coproduct_hom(flavor: str):
-    """``Delta^(x)`` extended multiplicatively to copy-free words."""
+    """``Delta^(x)`` extended multiplicatively to copy-1 words."""
     coloop = get_coloop(flavor)
 
-    def on_word(word: tuple[int, ...]) -> TensorPoly:
-        out = TensorPoly.one(2)
-        for idx in word:
+    def on_word(word: Word) -> TensorPoly:
+        out = TensorPoly({((), ()): 1})
+        for _, idx in word:
             out = out * coloop.projected_coproduct(idx)
         return out
 
@@ -736,24 +741,24 @@ def tensor_coassociative(flavor: str, n: int) -> bool:
     hom = _tensor_coproduct_hom(flavor)
     dx = get_coloop(flavor).projected_coproduct(n).terms.items()
     left = TensorPoly.sum(
-        (TensorPoly(3, {(u1, u2, w2): c * d
-                        for (u1, u2), d in hom(w1).terms.items()})
-         for (w1, w2), c in dx), 3)
+        TensorPoly({(u1, u2, w2): c * d
+                    for (u1, u2), d in hom(w1).terms.items()})
+        for (w1, w2), c in dx)
     right = TensorPoly.sum(
-        (TensorPoly(3, {(w1, u1, u2): c * d
-                        for (u1, u2), d in hom(w2).terms.items()})
-         for (w1, w2), c in dx), 3)
+        TensorPoly({(w1, u1, u2): c * d
+                    for (u1, u2), d in hom(w2).terms.items()})
+        for (w1, w2), c in dx)
     return left == right
 
 
 def nc_hopf_coproduct(n: int) -> TensorPoly:
     """The non-commutative Faa di Bruno comultiplication
-    ``sum_m x_m (x) sum x_{k_0} ... x_{k_m}`` over non-negative tuples
+    ``sum_m x_m | sum x_{k_0} ... x_{k_m}`` over non-negative tuples
     ``k_0 + ... + k_m = n - m`` (zero indices read as the unit)."""
     return TensorPoly.sum(
-        (TensorPoly(2, {((m,) if m >= 1 else (),
-                         tuple(k for k in ks if k > 0)): 1})
-         for m in range(n + 1) for ks in weak_compositions(n - m, m + 1)), 2)
+        TensorPoly({plain(((m,) if m >= 1 else (),
+                           tuple(k for k in ks if k > 0))): 1})
+        for m in range(n + 1) for ks in weak_compositions(n - m, m + 1))
 
 
 def compare_nc_hopf(n: int) -> bool:

@@ -33,6 +33,7 @@ from oracles import (
     hq_loop_axioms,
     include_iota,
     operator_identity_check,
+    plain,
     random_matrix,
     random_unit_octonion,
     tensor_coassociative,
@@ -300,7 +301,7 @@ def test_criterion_09_projection():
         key = tuple(tuple(rng.randint(1, 3)
                           for _ in range(rng.randint(0, 3)))
                     for _ in range(2))
-        t = TensorPoly(2, {key: rng.randint(1, 4)})
+        t = TensorPoly({plain(key): rng.randint(1, 4)})
         assert project_pi(include_iota(t), 2) == t
     for n in range(1, 7):
         assert tensor_coassociative("fdb", n), n

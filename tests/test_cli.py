@@ -730,11 +730,12 @@ BAD_INPUTS = [
     ["verify", "--max-degree", "0_3"],
     # no command reads a seed, so --seed is an unknown option wherever it
     # stands and in either spelling, also before a command that once ran
-    # with it
+    # with it; the error line names it (UNKNOWN_OPTIONS)
     ["--seed", "5", "witness", "ucd-not-loop"],
     ["--seed=5", "witness", "ucd-not-loop"],
     ["witness", "ucd-not-loop", "--seed", "5"],
     ["--seed", "5", "trees", "--length", "1"],
+    ["--bogus", "1", "trees", "--length", "1"],
     # more coefficients than the order, in either series option
     ["divide", "--flavor", "inv", "--order", "1", "--side", "right",
      "--algebra", "q", "--a", '["1", "2"]', "--b", '["1"]'],
@@ -877,10 +878,20 @@ def test_text_verify_does_not_import_json():
     assert proc.stdout.split() == ["0", "False"]
 
 
+# Options no parser has: the error line of a BAD_INPUTS row that holds
+# one names it, not the value that follows it, which argparse alone would
+# read as the command.
+UNKNOWN_OPTIONS = ("--seed", "--bogus")
+
+
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a))
 def test_bad_input_exits_2_without_traceback(argv):
     # in-process: an exception that escapes cli.main fails the test
-    check(argv, valid=False)
+    err = check(argv, valid=False)
+    for option in UNKNOWN_OPTIONS:
+        if any(t.partition("=")[0] == option for t in argv):
+            assert err.splitlines()[-1].startswith(
+                f"loopseries: error: unrecognized arguments: {option}"), err
 
 
 # one argparse usage error, one StructuralError and one RecursionError,

@@ -357,7 +357,9 @@ def run(argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def check(argv: list[str], valid: bool) -> None:
+def check(argv: list[str], valid: bool) -> str:
+    """Assert the exit code and output of a valid or refused line and
+    return its stderr."""
     code, out, err = run(argv)
     if valid:
         assert code == 0, (argv, err)
@@ -367,6 +369,7 @@ def check(argv: list[str], valid: bool) -> None:
         assert out == ""
         assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1, \
             (argv, err)
+    return err
 
 
 @FUZZ_SETTINGS

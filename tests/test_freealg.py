@@ -18,7 +18,7 @@ from loopseries.freealg import (
     project_pi,
     word_degree,
 )
-from oracles import from_factors, include_iota, parse_polynomial
+from oracles import from_factors, include_iota, parse_polynomial, plain
 
 x = lambda n: NCPolynomial.generator(1, n)  # noqa: E731
 y = lambda n: NCPolynomial.generator(2, n)  # noqa: E731
@@ -270,17 +270,19 @@ class TestFold:
 
 class TestProjection:
     def test_displayed_example(self):
-        # a^(1) b^(2) c^(1) d^(2) -> (ac) (x) (bd)
+        # a^(1) b^(2) c^(1) d^(2) -> (ac) | (bd), in copy-1 letters
         word = x(1) * y(2) * x(3) * y(1)
-        assert project_pi(word, 2) == TensorPoly(2, {((1, 3), (2, 1)): 1})
+        assert project_pi(word, 2) == \
+            TensorPoly({(((1, 1), (1, 3)), ((1, 2), (1, 1))): 1})
+        assert str(project_pi(word, 2)) == "x1*x3 | x2*x1"
 
     def test_copy_pure(self):
-        assert project_pi(x(1) * x(2), 2) == TensorPoly(2, {((1, 2), ()): 1})
+        assert project_pi(x(1) * x(2), 2) == TensorPoly({plain(((1, 2), ())): 1})
 
     def test_iota_examples(self):
-        t = TensorPoly(2, {((1,), (2,)): 1})
+        t = TensorPoly({plain(((1,), (2,))): 1})
         assert include_iota(t) == x(1) * y(2)
-        t = TensorPoly(2, {((), (1,)): 1})
+        t = TensorPoly({plain(((), (1,))): 1})
         assert include_iota(t) == y(1)
 
     def test_pi_iota_identity(self):
@@ -289,7 +291,7 @@ class TestProjection:
             key = tuple(tuple(rng.randint(1, 3)
                               for _ in range(rng.randint(0, 3)))
                         for _ in range(2))
-            t = TensorPoly(2, {key: rng.randint(1, 5)})
+            t = TensorPoly({plain(key): rng.randint(1, 5)})
             assert project_pi(include_iota(t), 2) == t
 
     def test_pi_is_componentwise_homomorphism(self):
@@ -301,6 +303,21 @@ class TestProjection:
     def test_arity_mismatch(self):
         with pytest.raises(StructuralError):
             project_pi(z(1), 2)
+
+    def test_tensor_and_product_of_one_key_length(self):
+        # tensor concatenates tuples (the product of T(A)); * multiplies
+        # tuples of one length word by word (that of H x H), and refuses
+        # tuples of two lengths
+        a = TensorPoly({(((1, 1),), ((2, 2),)): 2})
+        b = TensorPoly({(((1, 3),), ()): -1, (((2, 1),), ((1, 1),)): 1})
+        assert a.tensor(b) == TensorPoly({
+            (((1, 1),), ((2, 2),), ((1, 3),), ()): -2,
+            (((1, 1),), ((2, 2),), ((2, 1),), ((1, 1),)): 2})
+        assert a * b == TensorPoly({
+            (((1, 1), (1, 3)), ((2, 2),)): -2,
+            (((1, 1), (2, 1)), ((2, 2), (1, 1))): 2})
+        with pytest.raises(StructuralError, match="tensor arity mismatch"):
+            a * a.tensor(TensorPoly({(((1, 1),),): 1}))
 
 
 class TestEvaluate:
@@ -340,32 +357,28 @@ class TestTextAndJson:
         assert str(NCPolynomial.unit() * -3) == "-3"
 
     def test_tensor_text_and_equality(self):
-        from loopseries.operators import GradedTensorPoly as G
         cases = [
-            (TensorPoly(2), "0", "TensorPoly(2, 0)"),
-            (TensorPoly(2, {((), ()): 3}), "3*1 (x) 1",
-             "TensorPoly(2, 3*1 (x) 1)"),
-            (TensorPoly(2, {((), ()): -1}), "-1 (x) 1",
-             "TensorPoly(2, -1 (x) 1)"),
-            (TensorPoly(2, {((1,), (2,)): -1, ((1, 2), ()): 3,
-                            ((), (1,)): 1}),
-             "1 (x) x1 - x1 (x) x2 + 3*x1*x2 (x) 1",
-             "TensorPoly(2, 1 (x) x1 - x1 (x) x2 + 3*x1*x2 (x) 1)"),
-            (TensorPoly(3, {((1,), (), (2, 1)): -2, ((), (), ()): 1}),
-             "1 (x) 1 (x) 1 - 2*x1 (x) 1 (x) x2*x1",
-             "TensorPoly(3, 1 (x) 1 (x) 1 - 2*x1 (x) 1 (x) x2*x1)"),
-            (G.zero(), "0", "GradedTensorPoly(0)"),
-            (G.unit(), "1", "GradedTensorPoly(1)"),
-            (G({(): -4}), "-4", "GradedTensorPoly(-4)"),
-            (G({(((1, 1),), ((2, 2),)): -1, (((1, 1), (1, 2)),): 3, (): 2}),
-             "2 + 3*x1*x2 - x1 | y2", "GradedTensorPoly(2 + 3*x1*x2 - x1 | y2)"),
+            (TensorPoly.zero(), "0", "TensorPoly(0)"),
+            (TensorPoly.unit(), "1", "TensorPoly(1)"),
+            (TensorPoly({(): -4}), "-4", "TensorPoly(-4)"),
+            (TensorPoly({((), ()): 3}), "3*1 | 1", "TensorPoly(3*1 | 1)"),
+            (TensorPoly({((), ()): -1}), "-1 | 1", "TensorPoly(-1 | 1)"),
+            (TensorPoly({plain(((1,), (2,))): -1, plain(((1, 2), ())): 3,
+                         plain(((), (1,))): 1}),
+             "1 | x1 - x1 | x2 + 3*x1*x2 | 1",
+             "TensorPoly(1 | x1 - x1 | x2 + 3*x1*x2 | 1)"),
+            (TensorPoly({plain(((1,), (), (2, 1))): -2, ((), (), ()): 1}),
+             "1 | 1 | 1 - 2*x1 | 1 | x2*x1",
+             "TensorPoly(1 | 1 | 1 - 2*x1 | 1 | x2*x1)"),
+            (TensorPoly({(((1, 1),), ((2, 2),)): -1, (((1, 1), (1, 2)),): 3,
+                         (): 2}),
+             "2 + 3*x1*x2 - x1 | y2", "TensorPoly(2 + 3*x1*x2 - x1 | y2)"),
             (from_factors([x(1) - y(1), x(2)], -2), "-2*x1 | x2 + 2*y1 | x2",
-             "GradedTensorPoly(-2*x1 | x2 + 2*y1 | x2)"),
+             "TensorPoly(-2*x1 | x2 + 2*y1 | x2)"),
         ]
         for value, text, rep in cases:
             assert (str(value), repr(value)) == (text, rep)
-        assert NCPolynomial.zero() != G.zero()
-        assert TensorPoly(2) != TensorPoly(3)
+        assert NCPolynomial.zero() != TensorPoly.zero()
 
     def test_table_entry_renders_exactly(self):
         # the documented rendering of an expanded u-difference table entry

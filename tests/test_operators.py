@@ -5,9 +5,8 @@ import pytest
 
 from loopseries import StructuralError, combinatorics, operators
 from loopseries.combinatorics import bit_sequences, lagrange_d, m_sequences
-from loopseries.freealg import NCPolynomial, word_degree
+from loopseries.freealg import NCPolynomial, TensorPoly, word_degree
 from loopseries.operators import (
-    GradedTensorPoly,
     left_op,
     right_op,
     right_op_e,
@@ -37,7 +36,7 @@ class TestTriangle:
         assert triangle(element(a), mono(b, c)) == mono(a * b * c)
 
     def test_unit_rules(self):
-        one = GradedTensorPoly.unit()
+        one = TensorPoly.unit()
         b = element(x(2))
         assert triangle(one, one) == one
         assert triangle(one, b) == b
@@ -46,7 +45,7 @@ class TestTriangle:
 
     def test_multi_left_on_unit(self):
         a1, a2 = x(2), x(1)
-        got = triangle(mono(a1, a2), GradedTensorPoly.unit())
+        got = triangle(mono(a1, a2), TensorPoly.unit())
         assert got == mono(a1 * a2, coeff=math.comb(3, 1))
 
     def test_general_binomial(self):
@@ -163,7 +162,7 @@ class TestStructureOperators:
         for ell in range(1, 6):
             degs = tuple(1 + (i % 2) for i in range(ell))
             fs = [x(n) for n in degs]
-            total = GradedTensorPoly.zero()
+            total = TensorPoly.zero()
             for m in m_sequences(ell):
                 total = total + right_op_m(m, fs)
             assert total == right_op(fs)
@@ -327,12 +326,12 @@ class TestLabeledOperators:
             fs = [x(n) for n in degs]
             structures = {m: right_op_m(m, fs) for m in m_sequences(ell)}
             for e in bit_sequences(ell):
-                want = GradedTensorPoly.sum(
+                want = TensorPoly.sum(
                     structures[m] for m in m_sequences_labeled(ell, e))
                 assert right_op_e(e, fs) == want, (degs, e)
                 assert right_op_e(e, fs, "closed") == want, (degs, e)
             assert right_op(fs, "closed") == right_op(fs) == \
-                GradedTensorPoly.sum(structures.values()), degs
+                TensorPoly.sum(structures.values()), degs
 
     def test_closed_modes_enumerate_no_m_sequences(self, monkeypatch):
         fs = [x(2), x(1), x(3), x(1), x(1), x(2), x(1)]

@@ -656,6 +656,15 @@ class TestWitnesses:
         assert a == b
         assert a["computed"]["seed"] == str(_UCD_SAMPLE_SEED)
 
+    def test_ucd_sample_cancels_but_leaves_the_unitary_set(self):
+        # what the fixed sample shows: x\y is no unitary element, while
+        # x (x\y) = y holds, so the cancellation defect is zero and the
+        # report's "defect is nonzero" check passes on the first alone
+        # (ROADMAP item 15)
+        computed = witness("ucd-not-loop")["computed"]
+        assert computed["division stays unitary"] == "False"
+        assert computed["x (x\\y) = y"] == "True"
+
 
 def test_quaternionic_samples_exist():
     rng = Random(67)

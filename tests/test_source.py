@@ -146,8 +146,6 @@ UNREACHED = {
         "counts its calls",
     "freealg.project_pi":
         "paper: the projection onto the tensor Hopf algebra",
-    "freealg.TensorPoly":
-        "paper: the tensor product project_pi lands in",
     "freealg.evaluate":
         "paper: a table under a coefficient assignment, for "
         "convolution_eval",
